@@ -10,6 +10,7 @@ identical inputs with the same seed give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -352,10 +353,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process-wide parser; argparse keeps no state between parses."""
+    return build_parser()
+
+
 def run(argv) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0,) else 0
     if not hasattr(args, "matrix"):

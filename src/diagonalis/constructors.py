@@ -158,21 +158,41 @@ def construct_schur_horn(lam, d, tol=1e-9) -> Realization:
 
 
 def _birkhoff_matching(support):
-    """Perfect matching on a boolean support matrix via augmenting paths."""
+    """Perfect matching on a boolean support matrix via augmenting paths.
+
+    Rows are matched in order, each by a depth-first search that tries
+    columns in ascending order.  The search keeps an explicit stack, so
+    paths as long as n need no recursion.
+    """
     n = len(support)
+    adj = [[c for c, ok in enumerate(row) if ok] for row in support]
     match_col = [-1] * n
-
-    def try_row(r, seen):
-        for c in range(n):
-            if support[r][c] and not seen[c]:
-                seen[c] = True
-                if match_col[c] < 0 or try_row(match_col[c], seen):
-                    match_col[c] = r
-                    return True
-        return False
-
-    for r in range(n):
-        if not try_row(r, [False] * n):
+    for root in range(n):
+        seen = [False] * n
+        # the path so far: rows[k] reaches rows[k + 1] through column cols[k];
+        # its[k] resumes the column scan of rows[k]
+        rows, cols, its = [root], [], [iter(adj[root])]
+        while its:
+            for c in its[-1]:
+                if not seen[c]:
+                    seen[c] = True
+                    break
+            else:
+                # no unseen column left: back up to the previous row
+                its.pop()
+                rows.pop()
+                if cols:
+                    cols.pop()
+                continue
+            cols.append(c)
+            if match_col[c] < 0:
+                # free column: shift every row on the path to its next column
+                for r, col in zip(rows, cols):
+                    match_col[col] = r
+                break
+            rows.append(match_col[c])
+            its.append(iter(adj[match_col[c]]))
+        else:
             return None
     perm = [0] * n
     for c, r in enumerate(match_col):
@@ -214,10 +234,10 @@ def convex_decomposition(lam, d, tol=1e-10):
     weight_left = num(1)
     out = []
     cap = (n - 1) ** 2 + 1
+    support = [[x > eps for x in row] for row in remaining]
     for _ in range(cap):
         if weight_left <= eps:
             break
-        support = [[remaining[r][c] > eps for c in range(n)] for r in range(n)]
         perm = _birkhoff_matching(support)
         if perm is None:
             break
@@ -225,8 +245,11 @@ def convex_decomposition(lam, d, tol=1e-10):
         if w <= eps:
             break
         out.append((w, tuple(perm)))
-        for r in range(n):
-            remaining[r][perm[r]] -= w
+        # only the entries on perm changed, so only they can leave the support
+        for r, c in enumerate(perm):
+            remaining[r][c] -= w
+            if remaining[r][c] <= eps:
+                support[r][c] = False
         weight_left -= w
     total_w = sum(w for w, _ in out)
     recon = [sum(w * num(lam[p[r]]) for w, p in out) for r in range(n)]

@@ -14,6 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import accumulate
 from numbers import Rational
 
 import numpy as np
@@ -28,6 +29,7 @@ from .scalars import (
     PreconditionError,
     UnsupportedError,
     XSum,
+    fraction_str,
     integrality,
     is_exact_scalar,
     is_real_scalar,
@@ -105,9 +107,9 @@ def _jsonable(x):
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     if isinstance(x, Fraction):
-        return str(x)
+        return fraction_str(x)
     if isinstance(x, QC):
-        return [str(x.re), str(x.im)]
+        return [fraction_str(x.re), fraction_str(x.im)]
     if isinstance(x, complex):
         return [x.real, x.imag]
     if isinstance(x, XSum):
@@ -137,14 +139,23 @@ def _verdict_from_majorization(v, yes=Decision.YES, no=Decision.NO):
 # Schur-Horn and compact relatives
 
 
+def _prefix_sums(xs):
+    """[x0, x0 + x1, ...] as one running sum started from 0, like ``sum``.
+
+    Starting from the int 0 keeps the values and types of ``sum(xs[:k+1])``:
+    a -0.0 head becomes 0.0, and int or Fraction entries stay exact.
+    """
+    return list(accumulate(xs, initial=0))[1:]
+
+
 def decide_schur_horn(lam, d) -> Decision:
     """Finite selfadjoint case: d is a diagonal iff it is majorized."""
     v = majorize_finite(d, lam)
     ds = sorted(d, reverse=True)
     ls = sorted(lam, reverse=True)
     cert = {
-        "partial_sums_d": [sum(ds[: k + 1]) for k in range(len(ds))],
-        "partial_sums_lambda": [sum(ls[: k + 1]) for k in range(len(ls))],
+        "partial_sums_d": _prefix_sums(ds),
+        "partial_sums_lambda": _prefix_sums(ls),
     }
     if v.witness is not None:
         cert["witness"] = {"index": v.witness[0], "lhs": v.witness[1], "rhs": v.witness[2]}

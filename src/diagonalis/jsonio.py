@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import INF, QC, InputError
+from .scalars import INF, QC, InputError, fraction_str
 from .seqspec import (
     ConstantRepeat,
     FiniteList,
@@ -68,7 +68,7 @@ def encode_scalar(x):
     if isinstance(x, QC):
         return [encode_scalar(x.re), encode_scalar(x.im)]
     if isinstance(x, Fraction):
-        return str(x)
+        return fraction_str(x)
     if isinstance(x, complex):
         return [x.real, x.imag]
     if isinstance(x, (np.floating, np.integer)):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from .scalars import INF, Cmp, PreconditionError
+from .scalars import INF, Cmp, PreconditionError, fraction_str
 from .seqspec import (
     ConstantRepeat,
     FiniteList,
@@ -67,7 +67,7 @@ class MajorizationVerdict:
 
 def _num(x):
     if isinstance(x, Fraction):
-        return str(x)
+        return fraction_str(x)
     return x
 
 

@@ -16,6 +16,7 @@ infinity, or a divergent marker.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -117,6 +118,22 @@ def as_qc(x) -> QC:
     if isinstance(x, float):
         return QC(Fraction(x), Fraction(0))
     raise TypeError(f"cannot view {x!r} as exact complex")
+
+
+def fraction_str(x: Fraction) -> str:
+    """``str(x)`` for a Fraction of any size.
+
+    ``str(int)`` refuses ints beyond ``sys.get_int_max_str_digits()`` digits
+    (4300 by default), which exact witnesses can exceed; ``decimal.Decimal``
+    converts an int without that limit and prints the same digits.
+    """
+    try:
+        return str(x)
+    except ValueError:
+        num = str(decimal.Decimal(x.numerator))
+        if x.denominator == 1:
+            return num
+        return f"{num}/{decimal.Decimal(x.denominator)}"
 
 
 def is_exact_scalar(x) -> bool:

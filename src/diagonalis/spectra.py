@@ -244,11 +244,11 @@ def _schur_2x2(b: np.ndarray):
     det = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
     disc = cmath.sqrt(tr * tr / 4.0 - det)
     lam = tr / 2.0 + disc
-    # eigenvector for lam
-    if abs(b[0, 1]) >= abs(lam - b[0, 0]):
-        vec = np.array([b[0, 1], lam - b[0, 0]], dtype=complex)
-    else:
-        vec = np.array([lam - b[1, 1], b[1, 0]], dtype=complex)
+    # eigenvector for lam: both candidates solve (b - lam) v = 0 exactly, so
+    # take the longer one; the shorter may be all cancellation error
+    cands = (np.array([b[0, 1], lam - b[0, 0]], dtype=complex),
+             np.array([lam - b[1, 1], b[1, 0]], dtype=complex))
+    vec = max(cands, key=np.linalg.norm)
     nrm = np.linalg.norm(vec)
     if nrm < 1e-300:
         vec = np.array([1.0, 0.0], dtype=complex)
@@ -332,13 +332,16 @@ def _polygon_contains(pts, z, margin):
         return abs(complex(*hull[0]) - z) <= margin
     if len(hull) == 2:
         return _segment_distance(z, complex(*hull[0]), complex(*hull[1])) <= margin
+    # edges between near-duplicate sweep points have a direction that is
+    # rounding noise; the neighbouring edges bound z on their own
+    min_edge = 1e-12 * max(1.0, max(math.hypot(x, y) for x, y in hull))
     inside = True
     for i in range(len(hull)):
         x1, y1 = hull[i]
         x2, y2 = hull[(i + 1) % len(hull)]
         cross = (x2 - x1) * (z.imag - y1) - (y2 - y1) * (z.real - x1)
         edge = math.hypot(x2 - x1, y2 - y1)
-        if edge < 1e-300:
+        if edge < min_edge:
             continue
         if cross / edge < -margin:
             inside = False

@@ -1,7 +1,10 @@
 import json
+import sys
+from fractions import Fraction as F
 
 import pytest
 
+from diagonalis import cli
 from diagonalis.cli import run
 
 
@@ -122,6 +125,78 @@ class TestVerifyOracleRange:
     def test_malformed_json(self, capsys):
         code, body = invoke(capsys, "decide", "kadison", "--d", "{broken")
         assert code == 3
+
+
+class TestParserReuse:
+    REQUESTS = [
+        ("decide", "majorization", "--kind", "weak", "--d", GEO_HALF, "--lambda", GEO_HALF),
+        ("decide", "kadison", "--d", THIRD_WITH_ZEROS),
+        ("decide", "schur-horn", "--lambda", "[3,1,0]", "--d", "[2,1,1]", "--exact"),
+        ("construct", "convex-decomposition", "--lambda", "[3,1,0]", "--d", "[2,1,1]",
+         "--exact"),
+        ("schema",),
+    ]
+
+    def test_one_parser_per_process(self):
+        assert cli._parser() is cli._parser()
+
+    def test_repeated_runs_byte_identical(self, capsys):
+        first = []
+        for argv in self.REQUESTS:
+            first.append((run(list(argv)), capsys.readouterr()))
+        for _ in range(3):
+            for argv, want in zip(self.REQUESTS, first):
+                assert (run(list(argv)), capsys.readouterr()) == want
+
+    def test_error_and_help_leave_next_request_alone(self, capsys):
+        argv = list(self.REQUESTS[0])
+        want = (run(argv), capsys.readouterr().out)
+        assert run(["decide", "majorization", "--horizon", "many"]) == 3
+        assert run(["decide"]) == 3
+        capsys.readouterr()
+        assert run(["--help"]) == 0
+        assert "usage: diagonalis" in capsys.readouterr().out
+        assert run(["decide", "--help"]) == 0
+        capsys.readouterr()
+        assert (run(argv), capsys.readouterr().out) == want
+
+
+class TestBigExactOutput:
+    def test_weak_witness_beyond_int_str_limit(self, capsys):
+        # the exact witness of geo(1/1000, 999/1000) vs tel(1) has integers
+        # far longer than the default int-to-str limit of 4300 digits
+        d = ('{"field":"real","exact":true,"streams":'
+             '[{"kind":"geometric","first":"1/1000","ratio":"999/1000"}]}')
+        lam = '{"field":"real","exact":true,"streams":[{"kind":"telescoping","scale":"1"}]}'
+        limit = sys.get_int_max_str_digits()
+        code, body = invoke(capsys, "decide", "majorization", "--kind", "weak",
+                            "--d", d, "--lambda", lam)
+        assert sys.get_int_max_str_digits() == limit
+        assert code == 1 and body["verdict"] == "Fails"
+        w = body["witness"]
+        m = w["index"]
+        lhs, rhs = 1 - F(999, 1000) ** m, 1 - F(1, m + 1)
+        assert lhs > rhs
+        try:
+            sys.set_int_max_str_digits(0)
+            assert w["lhs"] == str(lhs) and w["rhs"] == str(rhs)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(w["lhs"]) > 2 * 4300
+
+    def test_every_exact_encoder_prints_big_values(self):
+        from diagonalis import deciders, jsonio
+        from diagonalis.scalars import QC, fraction_str
+        for x in (F(0), F(-7), F(3, 4), F(-22, 7), F(10 ** 40 + 1, 3)):
+            assert fraction_str(x) == str(x)
+        huge = F(-(10 ** 5000) - 1, 3)
+        text = "-1" + "0" * 4999 + "1/3"
+        assert fraction_str(huge) == text
+        assert fraction_str(F(10 ** 5000)) == "1" + "0" * 5000
+        assert jsonio.encode_scalar(huge) == text
+        assert jsonio.encode_scalar(QC(huge, F(1, 2))) == [text, "1/2"]
+        assert deciders._jsonable({"x": [huge, QC(F(1, 2), huge)]}) == \
+            {"x": [text, ["1/2", text]]}
 
 
 class TestRoundTrip:

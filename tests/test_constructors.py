@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 from fractions import Fraction as F
 
@@ -18,6 +19,7 @@ from diagonalis.constructors import (
     construct_williams,
     construct_zero_diagonal_basis,
     convex_decomposition,
+    _birkhoff_matching,
 )
 from diagonalis.deciders import (
     decide_horn_unitary,
@@ -72,6 +74,50 @@ class TestSchurHorn:
             construct_schur_horn([1, 0], [1.2, -0.2])
 
 
+def recursive_matching(support):
+    """Reference: Kuhn's augmenting paths, rows in order, columns ascending."""
+    n = len(support)
+    match_col = [-1] * n
+
+    def try_row(r, seen):
+        for c in range(n):
+            if support[r][c] and not seen[c]:
+                seen[c] = True
+                if match_col[c] < 0 or try_row(match_col[c], seen):
+                    match_col[c] = r
+                    return True
+        return False
+
+    for r in range(n):
+        if not try_row(r, [False] * n):
+            return None
+    perm = [0] * n
+    for c, r in enumerate(match_col):
+        perm[r] = c
+    return perm
+
+
+class TestBirkhoffMatching:
+    def test_agrees_with_recursive_search(self):
+        r = np.random.default_rng(515)
+        for _ in range(300):
+            n = int(r.integers(1, 9))
+            support = (r.random((n, n)) < r.uniform(0.15, 0.7)).tolist()
+            assert _birkhoff_matching(support) == recursive_matching(support)
+
+    def test_long_staircase_path(self):
+        # row r allows columns r-1 and r: the search from row r first follows
+        # columns r-1, r-2, ... down to row 0 before it settles on column r,
+        # so it goes n rows deep
+        n = 1500
+        support = [[c in (r - 1, r) for c in range(n)] for r in range(n)]
+        assert _birkhoff_matching(support) == list(range(n))
+
+    def test_no_perfect_matching(self):
+        assert _birkhoff_matching([[True, True], [False, False]]) is None
+        assert _birkhoff_matching([[True, False], [True, False]]) is None
+
+
 class TestConvexDecomposition:
     def test_worked_example_exact(self):
         out = convex_decomposition([F(3), F(1), F(0)], [F(2), F(1), F(1)])
@@ -86,6 +132,24 @@ class TestConvexDecomposition:
         assert len(out) == 1
         w, p = out[0]
         assert w == 1 and p == (2, 0, 1)
+
+    # sha256 prefixes of repr(convex_decomposition(lam, d)), recorded from the
+    # recursive matcher that rebuilt the whole support every round
+    RECORDED = {(1, 8): (28, "358d7406bf8f41ad"), (2, 12): (67, "ed98e4b1219dc871"),
+                (3, 16): (121, "0d64c15b6e36fa4c"), (4, 20): (166, "67e37d7e0a68020c"),
+                (5, 24): (233, "53ea7c5602d98e3b"), (6, 30): (428, "754ee994ed3ed67a")}
+
+    @pytest.mark.parametrize("seed, n", sorted(RECORDED))
+    def test_exact_parts_unchanged(self, seed, n):
+        r = np.random.default_rng([seed, n])
+        lam = [F(int(a), 6) for a in r.integers(-120, 121, n)]
+        perms = [r.permutation(n) for _ in range(2)]
+        d = [(lam[i] + sum(lam[int(p[i])] for p in perms)) / 3 for i in range(n)]
+        out = convex_decomposition(lam, d)
+        assert sum(w for w, _ in out) == 1
+        assert [sum(w * lam[p[i]] for w, p in out) for i in range(n)] == d
+        digest = hashlib.sha256(repr(out).encode()).hexdigest()[:16]
+        assert (len(out), digest) == self.RECORDED[(seed, n)]
 
     def test_random_reconstruction(self):
         for _ in range(15):

@@ -1,5 +1,9 @@
+import math
+import operator
 from fractions import Fraction as F
+from functools import reduce
 
+import numpy as np
 import pytest
 
 from diagonalis.scalars import INF, PreconditionError, XSum
@@ -52,6 +56,42 @@ class TestSchurHorn:
         d = decide_schur_horn([1.0, 0.0], [1.1, -0.1])
         assert d.verdict == "No"
         assert d.certificate["witness"]["index"] == 1
+
+
+def slice_sums(xs):
+    """The certificate's definition: the k-th entry folds the top k+1 values
+    left to right from 0 (what ``sum`` does on floats before Python 3.12)."""
+    xs = sorted(xs, reverse=True)
+    return [reduce(operator.add, xs[: k + 1], 0) for k in range(len(xs))]
+
+
+class TestSchurHornCertificate:
+    _rng = np.random.default_rng(77)
+    CASES = [
+        ([F(3), F(1), F(0)], [F(2), F(1), F(1)]),
+        ([F(5)], [F(5)]),
+        ([F(2), F(2), F(-1), F(-1)], [F(1), F(1), F(1), F(0)]),
+        ([7], [7]),
+        ([4, 0, 2, 2], [2, 2, 2, 2]),
+        ([0.75], [0.75]),
+        ([-0.0, -0.0], [-0.0, -0.0]),
+        ([-0.0, -1.5], [-0.5, -1.0]),
+        ([1.0, 1.0, 0.1, 0.1], [0.7, 0.7, 0.4, 0.3]),
+        (list(_rng.standard_normal(40)), list(_rng.standard_normal(40))),
+        ([F(int(a), 7) for a in _rng.integers(-50, 50, 60)],
+         [F(int(a), 9) for a in _rng.integers(-50, 50, 60)]),
+    ]
+
+    @pytest.mark.parametrize("lam, d", CASES)
+    def test_partial_sums_match_slice_sums(self, lam, d):
+        cert = decide_schur_horn(lam, d).certificate
+        for key, xs in (("partial_sums_d", d), ("partial_sums_lambda", lam)):
+            want = slice_sums(xs)
+            got = cert[key]
+            assert got == want
+            assert [type(v) for v in got] == [type(v) for v in want]
+            # a -0.0 head folds to +0.0, as it does in sum()
+            assert [math.copysign(1, v) for v in got] == [math.copysign(1, v) for v in want]
 
 
 class TestGohbergMarkus:

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from diagonalis.scalars import INF, PreconditionError
+from diagonalis.scalars import INF, ConvergenceError, PreconditionError
 from diagonalis.seqspec import ConstantRepeat, FiniteList, Geometric, seq
 from diagonalis.spectra import (
     DenseMatrix,
@@ -159,6 +159,40 @@ class TestNumericalRange:
         x = attain_numerical_range_vector(m, z, tol=1e-9)
         assert abs(np.vdot(x, m.data @ x) - z) <= 1e-9 * max(1, m.norm())
         assert abs(np.linalg.norm(x) - 1) <= 1e-10
+
+    def test_schur_2x2_near_diagonal_block(self):
+        from diagonalis.spectra import _schur_2x2
+        # off-diagonal entries near 3e-14: the eigenvector candidate built
+        # from b[0, 1] is then mostly cancellation error
+        for b in (np.array([[1.3 + 0.2j, 3e-14], [2e-14j, -0.4 + 0.9j]]),
+                  np.array([[0.7, 3e-14], [-1e-14, 0.2]], dtype=complex),
+                  np.array([[0.7, 0.3], [0.1, 0.2]], dtype=complex)):
+            q, t = _schur_2x2(b)
+            assert abs(t[1, 0]) <= 1e-12 * np.linalg.norm(b)
+            assert np.linalg.norm(q.conj().T @ q - np.eye(2)) <= 1e-14
+            assert np.linalg.norm(q @ t @ q.conj().T - b) <= 1e-14 * np.linalg.norm(b)
+
+    def test_attain_centroid_seeded_normal_sweep(self):
+        # 40 seeded normal matrices, n = 3-5, at the centroid of their
+        # eigenvalues, with a coarse sweep to keep the test fast.  About 2%
+        # of such instances still fail at grid 90 (sweep too coarse for thin
+        # polygons or for the crossing search), so a few are tolerated.
+        failures = []
+        for seed in range(40):
+            r = np.random.default_rng([seed, 1])
+            n = 3 + seed % 3
+            lam = r.standard_normal(n) + 1j * r.standard_normal(n)
+            u = haar_unitary(n, seed=[seed, 2]).data
+            m = DenseMatrix(u @ np.diag(lam) @ u.conj().T)
+            z = lam.mean()
+            try:
+                x = attain_numerical_range_vector(m, z, tol=1e-9, grid=90)
+            except (ConvergenceError, PreconditionError):
+                failures.append(seed)
+                continue
+            assert abs(np.vdot(x, m.data @ x) - z) <= 1e-9 * max(1, m.norm())
+            assert abs(np.linalg.norm(x) - 1) <= 1e-10
+        assert len(failures) <= 2, failures
 
     def test_attain_outside_rejected(self):
         with pytest.raises(PreconditionError):
