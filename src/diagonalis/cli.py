@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import sys
+import traceback
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .majorization import (
     parse_plevel,
     weak_majorize,
 )
-from .scalars import INF, DiagonalisError, InputError
+from .scalars import INF, QC, DiagonalisError, InputError
 from .spectra import numerical_range_hull, hermitian_eigenvalues, singular_values
 
 EXIT_YES, EXIT_NO, EXIT_UNKNOWN, EXIT_ERROR = 0, 1, 2, 3
@@ -65,38 +66,66 @@ def _emit(obj, code):
     return code
 
 
-def _seq(args, name, attr=None):
+def _decode(decoder, raw, **kwargs):
+    """Decode user input; a malformed shape or value is an InputError.
+
+    This is the only place that reads a KeyError, TypeError or ValueError as
+    bad input; raised anywhere else, they report their own type.
+    """
+    try:
+        return decoder(raw, **kwargs)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(str(exc)) from exc
+
+
+def _arg(args, name, decoder, attr=None, **kwargs):
     raw = _load(getattr(args, attr or name))
     if raw is None:
         raise InputError(f"--{name} is required")
-    return jsonio.decode_sequence(raw)
+    return _decode(decoder, raw, **kwargs)
+
+
+def _seq(args, name, attr=None):
+    return _arg(args, name, jsonio.decode_sequence, attr)
 
 
 def _scalars(args, name, attr=None):
-    raw = _load(getattr(args, attr or name))
-    if raw is None:
-        raise InputError(f"--{name} is required")
-    return jsonio.decode_scalar_list(raw, exact=args.exact)
+    return _arg(args, name, jsonio.decode_scalar_list, attr, exact=args.exact)
+
+
+def _reals(args, name, attr=None):
+    """A scalar list for an argument that takes real values only."""
+    values = _scalars(args, name, attr)
+    if any(isinstance(v, (complex, QC)) for v in values):
+        raise InputError(f"--{name} takes real values, not [re, im] pairs")
+    return values
 
 
 def _operator(args):
-    raw = _load(args.spec)
-    if raw is None:
-        raise InputError("--spec is required")
-    return jsonio.decode_operator(raw)
+    return _arg(args, "spec", jsonio.decode_operator)
 
 
 def _matrix(args, name="matrix"):
-    raw = _load(getattr(args, name))
-    if raw is None:
-        raise InputError(f"--{name} is required")
-    return jsonio.decode_matrix(raw)
+    return _arg(args, name, jsonio.decode_matrix)
 
 
 def _kernel_dim(args):
     if args.kernel_dim is None:
         raise InputError("--kernel-dim is required")
-    return INF if args.kernel_dim == "inf" else int(args.kernel_dim)
+    return INF if args.kernel_dim == "inf" else _decode(int, args.kernel_dim)
+
+
+def _rays(raw):
+    return [(jsonio.decode_scalar(phase, exact=False), jsonio.decode_sequence(mag))
+            for phase, mag in raw]
+
+
+def _floats(raw):
+    return sorted((float(x) for x in jsonio.decode_scalar_list(raw)), reverse=True)
+
+
+def _complexes(raw):
+    return [complex(jsonio.decode_scalar(x, exact=False)) for x in raw]
 
 
 def cmd_decide(args) -> int:
@@ -104,7 +133,7 @@ def cmd_decide(args) -> int:
     if tag == "majorization":
         kind = args.kind or "finite"
         if kind == "finite":
-            v = majorize_finite(_scalars(args, "d"), _scalars(args, "lambda", "lam"))
+            v = majorize_finite(_reals(args, "d"), _reals(args, "lambda", "lam"))
         elif kind == "weak":
             v = weak_majorize(_seq(args, "d"), _seq(args, "lambda", "lam"),
                               horizon=args.horizon)
@@ -112,7 +141,7 @@ def cmd_decide(args) -> int:
             v = majorize_l1(_seq(args, "d"), _seq(args, "lambda", "lam"),
                             horizon=args.horizon)
         elif kind in ("p", "approx-p"):
-            p = parse_plevel(args.p if args.p is not None else 0)
+            p = _decode(parse_plevel, args.p if args.p is not None else 0)
             fn = p_majorize if kind == "p" else approx_p_majorize
             v = fn(_seq(args, "d"), _seq(args, "lambda", "lam"), p,
                    horizon=args.horizon)
@@ -120,8 +149,8 @@ def cmd_decide(args) -> int:
             raise InputError(f"unknown majorization kind {kind!r}")
         return _emit(v.as_json(), _VERDICT_EXIT[v.verdict])
     if tag == "schur-horn":
-        dec = deciders.decide_schur_horn(_scalars(args, "lambda", "lam"),
-                                         _scalars(args, "d"))
+        dec = deciders.decide_schur_horn(_reals(args, "lambda", "lam"),
+                                         _reals(args, "d"))
     elif tag == "gohberg-markus":
         dec = deciders.decide_gohberg_markus(_seq(args, "lambda", "lam"), _seq(args, "d"))
     elif tag == "kw":
@@ -129,7 +158,7 @@ def cmd_decide(args) -> int:
     elif tag == "kadison":
         dec = deciders.decide_kadison(_seq(args, "d"))
     elif tag == "bownik-jasper":
-        dec = deciders.decide_bownik_jasper(_scalars(args, "points"), _seq(args, "d"))
+        dec = deciders.decide_bownik_jasper(_reals(args, "points"), _seq(args, "d"))
     elif tag == "neumann":
         dec = deciders.decide_neumann_closure(_operator(args), _seq(args, "d"))
     elif tag == "blaschke":
@@ -149,23 +178,16 @@ def cmd_decide(args) -> int:
     elif tag == "jlw-unitary":
         dec = deciders.decide_jlw_unitary(_seq(args, "d"))
     elif tag == "thompson":
-        dec = deciders.decide_thompson(_scalars(args, "s"), _scalars(args, "d"))
+        dec = deciders.decide_thompson(_reals(args, "s"), _scalars(args, "d"))
     elif tag == "thompson-compact":
         dec = deciders.decide_thompson_compact(_seq(args, "s"), _seq(args, "d"))
     elif tag == "mt-p-summable":
         dec = deciders.check_mt_p_summable(_operator(args), _seq(args, "d"),
-                                           float(args.p))
+                                           _decode(float, args.p))
     elif tag == "fan":
         dec = deciders.check_fan_criterion(_seq(args, "d"))
     elif tag == "ffh-trace":
-        raw = _load(args.rays)
-        if raw is None:
-            raise InputError("--rays is required")
-        rays = []
-        for phase, mag in raw:
-            ph = jsonio.decode_scalar(phase, exact=False)
-            rays.append((ph, jsonio.decode_sequence(mag)))
-        cls = deciders.classify_trace_set(rays)
+        cls = deciders.classify_trace_set(_arg(args, "rays", _rays))
         return _emit(cls.as_json(), EXIT_YES)
     else:
         raise InputError(f"unknown theorem tag {tag!r}")
@@ -175,16 +197,16 @@ def cmd_decide(args) -> int:
 def cmd_construct(args) -> int:
     target = args.target
     if target == "schur-horn":
-        out = constructors.construct_schur_horn(_scalars(args, "lambda", "lam"),
-                                                _scalars(args, "d"), tol=args.tol)
+        out = constructors.construct_schur_horn(_reals(args, "lambda", "lam"),
+                                                _reals(args, "d"), tol=args.tol)
     elif target == "convex-decomposition":
-        parts = constructors.convex_decomposition(_scalars(args, "lambda", "lam"),
-                                                  _scalars(args, "d"))
+        parts = constructors.convex_decomposition(_reals(args, "lambda", "lam"),
+                                                  _reals(args, "d"))
         body = [{"weight": jsonio.encode_scalar(w), "permutation": list(p)}
                 for w, p in parts]
         return _emit({"decomposition": body}, EXIT_YES)
     elif target == "projection":
-        out = constructors.construct_projection_with_diagonal(_scalars(args, "d"),
+        out = constructors.construct_projection_with_diagonal(_reals(args, "d"),
                                                               tol=args.tol)
     elif target == "kadison-block":
         desc = constructors.construct_kadison_block(_seq(args, "d"), tol=args.tol)
@@ -192,7 +214,7 @@ def cmd_construct(args) -> int:
     elif target == "zero-diagonal":
         out = constructors.construct_zero_diagonal_basis(_matrix(args), tol=args.tol)
     elif target == "thompson":
-        out = constructors.construct_thompson(_scalars(args, "s"), _scalars(args, "d"),
+        out = constructors.construct_thompson(_reals(args, "s"), _scalars(args, "d"),
                                               tol=args.tol, budget=args.budget or 200,
                                               seed=args.seed)
     elif target == "unitary":
@@ -217,24 +239,19 @@ def cmd_verify(args) -> int:
         ok = True
         scale = max(m.norm(), 1.0)
         if args.eigenvalues:
-            claimed = sorted((float(x) for x in
-                              jsonio.decode_scalar_list(_load(args.eigenvalues))),
-                             reverse=True)
+            claimed = _arg(args, "eigenvalues", _floats)
             got = hermitian_eigenvalues(m)
             res = float(np.max(np.abs(got - np.array(claimed))))
             report["eigenvalue_residual"] = res
             ok = ok and res <= args.tol * scale
         if args.singular_values:
-            claimed = sorted((float(x) for x in
-                              jsonio.decode_scalar_list(_load(args.singular_values))),
-                             reverse=True)
+            claimed = _arg(args, "singular_values", _floats)
             got = singular_values(m)
             res = float(np.max(np.abs(got - np.array(claimed))))
             report["singular_residual"] = res
             ok = ok and res <= args.tol * scale
         if args.diagonal:
-            claimed = [complex(jsonio.decode_scalar(x, exact=False))
-                       for x in _load(args.diagonal)]
+            claimed = _arg(args, "diagonal", _complexes)
             res = float(np.max(np.abs(m.diag() - np.array(claimed))))
             report["diagonal_residual"] = res
             ok = ok and res <= args.tol * scale
@@ -263,7 +280,7 @@ def cmd_oracle(args) -> int:
         return _emit({"diagonals": body}, EXIT_YES)
     if what == "search":
         t = _matrix(args)
-        d = [complex(jsonio.decode_scalar(x, exact=False)) for x in _load(args.d)]
+        d = _arg(args, "d", _complexes)
         out = oracle.search_membership(t, d, tol=args.tol,
                                        budget=args.budget or 100_000, seed=args.seed)
         if isinstance(out, oracle.Found):
@@ -271,7 +288,7 @@ def cmd_oracle(args) -> int:
         return _emit(out.as_json(), EXIT_UNKNOWN)
     if what == "rational-majorization":
         verdict = oracle.rational_majorization_oracle(
-            _scalars(args, "d"), _scalars(args, "lambda", "lam"))
+            _reals(args, "d"), _reals(args, "lambda", "lam"))
         return _emit({"verdict": verdict},
                      EXIT_YES if verdict == "Holds" else EXIT_NO)
     raise InputError(f"unknown oracle mode {what!r}")
@@ -368,14 +385,12 @@ def run(argv) -> int:
         args.matrix = None
     try:
         return args.fn(args)
-    except DiagonalisError as exc:
+    except Exception as exc:  # the process boundary: every fault exits 3 with its type
+        if not isinstance(exc, DiagonalisError):
+            traceback.print_exc()
         sys.stderr.write(f"error: {exc}\n")
         sys.stdout.write(jsonio.dumps({"error": str(exc),
                                        "type": type(exc).__name__}))
-        return EXIT_ERROR
-    except (ValueError, KeyError, TypeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        sys.stdout.write(jsonio.dumps({"error": str(exc), "type": "InputError"}))
         return EXIT_ERROR
 
 

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import accumulate
-from numbers import Rational
 
 import numpy as np
 
@@ -29,6 +28,8 @@ from .scalars import (
     PreconditionError,
     UnsupportedError,
     XSum,
+    abs2,
+    as_qc,
     fraction_str,
     integrality,
     is_exact_scalar,
@@ -45,7 +46,6 @@ from .majorization import (
     weak_majorize,
 )
 from .seqspec import (
-    ConstantRepeat,
     OrderedSequenceSpec,
     SequenceSpec,
     affine_image,
@@ -68,6 +68,8 @@ from .seqspec import (
     zero_count,
     abs_values,
     is_c0,
+    _peel_head_by_gap,
+    _z,
 )
 from .spectra import (
     DenseMatrix,
@@ -133,6 +135,50 @@ def _verdict_from_majorization(v, yes=Decision.YES, no=Decision.NO):
     if v.verdict == "Fails":
         return no
     return Decision.UNKNOWN
+
+
+# Every numeric comparison behind a verdict goes through ``scalars.Cmp``:
+# exact in exact mode; in float mode True within the tolerance, None (which
+# the verdict reports as Unknown) in the buffer above it.
+_BUFFER = "comparison inside the float tolerance buffer"
+
+
+def _all3(answers):
+    """Conjunction of three-valued Cmp answers: any False, else any None."""
+    answers = list(answers)
+    if False in answers:
+        return False
+    return None if None in answers else True
+
+
+def _decided(ok, tag, cert, mode):
+    """Yes / No from a three-valued Cmp answer; None becomes Unknown."""
+    if ok is None:
+        return Decision(Decision.UNKNOWN, tag, {**cert, "reason": _BUFFER}, mode)
+    return Decision(Decision.YES if ok else Decision.NO, tag, cert, mode)
+
+
+def _unit_scale(values, exact):
+    """1 for exact data; for float data, a power of two near the largest |value|.
+
+    The float tolerance never falls below 1e-10, so a test that scaling the
+    data leaves unchanged asks ``Cmp`` about the data divided by this, which
+    puts the largest |value| in [1/2, 1).  Dividing by a power of two is
+    exact, so every float computed from the scaled data is the unscaled one
+    divided by the same power of two.
+    """
+    top = 0 if exact else max(map(scalar_abs, values), default=0)
+    return 2.0 ** math.frexp(top)[1] if top and math.isfinite(top) else 1
+
+
+def _inside(cmp, bounds, a, b):
+    """Whether every entry, by its ``spec_bounds``, lies in [a, b].
+
+    None also when an entry is outside by less than the float tolerance:
+    the closed-form sums that follow need the exact interval.
+    """
+    lo, _, hi, _ = bounds
+    return _all3([cmp.le(a, lo), cmp.le(hi, b)]) and (a <= lo and hi <= b or None)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +288,11 @@ def decide_kadison(d: SequenceSpec) -> Decision:
     bounds = spec_bounds(d)
     mode = _spec_mode(d)
     if bounds is not None:
-        lo, _, hi, _ = bounds
-        if lo < 0 or hi > 1:
+        inside = _inside(Cmp(mode == "exact"), bounds, 0, 1)
+        if inside is False:
             raise PreconditionError("entries must lie in [0, 1]")
+        if inside is None:
+            return Decision(Decision.UNKNOWN, "kadison", {"reason": _BUFFER}, mode)
     inv = kadison_invariants(d)
     cert = {"a": inv.a, "b": inv.b}
     if not inv.a.finite or not inv.b.finite:
@@ -258,14 +306,6 @@ def decide_kadison(d: SequenceSpec) -> Decision:
         return Decision(Decision.UNKNOWN, "kadison",
                         {**cert, "reason": "a-b inside the integrality buffer"}, mode)
     return Decision(Decision.NO, "kadison", cert, mode)
-
-
-@dataclass(frozen=True)
-class BJInvariants:
-    ceiling: object
-    interior: tuple
-    c_half: XSum
-    d_half: XSum
 
 
 def decide_bownik_jasper(points, d: SequenceSpec) -> Decision:
@@ -284,16 +324,17 @@ def decide_bownik_jasper(points, d: SequenceSpec) -> Decision:
     cmp = Cmp(mode == "exact")
     bounds = spec_bounds(d)
     if bounds is not None:
-        lo, _, hi, _ = bounds
-        if lo < 0 or hi > ceiling:
+        inside = _inside(cmp, bounds, 0, ceiling)
+        if inside is False:
             raise PreconditionError("entries must lie in [0, B]")
+        if inside is None:
+            return Decision(Decision.UNKNOWN, "bownik-jasper", {"reason": _BUFFER}, mode)
     if total_sum(d).kind != "pinf":
         raise PreconditionError("sum of entries must be infinite")
     if total_sum(affine_image(d, -1, ceiling)).kind != "pinf":
         raise PreconditionError("sum of (B - entries) must be infinite")
     half = ceiling / 2
     c_half, d_half = split_sums(d, half, ceiling=ceiling)
-    inv = BJInvariants(ceiling, tuple(interior), c_half, d_half)
     cert = {"C(B/2)": c_half, "D(B/2)": d_half}
     if not c_half.finite or not d_half.finite:
         return Decision(Decision.YES, "bownik-jasper",
@@ -326,7 +367,9 @@ def decide_bownik_jasper(points, d: SequenceSpec) -> Decision:
                 continue
             cap = lhs[r] / coef
             bj = cap if bj is None else min(bj, cap)
-        limit = BJ_SEARCH_CAP if bj is None else int(math.floor(float(bj) + 1e-12))
+        limit = BJ_SEARCH_CAP if bj is None else math.floor(bj)  # exact for a Fraction
+        if bj is not None and cmp.le(limit + 1, bj) is not False:  # float bj rounded down
+            limit += 1
         if limit < 1:
             return Decision(Decision.NO, "bownik-jasper",
                             {**cert, "reason": f"no admissible N_{j+1}",
@@ -415,18 +458,8 @@ def decide_neumann_closure(spec, d: SequenceSpec) -> Decision:
     return Decision(Decision.UNKNOWN, "neumann-closure", cert, mode)
 
 
-def _complex_points(spec_or_list):
-    pts = []
-    for p in spec_or_list:
-        if isinstance(p, QC):
-            pts.append(p)
-        else:
-            pts.append(complex(p))
-    return pts
-
-
 def _hull_edges(points):
-    """Convex hull as a list of (vertex, edge direction) pairs, ccw."""
+    """Convex hull vertices as complex numbers, ccw (edges join neighbours)."""
     pl = [(complex(p).real, complex(p).imag) for p in points]
     from .spectra import _convex_hull
     hull = _convex_hull(pl)
@@ -511,6 +544,7 @@ def decide_three_point(spec, d: SequenceSpec) -> Decision:
     if d.field != "real":
         raise PreconditionError("d must be real")
     mode = _spec_mode(d)
+    cmp = Cmp(mode == "exact")
     ms = eigen_multiset(spec)
     dim_a = count_value(ms, a)
     dim_b = count_value(ms, b)
@@ -518,15 +552,20 @@ def decide_three_point(spec, d: SequenceSpec) -> Decision:
     bounds = spec_bounds(d)
     if bounds is not None:
         lo, lo_att, hi, hi_att = bounds
-        if lo < a or hi > b:
+        inside = _inside(cmp, bounds, a, b)
+        if inside is False:
             return Decision(Decision.NO, "three-point",
                             {**cert, "clause": "value outside W(T)"}, mode)
-        if lo == a and lo_att and dim_a == 0:
+        at_a = lo_att and dim_a == 0 and cmp.eq(lo, a)
+        at_b = hi_att and dim_b == 0 and cmp.eq(hi, b)
+        if at_a:
             return Decision(Decision.NO, "three-point",
                             {**cert, "clause": "endpoint a not an eigenvalue"}, mode)
-        if hi == b and hi_att and dim_b == 0:
+        if at_b:
             return Decision(Decision.NO, "three-point",
                             {**cert, "clause": "endpoint b not an eigenvalue"}, mode)
+        if None in (inside, at_a, at_b):
+            return Decision(Decision.UNKNOWN, "three-point", {**cert, "reason": _BUFFER}, mode)
     use_a = count_value(d, a)
     use_b = count_value(d, b)
     cert["count_a"] = use_a
@@ -546,41 +585,24 @@ def decide_three_point(spec, d: SequenceSpec) -> Decision:
 # 3x3 normal matrices (Williams geometry)
 
 
-def _all_exact(vals):
-    return all(isinstance(v, (Rational, QC)) and not isinstance(v, float) for v in vals)
+def _parallel(cmp, u, v):
+    """Whether plane vectors u, v are parallel: the cross product's terms agree."""
+    return cmp.eq(u.real * v.imag, u.imag * v.real)
 
 
-def _qc(v):
-    if isinstance(v, QC):
-        return v
-    return QC(Fraction(v), Fraction(0))
-
-
-def _on_segment_exact(p, a, b):
-    cross = (b - a) * (p - a).conj()
-    if cross.im != 0:
-        return False
-    ab2 = (b - a).abs2()
-    if ab2 == 0:
-        return p == a
-    t = ((p - a) * (b - a).conj()).re / ab2
-    return 0 <= t <= 1
-
-
-def _on_segment_float(p, a, b, tol):
-    p, a, b = complex(p), complex(a), complex(b)
-    ab = b - a
-    if abs(ab) < tol:
-        return abs(p - a) <= tol
-    cross = ((p - a) * ab.conjugate()).imag / abs(ab)
-    if abs(cross) > tol:
-        return False
-    t = ((p - a) * ab.conjugate()).real / abs(ab) ** 2
-    return -tol <= t <= 1 + tol
+def _on_segment(cmp, p, a, b):
+    """Whether p lies on the segment [a, b], a != b; three-valued."""
+    u, v = b - a, p - a
+    t = (v * u.conjugate()).real  # |u|^2 times the position of p along [a, b]
+    return _all3([_parallel(cmp, u, v), cmp.le(0, t), cmp.le(t, abs2(u))])
 
 
 def _conic_through_tangent(traces, side_dirs, exact):
-    """Conic coefficients (A,B,C,D,E,F) tangent to each side at its trace."""
+    """Conic coefficients (A,B,C,D,E,F) tangent to each side at its trace.
+
+    The exact solve also proves the conic an ellipse.  For a thin ellipse the
+    float B^2 - 4AC of the unit-norm SVD coefficients is within rounding of 0.
+    """
     rows = []
     for (tx, ty), (sx, sy) in zip(traces, side_dirs):
         rows.append([tx * tx, tx * ty, ty * ty, tx, ty, 1])
@@ -589,6 +611,8 @@ def _conic_through_tangent(traces, side_dirs, exact):
         coef = ratlinalg.nullspace_vector(rows)
         if coef is None:
             raise PreconditionError("degenerate inscribed-conic system")
+        if coef[1] * coef[1] - 4 * coef[0] * coef[2] >= 0:
+            raise PreconditionError("inscribed conic is not an ellipse")
         return coef
     m = np.array([[float(x) for x in r] for r in rows])
     _, _, vt = np.linalg.svd(m)
@@ -600,179 +624,92 @@ def _conic_eval(coef, x, y):
     return a * x * x + b * x * y + c * y * y + d * x + e * y + f
 
 
-def _conic_center(coef, exact):
-    a, b, c, d, e, f = coef
-    if exact:
-        sol = ratlinalg.solve_exact([[2 * a, b], [b, 2 * c]], [-d, -e])
-        if sol is None:
-            raise PreconditionError("conic has no center")
-        return sol
-    m = np.array([[2 * float(a), float(b)], [float(b), 2 * float(c)]])
-    rhs = np.array([-float(d), -float(e)])
-    return list(np.linalg.solve(m, rhs))
-
-
 def decide_williams_3x3(lam, d) -> Decision:
-    """Diagonals of a 3x3 normal matrix with eigenvalues ``lam``."""
+    """Diagonals of a 3x3 normal matrix with eigenvalues ``lam``.
+
+    Exact input runs on ``QC`` points, float input on ``complex`` ones, through
+    the same geometry; only the inscribed conic's solver differs.
+    """
     lam = list(lam)
     d = list(d)
     if len(lam) != 3 or len(d) != 3:
         raise PreconditionError("need three eigenvalues and three diagonal entries")
-    exact = _all_exact(lam) and _all_exact(d)
+    exact = all(map(is_exact_scalar, lam + d))
     mode = "exact" if exact else "float"
-    if exact:
-        lam_q = [_qc(v) for v in lam]
-        d_q = [_qc(v) for v in d]
-        area2 = ((lam_q[1] - lam_q[0]) * (lam_q[2] - lam_q[0]).conj()).im
-        if area2 == 0:
-            return _williams_collinear(lam_q, d_q, mode)
-        return _williams_exact(lam_q, d_q)
-    lam_c = [complex(v) for v in lam]
-    d_c = [complex(v) for v in d]
-    scale = max(max(abs(v) for v in lam_c), 1.0)
-    tol = 1e-9 * scale
-    area2 = ((lam_c[1] - lam_c[0]) * (lam_c[2] - lam_c[0]).conjugate()).imag
-    if abs(area2) <= tol * scale:
-        return _williams_collinear(lam_c, d_c, mode, tol=tol)
-    return _williams_float(lam_c, d_c, tol)
-
-
-def _williams_collinear(lam, d, mode, tol=0.0):
-    """Collinear eigenvalues reduce to the selfadjoint (Schur-Horn) case."""
-    if mode == "exact":
-        w = lam[1] - lam[0]
-        coords = []
-        for v in list(lam) + list(d):
-            rel = (v - lam[0]) * w.conj()
-            if rel.im != 0:
-                return Decision(Decision.NO, "williams-3x3",
-                                {"clause": "entry off the eigenvalue line"}, mode)
-            coords.append(rel.re)
-        t_lam, t_d = coords[:3], coords[3:]
-    else:
-        w = lam[1] - lam[0]
-        coords = []
-        for v in list(lam) + list(d):
-            rel = (v - lam[0]) * w.conjugate()
-            if abs(rel.imag) > tol * max(abs(w), 1.0) ** 2:
-                return Decision(Decision.NO, "williams-3x3",
-                                {"clause": "entry off the eigenvalue line"}, mode)
-            coords.append(rel.real)
-        t_lam, t_d = coords[:3], coords[3:]
-    inner = decide_schur_horn(t_lam, t_d)
-    return Decision(inner.verdict, "williams-3x3",
-                    {"clause": "collinear reduction", "inner": inner.as_json()}, mode)
-
-
-def _williams_exact(lam, d) -> Decision:
-    mode = "exact"
-    bc = ratlinalg.barycentric(d[0], lam[0], lam[1], lam[2])
-    if bc is None:
-        raise PreconditionError("degenerate triangle")
-    u, v, w = bc
-    cert = {"barycentric_d1": [u, v, w]}
-    if u < 0 or v < 0 or w < 0:
-        return Decision(Decision.NO, "williams-3x3",
-                        {**cert, "clause": "d1 outside the triangle"}, mode)
-    zeros = [x == 0 for x in (u, v, w)]
+    cmp = Cmp(exact)
+    point = as_qc if exact else complex
+    lam = [point(v) for v in lam]
+    d = [point(v) for v in d]
+    # scaling the plane changes no clause: decide on unit-scale points and
+    # report certificate points in the data's own scale
+    unit = _unit_scale(lam + d, exact)
+    if unit != 1:
+        lam = [v / unit for v in lam]
+        d = [v / unit for v in d]
+    tag = "williams-3x3"
+    flat = _parallel(cmp, lam[1] - lam[0], lam[2] - lam[0])
+    if flat is None:
+        return _decided(None, tag, {}, mode)
+    if flat:
+        return _williams_collinear(cmp, lam, d, mode)
+    # every case below checks the trace: d2 + d3 = lam1 + lam2 + lam3 - d1
+    pair_ok = cmp.eq(d[1] + d[2], lam[0] + lam[1] + lam[2] - d[0])
+    bc = ratlinalg.barycentric(d[0], *lam)
+    cert = {"barycentric_d1": list(bc)}
+    if _all3(cmp.le(0, x) for x in bc) is False:
+        return Decision(Decision.NO, tag, {**cert, "clause": "d1 outside the triangle"}, mode)
+    zeros = [cmp.eq(x, 0) for x in bc]
+    if None in zeros:
+        return _decided(None, tag, cert, mode)
     nz = zeros.count(True)
-    if nz >= 2:  # vertex
-        i = zeros.index(False) if nz == 3 else [k for k in range(3) if not zeros[k]][0]
+    if nz >= 2:  # d1 is the vertex lam_i
+        i = zeros.index(False)
         j, l = [k for k in range(3) if k != i]
-        ok = (d[1] + d[2] == lam[j] + lam[l]) and _on_segment_exact(d[1], lam[j], lam[l])
-        return Decision(Decision.YES if ok else Decision.NO, "williams-3x3",
-                        {**cert, "clause": "vertex case", "edge": [j, l]}, mode)
-    if nz == 1:  # open edge
+        ok = _all3([pair_ok, _on_segment(cmp, d[1], lam[j], lam[l])])
+        return _decided(ok, tag, {**cert, "clause": "vertex case", "edge": [j, l]}, mode)
+    if nz == 1:  # d1 on the open edge opposite lam_k
         k = zeros.index(True)
         i, j = [t for t in range(3) if t != k]
         reflected = lam[i] + lam[j] - d[0]
-        ok = (d[1] + d[2] == reflected + lam[k]) and _on_segment_exact(d[1], reflected, lam[k])
-        return Decision(Decision.YES if ok else Decision.NO, "williams-3x3",
-                        {**cert, "clause": "edge case",
-                         "reflected_d1": reflected, "opposite_vertex": k}, mode)
+        ok = _all3([pair_ok, _on_segment(cmp, d[1], reflected, lam[k])])
+        return _decided(ok, tag, {**cert, "clause": "edge case",
+                                  "reflected_d1": reflected * unit, "opposite_vertex": k}, mode)
     # interior: inscribed conic tangent at the traces of the isotomic conjugate
-    conj = (v * w, u * w, u * v)
-    tot = sum(conj)
-    traces = []
-    side_dirs = []
-    pairs = ((1, 2), (0, 2), (0, 1))
-    for k in range(3):
-        i, j = pairs[k]
-        s = conj[i] + conj[j]
-        pt = (lam[i] * conj[i] + lam[j] * conj[j]) / QC(Fraction(s), Fraction(0))
-        traces.append((pt.re, pt.im))
-        sd = lam[j] - lam[i]
-        side_dirs.append((sd.re, sd.im))
-    coef = _conic_through_tangent(traces, side_dirs, exact=True)
-    disc = coef[1] * coef[1] - 4 * coef[0] * coef[2]
-    if disc >= 0:
-        raise PreconditionError("inscribed conic is not an ellipse")
-    # the achievable pair set is centrally symmetric, pinning the center
-    half = QC(Fraction(1, 2), Fraction(0))
-    center = (lam[0] + lam[1] + lam[2] - d[0]) * half
-    cert["ellipse_center"] = center
-    if d[1] + d[2] != center + center:
-        return Decision(Decision.NO, "williams-3x3",
-                        {**cert, "clause": "pair not symmetric about the ellipse center"},
-                        mode)
-    q_center = _conic_eval(coef, center.re, center.im)
-    q_d2 = _conic_eval(coef, d[1].re, d[1].im)
-    inside = q_d2 == 0 or (q_d2 > 0) == (q_center > 0)
-    return Decision(Decision.YES if inside else Decision.NO, "williams-3x3",
-                    {**cert, "clause": "interior case"}, mode)
-
-
-def _williams_float(lam, d, tol) -> Decision:
-    mode = "float"
-    a = np.array([[lam[0].real, lam[1].real, lam[2].real],
-                  [lam[0].imag, lam[1].imag, lam[2].imag],
-                  [1.0, 1.0, 1.0]])
-    u, v, w = np.linalg.solve(a, np.array([d[0].real, d[0].imag, 1.0]))
-    cert = {"barycentric_d1": [u, v, w]}
-    if min(u, v, w) < -tol:
-        return Decision(Decision.NO, "williams-3x3",
-                        {**cert, "clause": "d1 outside the triangle"}, mode)
-    zeroish = [abs(x) <= tol for x in (u, v, w)]
-    nz = zeroish.count(True)
-    if nz >= 2:
-        i = [k for k in range(3) if not zeroish[k]][0]
-        j, l = [k for k in range(3) if k != i]
-        ok = (abs(d[1] + d[2] - (lam[j] + lam[l])) <= tol
-              and _on_segment_float(d[1], lam[j], lam[l], tol))
-        return Decision(Decision.YES if ok else Decision.NO, "williams-3x3",
-                        {**cert, "clause": "vertex case"}, mode)
-    if nz == 1:
-        k = zeroish.index(True)
-        i, j = [t for t in range(3) if t != k]
-        reflected = lam[i] + lam[j] - d[0]
-        ok = (abs(d[1] + d[2] - (reflected + lam[k])) <= tol
-              and _on_segment_float(d[1], reflected, lam[k], tol))
-        return Decision(Decision.YES if ok else Decision.NO, "williams-3x3",
-                        {**cert, "clause": "edge case"}, mode)
+    u, v, w = bc
     conj = (v * w, u * w, u * v)
     traces = []
     side_dirs = []
-    pairs = ((1, 2), (0, 2), (0, 1))
-    for k in range(3):
-        i, j = pairs[k]
-        s = conj[i] + conj[j]
-        pt = (lam[i] * conj[i] + lam[j] * conj[j]) / s
+    for i, j in ((1, 2), (0, 2), (0, 1)):
+        pt = (lam[i] * conj[i] + lam[j] * conj[j]) / (conj[i] + conj[j])
         traces.append((pt.real, pt.imag))
         sd = lam[j] - lam[i]
         side_dirs.append((sd.real, sd.imag))
-    coef = _conic_through_tangent(traces, side_dirs, exact=False)
-    center = (lam[0] + lam[1] + lam[2] - d[0]) / 2.0
-    cert["ellipse_center"] = center
-    if abs(d[1] + d[2] - 2 * center) > tol:
-        return Decision(Decision.NO, "williams-3x3",
-                        {**cert, "clause": "pair not symmetric about the ellipse center"},
-                        mode)
+    coef = _conic_through_tangent(traces, side_dirs, exact)
+    # the achievable pair set is centrally symmetric, pinning the center
+    center = (lam[0] + lam[1] + lam[2] - d[0]) / 2
+    cert["ellipse_center"] = center * unit
+    if pair_ok is not True:
+        return _decided(pair_ok, tag,
+                        {**cert, "clause": "pair not symmetric about the ellipse center"}, mode)
     q_center = _conic_eval(coef, center.real, center.imag)
     q_d2 = _conic_eval(coef, d[1].real, d[1].imag)
-    qscale = abs(q_center)
-    inside = q_d2 * q_center >= -1e-7 * qscale
-    return Decision(Decision.YES if inside else Decision.NO, "williams-3x3",
-                    {**cert, "clause": "interior case"}, mode)
+    # d2 is inside or on the ellipse: on the center's side of the conic
+    return _decided(cmp.le(0, q_d2 / q_center), tag, {**cert, "clause": "interior case"}, mode)
+
+
+def _williams_collinear(cmp, lam, d, mode):
+    """Collinear eigenvalues reduce to the selfadjoint (Schur-Horn) case."""
+    # the line's direction: a repeated lam[0] gives none, so take the next
+    # point that differs from it (all equal: every coordinate is 0)
+    w = next((v - lam[0] for v in lam[1:] + d if v != lam[0]), lam[1] - lam[0])
+    on_line = _all3(_parallel(cmp, w, v - lam[0]) for v in lam + d)
+    if on_line is not True:
+        return _decided(on_line, "williams-3x3",
+                        {"clause": "entry off the eigenvalue line"}, mode)
+    t_lam, t_d = [[((v - lam[0]) * w.conjugate()).real for v in vs] for vs in (lam, d)]
+    inner = decide_schur_horn(t_lam, t_d)
+    return Decision(inner.verdict, "williams-3x3",
+                    {"clause": "collinear reduction", "inner": inner.as_json()}, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -784,83 +721,49 @@ def check_arveson(vertices, d: SequenceSpec, coeff_bound=ARVESON_COEFF_BOUND_DEF
     verts = list(vertices)
     if len(verts) < 2:
         raise PreconditionError("need at least two vertices")
-    exact = _all_exact(verts) and d.exact
+    exact = all(map(is_exact_scalar, verts)) and d.exact
     mode = "exact" if exact else "float"
-    if exact:
-        vq = [_qc(v) for v in verts]
-        gaps = [((vq[i] - vq[j]).abs2()) for i in range(len(vq)) for j in range(i)]
-        min_gap2 = min(gaps)
-        total_dev = QC(Fraction(0), Fraction(0))
-        assigned = []
-        for s in canonical_streams(d):
-            if stream_is_infinite(s):
-                lim = _qc(stream_limit(s))
-                match = next((j for j, x in enumerate(vq) if x == lim), None)
-                if match is None:
-                    raise PreconditionError(
-                        "infinite stream limit is not a vertex: deviation sum diverges")
-                head, tail = _split_complex_head(s, min_gap2)
-                total_dev = total_dev + _complex_tail_deviation(tail)
-                for e in head:
-                    j = _closest_vertex_exact(_qc(e), vq)
-                    assigned.append((e, j))
-                    total_dev = total_dev + (_qc(e) - vq[j])
-            else:
-                for e in _expand_finite(s):
-                    j = _closest_vertex_exact(_qc(e), vq)
-                    assigned.append((e, j))
-                    total_dev = total_dev + (_qc(e) - vq[j])
-        gens = [((vq[j] - vq[0]).re, (vq[j] - vq[0]).im) for j in range(1, len(vq))]
-        sol = ratlinalg.lattice_solve(gens, (total_dev.re, total_dev.im))
-        cert = {"deviation_sum": total_dev}
-        if sol is None:
-            return Decision(Decision.NO, "arveson",
-                            {**cert, "reason": "deviation sum outside the vertex lattice"},
-                            mode)
-        coeffs = [-sum(sol)] + sol
-        cert["c"] = coeffs
-        if max(abs(c) for c in coeffs) > coeff_bound:
-            cert["note"] = "certificate exceeds requested coefficient bound"
-        return Decision(Decision.YES, "arveson", cert, mode)
-    vc = [complex(v) for v in verts]
-    scale = max(max(abs(v) for v in vc), 1.0)
-    tol = 1e-9 * scale
-    min_gap = min(abs(vc[i] - vc[j]) for i in range(len(vc)) for j in range(i))
-    total_dev = 0j
+    cmp = Cmp(exact)
+    point = as_qc if exact else complex
+    vs = [point(v) for v in verts]
+    # the difference of the closest pair of distinct vertices
+    closest = min((vs[i] - vs[j] for i in range(len(vs)) for j in range(i)
+                    if vs[i] != vs[j]), key=abs2, default=None)
+    total_dev = point(0)
     for s in canonical_streams(d):
         if stream_is_infinite(s):
-            lim = complex(stream_limit(s))
-            match = next((j for j, x in enumerate(vc) if abs(x - lim) <= tol), None)
-            if match is None:
+            lim = point(stream_limit(s))
+            if not any(cmp.eq(lim, v) for v in vs):
                 raise PreconditionError(
                     "infinite stream limit is not a vertex: deviation sum diverges")
-            head, tail = _split_complex_head(s, min_gap ** 2)
-            total_dev += complex(_complex_tail_deviation(tail))
-            for e in head:
-                j = min(range(len(vc)), key=lambda j: (abs(complex(e) - vc[j]), j))
-                total_dev += complex(e) - vc[j]
+            # tail entries lie within half the vertex gap of the limit, so the
+            # limit is their closest vertex and their deviation has a closed form
+            head, tail = _peel_head_by_gap(s, closest / 2) if closest else ([], s)
+            total_dev = total_dev + point(stream_tail_deviation(tail))
         else:
-            for e in _expand_finite(s):
-                j = min(range(len(vc)), key=lambda j: (abs(complex(e) - vc[j]), j))
-                total_dev += complex(e) - vc[j]
-    gens = [((vc[j] - vc[0]).real, (vc[j] - vc[0]).imag) for j in range(1, len(vc))]
-    sol = ratlinalg.lattice_search_float(gens, (total_dev.real, total_dev.imag),
-                                         coeff_bound, 1e-9)
+            head = _expand_finite(s)
+        for e in head:
+            e = point(e)
+            j = min(range(len(vs)), key=lambda j: (abs2(e - vs[j]), j))
+            total_dev = total_dev + (e - vs[j])
+    gens = [((v - vs[0]).real, (v - vs[0]).imag) for v in vs[1:]]
+    target = (total_dev.real, total_dev.imag)
     cert = {"deviation_sum": total_dev}
-    if sol is not None:
-        coeffs = [-sum(sol)] + sol
-        return Decision(Decision.YES, "arveson", {**cert, "c": coeffs}, mode)
-    return Decision(Decision.UNKNOWN, "arveson",
-                    {**cert, "reason": "bounded lattice search exhausted"}, mode)
-
-
-def _closest_vertex_exact(e: QC, vq):
-    best = None
-    for j, x in enumerate(vq):
-        d2 = (e - x).abs2()
-        if best is None or d2 < best[0]:
-            best = (d2, j)
-    return best[1]
+    if not exact:
+        sol = ratlinalg.lattice_search_float(gens, target, coeff_bound, 1e-9)
+        if sol is None:
+            return Decision(Decision.UNKNOWN, "arveson",
+                            {**cert, "reason": "bounded lattice search exhausted"}, mode)
+        return Decision(Decision.YES, "arveson", {**cert, "c": [-sum(sol)] + sol}, mode)
+    sol = ratlinalg.lattice_solve(gens, target)
+    if sol is None:
+        return Decision(Decision.NO, "arveson",
+                        {**cert, "reason": "deviation sum outside the vertex lattice"}, mode)
+    coeffs = [-sum(sol)] + sol
+    cert["c"] = coeffs
+    if max(abs(c) for c in coeffs) > coeff_bound:
+        cert["note"] = "certificate exceeds requested coefficient bound"
+    return Decision(Decision.YES, "arveson", cert, mode)
 
 
 def _expand_finite(s):
@@ -870,54 +773,6 @@ def _expand_finite(s):
         if len(out) > 100_000:
             raise UnsupportedError("finite stream too large")
     return out
-
-
-def _split_complex_head(s, gap2):
-    """Peel entries whose squared deviation from the limit reaches gap2/4."""
-    from .seqspec import Geometric, TelTail, ConstantRepeat
-    lim = stream_limit(s)
-    if isinstance(s, ConstantRepeat):
-        return [], s
-    head = []
-    if isinstance(s, Geometric):
-        term = s.first
-        guard = 0
-        while not _is_zero(term) and 4 * _abs2_any(term) >= gap2:
-            head.append(s.offset + term)
-            term = term * s.ratio
-            guard += 1
-            if guard > 100_000:
-                raise UnsupportedError("head peel exceeded cap")
-        return head, Geometric(term, s.ratio, s.offset) if not _is_zero(term) \
-            else ConstantRepeat(lim, INF)
-    n = s.n0 if isinstance(s, TelTail) else 1
-    guard = 0
-    while 4 * _abs2_any(s.scale) / (n * (n + 1)) ** 2 >= gap2:
-        head.append(s.offset + s.scale / (n * (n + 1)))
-        n += 1
-        guard += 1
-        if guard > 100_000:
-            raise UnsupportedError("head peel exceeded cap")
-    return head, TelTail(s.scale, n, s.offset)
-
-
-def _is_zero(v):
-    return v.is_zero() if isinstance(v, QC) else v == 0
-
-
-def _abs2_any(v):
-    if isinstance(v, QC):
-        return v.abs2()
-    if isinstance(v, complex):
-        return v.real * v.real + v.imag * v.imag
-    return v * v
-
-
-def _complex_tail_deviation(s):
-    if isinstance(s, ConstantRepeat):
-        return QC(Fraction(0), Fraction(0))
-    dev = stream_tail_deviation(s)
-    return dev if isinstance(dev, QC) else _qc(dev) if is_exact_scalar(dev) else dev
 
 
 # ---------------------------------------------------------------------------
@@ -931,62 +786,50 @@ def decide_horn_unitary(d, variant="unitary") -> Decision:
         raise PreconditionError("empty input")
     if variant not in ("unitary", "orthogonal", "rotation"):
         raise PreconditionError("variant must be unitary, orthogonal or rotation")
-    realness = all(is_real_scalar(v) for v in d)
-    if variant in ("orthogonal", "rotation") and not realness:
+    if variant in ("orthogonal", "rotation") and not all(map(is_real_scalar, d)):
         raise PreconditionError(f"{variant} variant requires real entries")
-    exact = _all_exact(d) and (realness or all(isinstance(v, QC) for v in d))
-    n = len(d)
+    tag = f"horn-{variant}"
     if variant == "rotation":
-        vals = [Fraction(v) if exact else float(v) for v in d]
-        if any(abs(v) > 1 for v in vals):
-            return Decision(Decision.NO, "horn-rotation",
-                            {"reason": "entry outside [-1, 1]"},
-                            "exact" if exact else "float")
-        neg = sum(1 for v in vals if v < 0)
-        red = sorted((abs(v) for v in vals))
-        signed = list(red)
-        if neg % 2 == 1:
-            signed[0] = -signed[0]
-        lhs = 2 * (1 - min(signed))
-        rhs = sum(1 - v for v in signed)
-        ok = lhs <= rhs
-        return Decision(Decision.YES if ok else Decision.NO, "horn-rotation",
-                        {"reduced": signed, "lhs": lhs, "rhs": rhs},
-                        "exact" if exact else "float")
-    moduli = [scalar_abs(v) for v in d]
-    exact = exact and all(is_exact_scalar(m) for m in moduli)
+        exact = all(map(is_exact_scalar, d))
+        vals = [Fraction(v.real) if exact else float(v.real) for v in d]
+        # |d| sorted, the smallest negated when an odd number of d are negative
+        xs = sorted(abs(v) for v in vals)
+        if sum(1 for v in vals if v < 0) % 2 == 1:
+            xs[0] = -xs[0]
+        cert, outside = {"reduced": xs}, "entry outside [-1, 1]"
+    else:
+        xs = [scalar_abs(v) for v in d]
+        exact = all(map(is_exact_scalar, xs))
+        cert, outside = {}, "modulus above 1"
     mode = "exact" if exact else "float"
-    if any(m > 1 for m in moduli):
-        return Decision(Decision.NO, f"horn-{variant}",
-                        {"reason": "modulus above 1"}, mode)
-    lhs = 2 * (1 - min(moduli))
-    rhs = sum(1 - m for m in moduli)
-    ok = lhs <= rhs
-    return Decision(Decision.YES if ok else Decision.NO, f"horn-{variant}",
-                    {"lhs": lhs, "rhs": rhs}, mode)
+    cmp = Cmp(exact)
+    inside = _all3(cmp.le(abs(x), 1) for x in xs)
+    if inside is False:
+        return Decision(Decision.NO, tag, {"reason": outside}, mode)
+    lhs = 2 * (1 - min(xs))
+    rhs = sum(1 - x for x in xs)
+    return _decided(_all3([inside, cmp.le(lhs, rhs)]), tag, {**cert, "lhs": lhs, "rhs": rhs}, mode)
 
 
 def decide_jlw_unitary(d: SequenceSpec) -> Decision:
     """Diagonals of unitary operators (infinite dimensional)."""
     ad = abs_values(d)
     mode = _spec_mode(ad)
+    cmp = Cmp(mode == "exact")
     bounds = spec_bounds(ad)
     if bounds is None:
         raise PreconditionError("empty sequence")
     lo, _, hi, _ = bounds
-    cert = {}
-    if hi > 1:
-        return Decision(Decision.NO, "jlw-unitary",
-                        {"reason": "modulus above 1", "sup": hi}, mode)
+    inside = _inside(cmp, bounds, 0, 1)
+    if inside is not True:
+        return _decided(inside, "jlw-unitary", {"reason": "modulus above 1", "sup": hi}, mode)
     rhs = total_sum(affine_image(ad, -1, 1))
-    cert["inf_modulus"] = lo
-    cert["deficiency_sum"] = rhs
+    cert = {"inf_modulus": lo, "deficiency_sum": rhs}
     if rhs.kind == "pinf":
         return Decision(Decision.YES, "jlw-unitary", cert, mode)
     lhs = 2 * (1 - lo)
     cert["lhs"] = lhs
-    ok = lhs <= rhs.value
-    return Decision(Decision.YES if ok else Decision.NO, "jlw-unitary", cert, mode)
+    return _decided(cmp.le(lhs, rhs.value), "jlw-unitary", cert, mode)
 
 
 def decide_thompson(s, d) -> Decision:
@@ -1000,21 +843,29 @@ def decide_thompson(s, d) -> Decision:
     if any(x < 0 for x in s):
         raise PreconditionError("singular values must be nonnegative")
     moduli = sorted((scalar_abs(v) for v in d), reverse=True)
-    exact = _all_exact(s) and all(is_exact_scalar(m) for m in moduli)
+    exact = all(map(is_exact_scalar, s + moduli))
     mode = "exact" if exact else "float"
+    cmp = Cmp(exact)
+    # the inequalities are homogeneous: decide them on unit-scale data and
+    # report the certificate in the data's own scale
+    unit = _unit_scale(s + moduli, exact)
+    if unit != 1:
+        s = [x / unit for x in s]
+        moduli = [x / unit for x in moduli]
+    answers = []
     run_d = run_s = 0
     for k, (x, y) in enumerate(zip(moduli, s), start=1):
         run_d += x
         run_s += y
-        if run_d > run_s:
-            return Decision(Decision.NO, "thompson",
-                            {"witness": {"index": k, "lhs": run_d, "rhs": run_s}}, mode)
+        answers.append(cmp.le(run_d, run_s))
+        if answers[-1] is False:
+            return Decision(Decision.NO, "thompson", {"witness": {
+                "index": k, "lhs": run_d * unit, "rhs": run_s * unit}}, mode)
     lhs = 2 * (s[-1] - moduli[-1])
     rhs = run_s - run_d
-    cert = {"lhs": lhs, "rhs": rhs}
-    if lhs > rhs:
-        return Decision(Decision.NO, "thompson", cert, mode)
-    return Decision(Decision.YES, "thompson", cert, mode)
+    # lhs <= rhs compared as two sums, so the tolerance scales with the data
+    answers.append(cmp.le(2 * s[-1] + run_d, run_s + 2 * moduli[-1]))
+    return _decided(_all3(answers), "thompson", {"lhs": lhs * unit, "rhs": rhs * unit}, mode)
 
 
 def decide_thompson_compact(s: SequenceSpec, d: SequenceSpec) -> Decision:
@@ -1073,7 +924,7 @@ def check_fan_criterion(d: OrderedSequenceSpec) -> Decision:
     drift_steps = []
     for s, w in infinite:
         lim = stream_limit(s)
-        if not _is_zero(lim):
+        if not _z(lim):
             drift_steps.extend([lim] * w)
         else:
             base = base + stream_total(s)
@@ -1150,7 +1001,7 @@ class TraceSetClass:
 def _ray_direction(phase):
     if isinstance(phase, (QC, complex)):
         u = phase
-        mag2 = _abs2_any(u)
+        mag2 = abs2(u)
         if mag2 == 0:
             raise PreconditionError("zero direction")
         if isinstance(u, QC):
@@ -1189,7 +1040,7 @@ def classify_trace_set(rays) -> TraceSetClass:
     collinear = True
     for i in ns[1:]:
         cr = _cross(dirs[ns[0]], dirs[i])
-        if not _near_zero(cr, tol):
+        if abs(cr) > tol:
             collinear = False
             break
     if collinear:
@@ -1234,10 +1085,6 @@ def _cross(a, b):
 def _dot(a, b):
     ca, cb = complex(a), complex(b)
     return (ca.conjugate() * cb).real
-
-
-def _near_zero(x, tol):
-    return abs(x) <= tol
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ Wire formats:
 from __future__ import annotations
 
 import json
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +32,7 @@ from .seqspec import (
     OrderedSequenceSpec,
     SequenceSpec,
     TelescopingHarmonic,
+    stream_params,
 )
 from .spectra import (
     DenseMatrix,
@@ -39,10 +42,26 @@ from .spectra import (
 )
 
 
+# "p/q" as ``fraction_str`` prints it, also past the int-to-str digit limit
+_LONG_RATIONAL = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
+
+
+def _rational(text):
+    """``Fraction(text)``; integers beyond ``sys.get_int_max_str_digits()``
+    digits are read through ``decimal.Decimal``, which has no such limit."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        m = _LONG_RATIONAL.fullmatch(text)
+        if m is None:
+            raise
+        return Fraction(int(Decimal(m[1])), int(Decimal(m[2] or 1)))
+
+
 def decode_scalar(obj, exact=False, field="real"):
     if isinstance(obj, str):
         try:
-            return Fraction(obj)
+            return _rational(obj)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad rational scalar {obj!r}") from exc
     if isinstance(obj, bool):
@@ -137,6 +156,9 @@ def decode_sequence(obj):
             tail.append((decode_stream(item["stream"], exact), int(item["weight"])))
         return OrderedSequenceSpec(tuple(prefix), tuple(tail), field, exact)
     streams = [decode_stream(s, exact) for s in obj.get("streams", [])]
+    if field == "real" and any(isinstance(p, (complex, QC))
+                               for s in streams for p in stream_params(s)):
+        raise InputError("complex value in a real sequence spec")
     return SequenceSpec(tuple(streams), field, exact)
 
 

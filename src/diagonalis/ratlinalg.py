@@ -1,8 +1,9 @@
 """Small exact linear-algebra kernels over the rationals and integers.
 
-These back the exact geometry paths: barycentric coordinates, the inscribed
-conic's five-coefficient linear system, and integer lattice membership for
-deviation sums.  Everything is plain Gaussian or Euclidean elimination on
+These back the exact geometry paths: barycentric coordinates (Cramer's
+rule, which serves float points too), the inscribed conic's five-coefficient
+linear system, and integer lattice membership for deviation sums.
+Everything else is plain Gaussian or Euclidean elimination on
 Fractions/ints; sizes never exceed a handful of rows.
 """
 
@@ -10,8 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-
-from .scalars import QC
 
 
 def solve_exact(a, b):
@@ -87,17 +86,18 @@ def nullspace_vector(a):
     return x
 
 
-def barycentric(p: QC, a: QC, b: QC, c: QC):
-    """Exact barycentric coordinates of p in the triangle (a, b, c)."""
-    sol = solve_exact(
-        [[a.re, b.re, c.re],
-         [a.im, b.im, c.im],
-         [Fraction(1), Fraction(1), Fraction(1)]],
-        [p.re, p.im, Fraction(1)],
-    )
-    if sol is None:
+def barycentric(p, a, b, c):
+    """Barycentric coordinates of p in the triangle (a, b, c), or None if flat.
+
+    Cramer's rule on plane points (``QC`` or ``complex``): exact for QC.
+    """
+    def cross(u, v):
+        return u.real * v.imag - u.imag * v.real
+
+    den = cross(b - a, c - a)
+    if den == 0:
         return None
-    return tuple(sol)
+    return cross(b - p, c - p) / den, cross(c - p, a - p) / den, cross(a - p, b - p) / den
 
 
 # ---------------------------------------------------------------------------

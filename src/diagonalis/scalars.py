@@ -92,8 +92,22 @@ class QC:
         return QC((self.re * other.re + self.im * other.im) / den,
                   (self.im * other.re - self.re * other.im) / den)
 
+    def __rtruediv__(self, other):
+        return as_qc(other) / self
+
     def conj(self):
         return QC(self.re, -self.im)
+
+    # the names ``complex`` uses, so plane geometry runs on QC and complex alike
+    conjugate = conj
+
+    @property
+    def real(self) -> Fraction:
+        return self.re
+
+    @property
+    def imag(self) -> Fraction:
+        return self.im
 
     def abs2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
@@ -140,30 +154,6 @@ def is_exact_scalar(x) -> bool:
     return isinstance(x, (Rational, QC)) and not isinstance(x, float)
 
 
-def re_part(x):
-    if isinstance(x, QC):
-        return x.re
-    if isinstance(x, complex):
-        return x.real
-    return x
-
-
-def im_part(x):
-    if isinstance(x, QC):
-        return x.im
-    if isinstance(x, complex):
-        return x.imag
-    return type(x)(0) if isinstance(x, Fraction) else 0.0
-
-
-def conj(x):
-    if isinstance(x, QC):
-        return x.conj()
-    if isinstance(x, complex):
-        return x.conjugate()
-    return x
-
-
 def abs2(x):
     """|x|^2, exact for Fraction/QC inputs."""
     if isinstance(x, QC):
@@ -190,14 +180,6 @@ def is_real_scalar(x) -> bool:
     if isinstance(x, complex):
         return x.imag == 0.0
     return True
-
-
-def to_float_scalar(x):
-    if isinstance(x, QC):
-        return complex(x) if x.im != 0 else float(x.re)
-    if isinstance(x, Fraction):
-        return float(x)
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +244,7 @@ class XSum:
             return XSum.fin(c * self.value)
         if self.kind == "div":
             return self
-        s = sign_of(re_part(c)) if is_real_scalar(c) else None
+        s = sign_of(c.real) if is_real_scalar(c) else None
         if s is None or s == 0:
             if isinstance(c, (int, Fraction)) and c == 0:
                 return XSum.fin(c * 0)
@@ -303,7 +285,8 @@ class Cmp:
     beyond ``buffer_factor`` times that, and reports None in between: a
     comparison landing in the buffer could flip the verdict, which callers
     surface as Unknown rather than guessing (mirroring the integrality
-    buffer used for Diophantine checks).
+    buffer used for Diophantine checks).  The deciders take every
+    comparison a verdict rests on from here.
     """
 
     def __init__(self, exact: bool, rel_tol: float = REL_TOL_SUMS,

@@ -34,6 +34,7 @@ from .scalars import (
     PreconditionError,
     UnsupportedError,
     XSum,
+    abs2,
     is_exact_scalar,
     is_real_scalar,
     scalar_abs,
@@ -366,16 +367,6 @@ def total_sum(spec) -> XSum:
     return total
 
 
-def entry_count(spec):
-    total = 0
-    for s in spec.streams:
-        c = stream_count(s)
-        if _is_inf(c):
-            return INF
-        total += c
-    return total
-
-
 # ---------------------------------------------------------------------------
 # descending enumeration
 
@@ -454,14 +445,18 @@ def tail_sum_after_top(spec, n: int) -> XSum:
 def _peel_head_by_gap(s, gap, cap=_EXPANSION_CAP):
     """Split an infinite sign-coherent stream into (head list, tail stream).
 
-    ``head`` receives every entry whose deviation from the limit is >= gap;
-    the returned tail stream provably deviates less than gap.
+    ``head`` receives every entry whose deviation from the limit is at least
+    ``|gap|`` (``gap`` nonzero, real or complex); the returned tail stream
+    provably deviates by less.  Each deviation is measured as
+    ``abs2(deviation / gap) >= 1``: exact for ``Fraction`` and ``QC``, and for
+    floats free of the underflow and overflow that squaring the deviation
+    itself meets beyond about 1e-154 and 1e154.
     """
     head = []
     if isinstance(s, Geometric):
         term = s.first
         guard = 0
-        while not _z(term) and scalar_abs(term) >= gap:
+        while not _z(term) and abs2(term / gap) >= 1:
             head.append(s.offset + term)
             term = term * s.ratio
             guard += 1
@@ -475,7 +470,7 @@ def _peel_head_by_gap(s, gap, cap=_EXPANSION_CAP):
             return [], ConstantRepeat(s.offset, INF)
         n = _tel_start(s)
         guard = 0
-        while scalar_abs(s.scale) / (n * (n + 1)) >= gap:
+        while abs2(s.scale / (n * (n + 1)) / gap) >= 1:
             head.append(s.offset + s.scale / (n * (n + 1)))
             n += 1
             guard += 1
@@ -525,7 +520,7 @@ def split_parts(spec: SequenceSpec):
                 if any(e < 0 for e in head):
                     neg.append(FiniteList([max(-e, zero) for e in head]))
             elif lim < 0:
-                head, tail = _peel_head_by_gap(s, -lim)
+                head, tail = _peel_head_by_gap(s, lim)
                 neg.append(FiniteList([max(-e, zero) for e in head]))
                 neg.append(_negate_stream(tail))
                 if any(e > 0 for e in head):
@@ -606,7 +601,7 @@ def abs_values(spec: SequenceSpec) -> SequenceSpec:
                 else:
                     out.append(_negate_stream(s))
             else:
-                head, tail = _peel_head_by_gap(s, scalar_abs(lim))
+                head, tail = _peel_head_by_gap(s, lim)
                 out.append(FiniteList([scalar_abs(e) for e in head]))
                 out.append(tail if lim > 0 else _negate_stream(tail))
     return SequenceSpec(tuple(out), "real", exact)
@@ -776,7 +771,7 @@ def threshold_split(spec: SequenceSpec, alpha) -> ThresholdSplit:
                 side = ">=" if dev >= 0 else "<"
                 tails.append(TailAtThreshold(side, lim, dev))
             else:
-                hd, tail = _peel_head_by_gap(s, scalar_abs(lim - alpha))
+                hd, tail = _peel_head_by_gap(s, lim - alpha)
                 head.extend((e, 1) for e in hd)
                 side = ">=" if lim > alpha else "<"
                 tails.append(TailAtThreshold(side, lim, stream_tail_deviation(tail)))

@@ -219,3 +219,62 @@ class TestRoundTrip:
         m = jsonio.decode_matrix(raw)
         again = jsonio.decode_matrix(jsonio.encode_matrix(m))
         assert (again.data == m.data).all()
+
+
+class TestInputBoundary:
+    def test_missing_stream_field_is_input_error(self, capsys):
+        d = '{"field":"real","exact":true,"streams":[{"kind":"finite"}]}'
+        code, body = invoke(capsys, "decide", "kadison", "--d", d)
+        assert code == 3 and body["type"] == "InputError"
+
+    def test_fault_inside_a_decider_keeps_its_type(self, capsys, monkeypatch):
+        from diagonalis import deciders
+
+        def broken(d):
+            raise TypeError("internal fault")
+        monkeypatch.setattr(deciders, "decide_kadison", broken)
+        code, body = invoke(capsys, "decide", "kadison", "--d", THIRD_WITH_ZEROS)
+        assert code == 3
+        assert body == {"error": "internal fault", "type": "TypeError"}
+
+    def test_pair_where_real_values_are_needed(self, capsys):
+        code, body = invoke(capsys, "decide", "thompson", "--s", "[[1,2]]", "--d", "[1]")
+        assert code == 3 and body["type"] == "InputError"
+        code, body = invoke(capsys, "decide", "thompson", "--s", "[1]", "--d", "[[0,1]]")
+        assert code == 0
+
+    def test_complex_value_in_real_float_spec(self):
+        from diagonalis import jsonio
+        from diagonalis.scalars import InputError
+        spec = {"field": "real", "exact": False,
+                "streams": [{"kind": "finite", "values": [0.25, [0.5, 0.1]]}]}
+        with pytest.raises(InputError):
+            jsonio.decode_sequence(spec)
+        with pytest.raises(InputError):
+            jsonio.decode_operator({"variant": "diagonalizable", "eigs": spec})
+        spec["field"] = "complex"
+        assert jsonio.decode_sequence(spec).field == "complex"
+
+
+class TestLongRationals:
+    def test_schur_horn_reads_rationals_past_digit_limit(self, capsys):
+        tiny = "1/1" + "0" * 5000
+        code, body = invoke(capsys, "decide", "schur-horn", "--exact",
+                            "--lambda", json.dumps([tiny, "0"]),
+                            "--d", json.dumps(["0", tiny]))
+        assert code == 0 and body["verdict"] == "Yes"
+
+    def test_printed_weak_witness_decodes_back(self, capsys):
+        from diagonalis import jsonio
+        from diagonalis.majorization import weak_majorize
+        from diagonalis.seqspec import Geometric, TelescopingHarmonic, seq
+        d = ('{"field":"real","exact":true,"streams":'
+             '[{"kind":"geometric","first":"1/1000","ratio":"999/1000"}]}')
+        lam = '{"field":"real","exact":true,"streams":[{"kind":"telescoping","scale":"1"}]}'
+        _, body = invoke(capsys, "decide", "majorization", "--kind", "weak",
+                         "--d", d, "--lambda", lam)
+        direct = weak_majorize(seq(Geometric(F(1, 1000), F(999, 1000))),
+                               seq(TelescopingHarmonic(F(1))))
+        lhs = body["witness"]["lhs"]
+        assert len(lhs) > 4300
+        assert jsonio.decode_scalar(lhs, exact=True) == direct.witness[1]

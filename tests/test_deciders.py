@@ -217,6 +217,15 @@ class TestBownikJasper:
         out = decide_bownik_jasper([F(0), F(1)], d)
         assert out.verdict == decide_kadison(d).verdict == "Yes"
 
+    def test_search_bound_past_float_range(self):
+        # B/2 repeated 10**400 times: the bound on N_1 is 10**400, which no
+        # float holds; it is floored exactly and capped
+        d = seq(zeros, ones, ConstantRepeat(F(1, 2), 10 ** 400))
+        out = decide_bownik_jasper([F(0), F(1, 2), F(1)], d)
+        assert out.verdict == "Unknown"
+        assert out.certificate["reason"] == "search bound exceeds candidate cap"
+        assert out.certificate["bounds"] == [10 ** 400]
+
     def test_pure_projection_diagonal_needs_interior_mass(self):
         # all-0/1 diagonal forces eigenvectors at the extremes, so an
         # operator with a genuine interior eigenvalue cannot produce it

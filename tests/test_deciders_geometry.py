@@ -91,8 +91,8 @@ class TestWilliams:
 
     def test_conic_center_matches_trace_center(self):
         # the inscribed conic's center agrees with (sum(lam) - d1)/2 exactly
-        from diagonalis.deciders import (_conic_center, _conic_through_tangent)
-        from diagonalis.ratlinalg import barycentric
+        from diagonalis.deciders import _conic_through_tangent
+        from diagonalis.ratlinalg import barycentric, solve_exact
         lam = [QC(F(0), F(0)), QC(F(1), F(0)), QC(F(0), F(1))]
         d1 = QC(F(1, 4), F(1, 3))
         u, v, w = barycentric(d1, *lam)
@@ -106,10 +106,21 @@ class TestWilliams:
             traces.append((pt.re, pt.im))
             sd = lam[j] - lam[i]
             dirs.append((sd.re, sd.im))
-        coef = _conic_through_tangent(traces, dirs, exact=True)
-        cx, cy = _conic_center(coef, exact=True)
+        a, b, c, dx, dy, _ = _conic_through_tangent(traces, dirs, exact=True)
+        cx, cy = solve_exact([[2 * a, b], [b, 2 * c]], [-dx, -dy])  # gradient zero
         center = (lam[0] + lam[1] + lam[2] - d1) * QC(F(1, 2), F(0))
         assert (cx, cy) == (center.re, center.im)
+
+    @pytest.mark.parametrize("lam, d, verdict", [
+        ([1, 1, 1], [0, 1, 2], "No"),  # only the scalar matrix has these eigenvalues
+        ([1, 1, 1], [1, 1, 1], "Yes"),
+        ([1, 1, 2], [5, -2, 1], "No"),
+        ([1, 1, 2], [1.5, 1, 1.5], "Yes"),
+    ])
+    def test_repeated_eigenvalue(self, lam, d, verdict):
+        assert decide_williams_3x3([F(v) for v in lam], [F(v) for v in d]).verdict == verdict
+        assert decide_williams_3x3([complex(v) for v in lam],
+                                   [complex(v) for v in d]).verdict == verdict
 
     def test_swap_invariance(self):
         lam = cube_roots()
@@ -148,6 +159,15 @@ class TestArveson:
         out = check_arveson(self.X, d)
         assert out.verdict == "Yes"
         assert out.certificate["deviation_sum"] == QC(F(1), F(0))
+
+    def test_repeated_vertex_with_infinite_stream(self):
+        d = seq(Geometric(F(1, 2), F(1, 2)), ConstantRepeat(F(0), INF))
+        once = check_arveson(self.X, d)
+        twice = check_arveson(self.X + [self.X[0]], d)
+        assert once.verdict == twice.verdict == "Yes"
+        assert once.certificate["deviation_sum"] == twice.certificate["deviation_sum"]
+        single = check_arveson([self.X[0], self.X[0]], d)
+        assert single.certificate["deviation_sum"] == QC(F(1), F(0))
 
     def test_interior_limit_rejected(self):
         d = seq(Geometric(F(1, 8), F(1, 2), F(1, 4)))

@@ -144,6 +144,19 @@ class TestSplitParts:
         assert rec == orig
 
 
+class TestHeadPeelFarFromUnitScale:
+    # squaring deviations here would underflow (1e-200) or overflow (1e200)
+    @pytest.mark.parametrize("lim", [1e-200, -1e-200, 1e200, -1e200])
+    def test_float_geometric_peels_against_its_limit(self, lim):
+        s = Geometric(lim * 1e3, 0.9, lim)
+        head, tail = abs_values(seq(s, exact=False)).streams
+        assert len(head.values) > 0
+        assert all(v - abs(lim) >= abs(lim) for v in head.values)
+        assert abs(tail.first) < abs(lim) and tail.offset == abs(lim)
+        pos, neg = split_parts(seq(s, exact=False))
+        assert len(pos.streams + neg.streams) > 0
+
+
 class TestAffineImage:
     def test_finite(self):
         out = affine_image(seq(FiniteList([F(0), F(1)])), F(2), F(1))
