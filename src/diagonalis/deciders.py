@@ -35,6 +35,7 @@ from .scalars import (
     is_exact_scalar,
     is_real_scalar,
     scalar_abs,
+    unit_scale,
 )
 from . import ratlinalg
 from .majorization import (
@@ -156,19 +157,6 @@ def _decided(ok, tag, cert, mode):
     if ok is None:
         return Decision(Decision.UNKNOWN, tag, {**cert, "reason": _BUFFER}, mode)
     return Decision(Decision.YES if ok else Decision.NO, tag, cert, mode)
-
-
-def _unit_scale(values, exact):
-    """1 for exact data; for float data, a power of two near the largest |value|.
-
-    The float tolerance never falls below 1e-10, so a test that scaling the
-    data leaves unchanged asks ``Cmp`` about the data divided by this, which
-    puts the largest |value| in [1/2, 1).  Dividing by a power of two is
-    exact, so every float computed from the scaled data is the unscaled one
-    divided by the same power of two.
-    """
-    top = 0 if exact else max(map(scalar_abs, values), default=0)
-    return 2.0 ** math.frexp(top)[1] if top and math.isfinite(top) else 1
 
 
 def _inside(cmp, bounds, a, b):
@@ -642,7 +630,7 @@ def decide_williams_3x3(lam, d) -> Decision:
     d = [point(v) for v in d]
     # scaling the plane changes no clause: decide on unit-scale points and
     # report certificate points in the data's own scale
-    unit = _unit_scale(lam + d, exact)
+    unit = unit_scale(lam + d, exact)
     if unit != 1:
         lam = [v / unit for v in lam]
         d = [v / unit for v in d]
@@ -848,7 +836,7 @@ def decide_thompson(s, d) -> Decision:
     cmp = Cmp(exact)
     # the inequalities are homogeneous: decide them on unit-scale data and
     # report the certificate in the data's own scale
-    unit = _unit_scale(s + moduli, exact)
+    unit = unit_scale(s + moduli, exact)
     if unit != 1:
         s = [x / unit for x in s]
         moduli = [x / unit for x in moduli]

@@ -22,15 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from .scalars import INF, Cmp, PreconditionError, fraction_str
+from .scalars import INF, Cmp, PreconditionError, fraction_str, unit_scale
 from .seqspec import (
-    ConstantRepeat,
-    FiniteList,
-    Geometric,
+    DescendingMerge,
     SequenceSpec,
-    TelTail,
-    TelescopingHarmonic,
-    canonical_streams,
     total_sum,
     validate_c0_plus,
     validate_l1,
@@ -88,7 +83,7 @@ def _mode(*specs) -> str:
 # finite lists
 
 
-def majorize_finite(d, lam, rel_tol=None) -> MajorizationVerdict:
+def majorize_finite(d, lam) -> MajorizationVerdict:
     """Classical majorization of two equal-length real tuples."""
     d = list(d)
     lam = list(lam)
@@ -97,151 +92,75 @@ def majorize_finite(d, lam, rel_tol=None) -> MajorizationVerdict:
     if not d:
         raise PreconditionError("empty input")
     exact = all(isinstance(x, Rational) for x in d + lam)
-    cmp = Cmp(exact) if rel_tol is None else Cmp(exact, rel_tol)
+    mode = "exact" if exact else "float"
+    cmp = Cmp(exact)
     ds = sorted(d, reverse=True)
     ls = sorted(lam, reverse=True)
+    # majorization is homogeneous: decide it on unit-scale data and report
+    # the witness in the data's own scale
+    unit = unit_scale(ds + ls, exact)
+    if unit != 1:
+        ds = [x / unit for x in ds]
+        ls = [x / unit for x in ls]
     sd = sl = ds[0] * 0
     uncertain = False
+    detail = ""
     for m, (x, y) in enumerate(zip(ds, ls), start=1):
         sd += x
         sl += y
         c = cmp.le(sd, sl)
         if c is False:
-            return MajorizationVerdict("Fails", "exact" if exact else "float",
-                                       witness=(m, sd, sl))
+            break
         if c is None:
             uncertain = True
-    e = cmp.eq(sd, sl)
-    if e is False:
-        return MajorizationVerdict("Fails", "exact" if exact else "float",
-                                   witness=(len(ds), sd, sl), detail="total sums differ")
-    if e is None or uncertain:
-        return MajorizationVerdict("Unknown", "float", horizon=len(ds),
-                                   detail="comparison inside float tolerance")
-    return MajorizationVerdict("Holds", "exact" if exact else "float")
+    else:
+        e = cmp.eq(sd, sl)
+        if e is None or e and uncertain:
+            return MajorizationVerdict("Unknown", "float", horizon=len(ds),
+                                       detail="comparison inside float tolerance")
+        if e:
+            return MajorizationVerdict("Holds", mode)
+        detail = "total sums differ"
+    if unit != 1:
+        sd, sl = sd * unit, sl * unit
+    return MajorizationVerdict("Fails", mode, witness=(m, sd, sl), detail=detail)
 
 
 # ---------------------------------------------------------------------------
 # merged descending enumeration with tail awareness
 
 
-class _ListSource:
-    __slots__ = ("values", "i")
+class MergedDesc(DescendingMerge):
+    """Partial-sum scan over the nonincreasing enumeration of a c0+ spec.
 
-    def __init__(self, values):
-        self.values = sorted(values, reverse=True)
-        self.i = 0
-
-    def peek(self):
-        return self.values[self.i] if self.i < len(self.values) else None
-
-    def pop(self):
-        v = self.values[self.i]
-        self.i += 1
-        return v
-
-
-class _GeoSource:
-    __slots__ = ("term", "ratio")
-
-    def __init__(self, first, ratio):
-        self.term = first
-        self.ratio = ratio
-
-    def peek(self):
-        return self.term
-
-    def pop(self):
-        v = self.term
-        self.term = self.term * self.ratio
-        return v
-
-    def remaining(self):
-        return self.term / (1 - self.ratio)
-
-
-class _TelSource:
-    __slots__ = ("scale", "n")
-
-    def __init__(self, scale, n0):
-        self.scale = scale
-        self.n = n0
-
-    def peek(self):
-        return self.scale / (self.n * (self.n + 1))
-
-    def pop(self):
-        v = self.peek()
-        self.n += 1
-        return v
-
-    def remaining(self):
-        return self.scale / self.n
-
-
-class MergedDesc:
-    """Nonincreasing enumeration of a c0+ spec, tracking closed-form tails."""
+    Entries of a c0+ spec are nonnegative, so zeros from the finite source
+    come up only once every tail is used up as well.
+    """
 
     def __init__(self, spec: SequenceSpec):
         validate_c0_plus(spec)
-        self.lists = []
-        self.tails = []
-        finite_values = []
-        for s in canonical_streams(spec):
-            if isinstance(s, FiniteList):
-                finite_values.extend(v for v in s.values if v > 0)
-            elif isinstance(s, ConstantRepeat):
-                if s.count != INF and s.value > 0:
-                    if s.count > _SCAN_CAP:
-                        raise PreconditionError("finite repeat too large to enumerate")
-                    finite_values.extend([s.value] * s.count)
-            elif isinstance(s, Geometric):
-                if s.first > 0:
-                    self.tails.append(_GeoSource(s.first, s.ratio))
-            elif isinstance(s, (TelescopingHarmonic, TelTail)):
-                if s.scale > 0:
-                    n0 = s.n0 if isinstance(s, TelTail) else 1
-                    self.tails.append(_TelSource(s.scale, n0))
-        if finite_values:
-            self.lists.append(_ListSource(finite_values))
-        self.sources = self.lists + self.tails
+        super().__init__(spec)
         self.multi_tail = len(self.tails) > 1
         self.n = 0
         self.partial = Fraction(0) if spec.exact else 0.0
         self.total = total_sum(spec)
 
     def advance(self):
-        best = None
-        best_src = None
-        for src in self.sources:
-            v = src.peek()
-            if v is None:
-                continue
-            if best is None or v > best:
-                best = v
-                best_src = src
+        v = self.pop()
         self.n += 1
-        if best is None:
-            return self.partial * 0
-        best_src.pop()
-        self.partial = self.partial + best
-        return best
+        if v is not None:
+            self.partial = self.partial + v
 
     @property
     def settled(self) -> bool:
-        if self.multi_tail:
-            return False
-        return all(s.peek() is None for s in self.lists)
+        """No finite positive entry is left and at most one tail remains."""
+        head = self.finite.head
+        return not self.multi_tail and (head is None or head <= 0)
 
     def tail_descr(self):
         """Closed-form remaining-sum descriptor, valid once settled."""
         assert self.settled
-        if not self.tails:
-            return ("zero",)
-        t = self.tails[0]
-        if isinstance(t, _GeoSource):
-            return ("geo", t.remaining(), t.ratio)
-        return ("tel", t.scale, t.n)
+        return self.tails[0].descr() if self.tails else ("zero",)
 
 
 def _tail_at(descr, m):
@@ -533,11 +452,11 @@ def majorize_l1(d: SequenceSpec, lam: SequenceSpec,
     return MajorizationVerdict("Holds", mode)
 
 
-def _settle(state: MergedDesc, cap=_SCAN_CAP):
+def _settle(state: MergedDesc):
     while not state.settled:
         if state.multi_tail:
             return False
-        if state.n > cap:
+        if state.n > _SCAN_CAP:
             return False
         state.advance()
     return True

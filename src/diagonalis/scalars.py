@@ -24,11 +24,7 @@ from numbers import Rational
 
 INF = math.inf
 
-# entrywise equality tolerance for float sequences
-EPS_SEQ = 1e-12
-# relative tolerance on partial sums in float mode
-REL_TOL_SUMS = 1e-10
-# matrix predicates (hermitian / unitary / projection)
+# matrix predicates (hermitian / normal / projection)
 EPS_MAT = 1e-10
 # float-mode integrality test and the Unknown buffer above it
 INTEGRALITY_TOL = 1e-9
@@ -174,6 +170,19 @@ def scalar_abs(x):
     return abs(x)
 
 
+def unit_scale(values, exact):
+    """1 for exact data; for float data, a power of two near the largest |value|.
+
+    The float tolerance never falls below 1e-10, so a test that scaling the
+    data leaves unchanged asks ``Cmp`` about the data divided by this, which
+    puts the largest |value| in [1/2, 1).  Dividing by a power of two is
+    exact, so every float computed from the scaled data is the unscaled one
+    divided by the same power of two.
+    """
+    top = 0 if exact else max(map(scalar_abs, values), default=0)
+    return 2.0 ** math.frexp(top)[1] if top and math.isfinite(top) else 1
+
+
 def is_real_scalar(x) -> bool:
     if isinstance(x, QC):
         return x.im == 0
@@ -281,22 +290,22 @@ class Cmp:
     """Three-valued comparator: True / False / None (uncertain in a buffer).
 
     Exact mode never returns None.  Float mode treats differences up to
-    ``rel_tol`` times the scale as satisfied/equal, rejects differences
-    beyond ``buffer_factor`` times that, and reports None in between: a
+    ``REL_TOL`` times the scale as satisfied/equal, rejects differences
+    beyond ``BUFFER_FACTOR`` times that, and reports None in between: a
     comparison landing in the buffer could flip the verdict, which callers
     surface as Unknown rather than guessing (mirroring the integrality
     buffer used for Diophantine checks).  The deciders take every
     comparison a verdict rests on from here.
     """
 
-    def __init__(self, exact: bool, rel_tol: float = REL_TOL_SUMS,
-                 buffer_factor: float = 1000.0):
+    REL_TOL = 1e-10
+    BUFFER_FACTOR = 1000.0
+
+    def __init__(self, exact: bool):
         self.exact = exact
-        self.rel_tol = rel_tol
-        self.buffer_factor = buffer_factor
 
     def _tol(self, a, b) -> float:
-        return self.rel_tol * max(abs(a), abs(b), 1.0)
+        return self.REL_TOL * max(abs(a), abs(b), 1.0)
 
     def le(self, a, b):
         """a <= b, three-valued."""
@@ -306,7 +315,7 @@ class Cmp:
         tol = self._tol(a, b)
         if d <= tol:
             return True
-        if d <= tol * self.buffer_factor:
+        if d <= tol * self.BUFFER_FACTOR:
             return None
         return False
 
@@ -317,7 +326,7 @@ class Cmp:
         tol = self._tol(a, b)
         if d <= tol:
             return True
-        if d <= tol * self.buffer_factor:
+        if d <= tol * self.BUFFER_FACTOR:
             return None
         return False
 
@@ -333,21 +342,9 @@ class Cmp:
             return sign_of(x)
         if x == 0:
             return 0
-        if abs(x) <= self.rel_tol * max(abs(x), 1.0) and abs(x) <= self.rel_tol:
+        if abs(x) <= self.REL_TOL * max(abs(x), 1.0) and abs(x) <= self.REL_TOL:
             return None
         return 1 if x > 0 else -1
-
-    def xs_le(self, a: XSum, b: XSum):
-        """a <= b over extended sums; divergent compares as uncertain."""
-        if a.kind == "div" or b.kind == "div":
-            return None
-        order = {"ninf": -1, "fin": 0, "pinf": 1}
-        ka, kb = order[a.kind], order[b.kind]
-        if ka != kb:
-            return ka < kb
-        if ka == 0:
-            return self.le(a.value, b.value)
-        return True  # same infinity
 
     def xs_eq(self, a: XSum, b: XSum):
         if a.kind == "div" or b.kind == "div":

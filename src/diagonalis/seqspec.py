@@ -23,7 +23,6 @@ permutation of the streams list.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -100,9 +99,6 @@ class TelTail:
     scale: object
     n0: int
     offset: object = 0
-
-
-STREAM_KINDS = (FiniteList, ConstantRepeat, Geometric, TelescopingHarmonic, TelTail)
 
 
 @dataclass(frozen=True)
@@ -371,57 +367,111 @@ def total_sum(spec) -> XSum:
 # descending enumeration
 
 
-def _desc_iter(s):
-    """Nonincreasing enumeration of one stream's multiset.
+class _Runs:
+    """Every finite entry, nonincreasing, as (value, count) runs.
 
-    Entries strictly below the stream's accumulation value can never appear
-    in an infinite descending enumeration and are dropped, which matches the
-    usual convention for nonincreasing rearrangements of c0 sequences.
-    Raises UnsupportedError when the stream has no descending enumeration at
+    ``count`` may be INF; a run is never expanded into a list.  Equal values
+    keep their stream order.
+    """
+
+    __slots__ = ("runs", "i", "head", "left")
+
+    def __init__(self, runs):
+        self.runs = sorted(runs, key=lambda run: run[0], reverse=True)
+        self.i = 0
+        self.head, self.left = self.runs[0] if self.runs else (None, 0)
+
+    def pop(self):
+        self.left -= 1
+        if not self.left:
+            self.i += 1
+            self.head, self.left = self.runs[self.i] if self.i < len(self.runs) else (None, 0)
+
+
+class _GeoRun:
+    """Entries ``offset + term``, the term shrinking by a ratio in (0, 1)."""
+
+    __slots__ = ("term", "ratio", "offset", "head")
+
+    def __init__(self, s):
+        self.term, self.ratio = s.first, s.ratio
+        self.offset = None if _z(s.offset) else s.offset
+        self.head = self.term if self.offset is None else self.offset + self.term
+
+    def pop(self):
+        self.term = self.term * self.ratio
+        self.head = self.term if self.offset is None else self.offset + self.term
+
+    def descr(self):
+        """Closed form of the deviations still to come: ("geo", sum, ratio)."""
+        return ("geo", self.term / (1 - self.ratio), self.ratio)
+
+
+class _TelRun:
+    """Entries ``offset + scale/(n(n+1))`` from the current index n on."""
+
+    __slots__ = ("scale", "n", "offset", "head")
+
+    def __init__(self, s):
+        self.scale, self.n = s.scale, _tel_start(s) - 1
+        self.offset = None if _z(s.offset) else s.offset
+        self.pop()
+
+    def pop(self):
+        self.n += 1
+        term = self.scale / (self.n * (self.n + 1))
+        self.head = term if self.offset is None else self.offset + term
+
+    def descr(self):
+        """Closed form of the deviations still to come: ("tel", scale, n)."""
+        return ("tel", self.scale, self.n)
+
+
+class DescendingMerge:
+    """Nonincreasing enumeration of a real spec over peekable sources.
+
+    ``finite`` holds every finite entry; ``tails`` holds one source per
+    geometric or telescoping stream, each with its closed-form remaining
+    sum.  Ties go to the finite entries, then to the tails in stream order.
+    Entries below an infinite stream's limit never come up, which matches
+    the usual convention for nonincreasing rearrangements of c0 sequences.
+    Raises UnsupportedError when a stream has no descending enumeration at
     all (infinitely many entries ascending to the limit).
     """
-    if isinstance(s, FiniteList):
-        return iter(sorted(s.values, reverse=True))
-    if isinstance(s, ConstantRepeat):
-        return stream_entries(s)
-    if isinstance(s, Geometric):
-        parts = _canon_one(s)
-        if len(parts) > 1 or not isinstance(parts[0], Geometric):
-            return _merge_desc([_desc_iter(p) for p in parts])
-        if s.first < 0:
-            raise UnsupportedError("geometric entries ascend to their limit; no descending order")
-        return stream_entries(s)
-    if isinstance(s, (TelescopingHarmonic, TelTail)):
-        if _z(s.scale):
-            return itertools.repeat(s.offset)
-        if s.scale < 0:
-            raise UnsupportedError("telescoping entries ascend to their limit; no descending order")
-        return stream_entries(s)
-    raise TypeError
 
+    def __init__(self, spec):
+        runs, self.tails = [], []
+        for s in canonical_streams(spec):
+            if isinstance(s, FiniteList):
+                runs.extend((v, 1) for v in s.values)
+            elif isinstance(s, ConstantRepeat):
+                runs.append((s.value, s.count))
+            elif isinstance(s, Geometric):
+                if s.first < 0:
+                    raise UnsupportedError("geometric entries ascend to their limit; no descending order")
+                self.tails.append(_GeoRun(s))
+            else:
+                if s.scale < 0:
+                    raise UnsupportedError("telescoping entries ascend to their limit; no descending order")
+                self.tails.append(_TelRun(s))
+        self.finite = _Runs(runs)
+        self.sources = [self.finite] + self.tails
 
-def _merge_desc(iters):
-    heap = []
-    for idx, it in enumerate(iters):
-        try:
-            v = next(it)
-        except StopIteration:
-            continue
-        heap.append((-v, idx, 0, it))
-    heapq.heapify(heap)
-    while heap:
-        negv, idx, pos, it = heapq.heappop(heap)
-        yield -negv
-        try:
-            v = next(it)
-        except StopIteration:
-            continue
-        heapq.heappush(heap, (-v, idx, pos + 1, it))
+    def pop(self):
+        """The largest entry not yet taken; None once none is left."""
+        best = None
+        for src in self.sources:
+            v = src.head
+            if v is not None and (best is None or v > best):
+                best, best_src = v, src
+        if best is not None:
+            best_src.pop()
+        return best
 
 
 def sorted_desc_iter(spec):
     """Lazy nonincreasing enumeration of the whole multiset."""
-    return _merge_desc([_desc_iter(s) for s in spec.streams])
+    return iter(DescendingMerge(spec).pop, None)
 
 
 def sorted_prefix_desc(spec, n: int):
@@ -442,7 +492,7 @@ def tail_sum_after_top(spec, n: int) -> XSum:
 # entrywise transforms
 
 
-def _peel_head_by_gap(s, gap, cap=_EXPANSION_CAP):
+def _peel_head_by_gap(s, gap):
     """Split an infinite sign-coherent stream into (head list, tail stream).
 
     ``head`` receives every entry whose deviation from the limit is at least
@@ -460,7 +510,7 @@ def _peel_head_by_gap(s, gap, cap=_EXPANSION_CAP):
             head.append(s.offset + term)
             term = term * s.ratio
             guard += 1
-            if guard > cap:
+            if guard > _EXPANSION_CAP:
                 raise UnsupportedError("head peel exceeded expansion cap")
         if _z(term):
             return head, ConstantRepeat(s.offset + term, INF)
@@ -474,7 +524,7 @@ def _peel_head_by_gap(s, gap, cap=_EXPANSION_CAP):
             head.append(s.offset + s.scale / (n * (n + 1)))
             n += 1
             guard += 1
-            if guard > cap:
+            if guard > _EXPANSION_CAP:
                 raise UnsupportedError("head peel exceeded expansion cap")
         return head, TelTail(s.scale, n, s.offset)
     if isinstance(s, ConstantRepeat):

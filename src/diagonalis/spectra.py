@@ -72,10 +72,6 @@ class DenseMatrix:
         a = np.diag(np.asarray(list(values), dtype=complex))
         return DenseMatrix(a, real=bool(np.all(a.imag == 0.0)))
 
-    @staticmethod
-    def identity(n):
-        return DenseMatrix(np.eye(n, dtype=complex), real=True)
-
     def diag(self) -> np.ndarray:
         return np.diagonal(self.data).copy()
 
@@ -90,10 +86,6 @@ class DenseMatrix:
         a = self.data
         scale = max(self.norm() ** 2, 1.0)
         return float(np.linalg.norm(a @ a.conj().T - a.conj().T @ a)) <= tol * scale
-
-    def is_unitary(self, tol=EPS_MAT) -> bool:
-        a = self.data
-        return float(np.linalg.norm(a.conj().T @ a - np.eye(self.n))) <= tol
 
     def is_projection(self, tol=EPS_MAT) -> bool:
         a = self.data

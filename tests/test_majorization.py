@@ -20,7 +20,6 @@ from diagonalis.seqspec import (
     TelescopingHarmonic,
     materialize_prefix,
     seq,
-    sorted_prefix_desc,
 )
 
 
@@ -29,9 +28,18 @@ def geo(f, r):
 
 
 def brute_weak_ok(d, lam, depth=200):
-    """Independent oracle: compare all partial sums of sorted prefixes."""
-    ds = sorted_prefix_desc(d, depth)
-    ls = sorted_prefix_desc(lam, depth)
+    """Independent oracle: compare all partial sums of sorted prefixes.
+
+    The prefixes come from the round-robin ``materialize_prefix``, not from
+    the descending enumeration the deciders scan.  Every infinite stream
+    here enumerates nonincreasingly, so the first ``depth`` terms per stream
+    hold the ``depth`` largest entries.
+    """
+    def top(spec):
+        return sorted(materialize_prefix(spec, depth * len(spec.streams)), reverse=True)[:depth]
+
+    ds = top(d)
+    ls = top(lam)
     ds += [F(0)] * (depth - len(ds))
     ls += [F(0)] * (depth - len(ls))
     sd = sl = F(0)
@@ -83,6 +91,12 @@ class TestWeakMajorize:
         v = weak_majorize(d, lam)
         assert v.verdict == "Fails" and v.witness[0] == 1
         assert not brute_weak_ok(d, lam)
+
+    def test_large_finite_repeat_is_not_expanded(self):
+        # two million equal entries stay one (value, count) run
+        d = seq(ConstantRepeat(F(1, 10**7), 2 * 10**6))
+        v = weak_majorize(d, seq(FiniteList([F(1)])))
+        assert v.verdict == "Holds" and v.detail == "prefix domination"
 
     def test_equal_total_tail_rule_fails(self):
         # same total 1, but d's tail decays slower at every index shift

@@ -257,6 +257,8 @@ def nonneg_specs(draw):
     if draw(st.booleans()):
         streams.append(TelescopingHarmonic(draw(pos_fracs) + F(1, 5), F(0)))
     if draw(st.booleans()):
+        streams.append(ConstantRepeat(draw(pos_fracs), draw(st.integers(1, 5))))
+    if draw(st.booleans()):
         streams.append(ConstantRepeat(F(0), INF))
     return seq(*streams)
 

@@ -18,9 +18,11 @@ from diagonalis.cli import run
 from diagonalis.deciders import (
     decide_horn_unitary,
     decide_jlw_unitary,
+    decide_schur_horn,
     decide_thompson,
     decide_williams_3x3,
 )
+from diagonalis.majorization import majorize_finite
 from diagonalis.scalars import INF, QC
 from diagonalis.seqspec import ConstantRepeat, FiniteList, SequenceSpec
 
@@ -92,7 +94,8 @@ def test_williams_float_agrees_with_exact(lam, d, from_lam):
 
 
 # the same rational instances scaled far below and far above unit size:
-# Thompson's and Williams' conditions do not change with the scale
+# the Thompson, Williams, Schur-Horn and majorization conditions do not
+# change with the scale
 
 scales = st.sampled_from([F(1, 10**12), F(10**12)])
 
@@ -117,9 +120,41 @@ def test_williams_scaled_float_agrees_with_exact(lam, d, from_lam, c):
     agrees(decide_williams_3x3(lam, d), decide_williams_3x3(floats(lam), floats(d)))
 
 
+@st.composite
+def finite_pairs(draw):
+    """(d, lam) of one length; half of them with d an average of lam's permutations."""
+    lam = draw(st.lists(rationals(-3, 3), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(len(lam))))
+        t = draw(rationals(0, 1))
+        d = [t * x + (1 - t) * lam[i] for x, i in zip(lam, perm)]
+    else:
+        d = draw(st.lists(rationals(-3, 3), min_size=len(lam), max_size=len(lam)))
+    return d, lam
+
+
+@SETTINGS
+@given(finite_pairs(), scales)
+def test_schur_horn_scaled_float_agrees_with_exact(pair, c):
+    d, lam = ([c * x for x in xs] for xs in pair)
+    agrees(decide_schur_horn(lam, d), decide_schur_horn(floats(lam), floats(d)))
+
+
+@SETTINGS
+@given(finite_pairs(), scales)
+def test_majorize_finite_scaled_float_agrees_with_exact(pair, c):
+    d, lam = ([c * x for x in xs] for xs in pair)
+    agrees(majorize_finite(d, lam), majorize_finite(floats(d), floats(lam)))
+
+
 def test_small_thompson_instance_is_no():
     # the second partial sum of |d| is 2e-11 against 1e-11
     assert decide_thompson([1e-11, 0.0], [1e-11, 1e-11]).verdict == "No"
+
+
+def test_small_schur_horn_instance_is_no():
+    # the first partial sum of d is 2e-11 against 1e-11
+    assert decide_schur_horn([1e-11, 0.0], [2e-11, -1e-11]).verdict == "No"
 
 
 def test_small_triangle_is_decided():
@@ -200,3 +235,8 @@ def test_horn_requests_near_unit_modulus(capsys):
     assert base == "Yes"
     for d in ("[1.00000000000001,1]", "[0.99999999999999,1]"):
         assert verdict_of(capsys, "decide", "horn-unitary", "--d", d) in ("Yes", "Unknown")
+
+
+def test_small_finite_majorization_request_fails(capsys):
+    assert verdict_of(capsys, "decide", "majorization", "--kind", "finite",
+                      "--lambda", "[1e-11,0]", "--d", "[2e-11,-1e-11]") == "Fails"
