@@ -15,10 +15,13 @@ from fractions import Fraction
 import numpy as np
 
 from .scalars import PreconditionError
-from .spectra import DenseMatrix, haar_unitary
+from .spectra import DenseMatrix, haar_unitaries, haar_unitary
 
 THETA_CANDIDATES = 16
 PHI_CANDIDATES = 16
+# Backtracking steps 2^-1, ..., 2^-56 (the powers of two above 1e-17), tried
+# in two stacked chunks; most accepted steps are among the first sixteen.
+LINE_CHUNKS = np.split(np.ldexp(1.0, -np.arange(1, 57)), [16])
 
 
 @dataclass(frozen=True)
@@ -43,13 +46,11 @@ class SearchNotFound:
 
 
 def sample_diagonals(t: DenseMatrix, trials: int, seed) -> list:
-    """Diagonals of Haar-conjugated copies of t."""
+    """Diagonals of Haar-conjugated copies of t, each unitary drawn from its
+    own per-trial seed and all of them conjugated as one stack."""
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(trials):
-        u = haar_unitary(t.n, seed=rng.integers(0, 2**63 - 1)).data
-        out.append(np.diagonal(u @ t.data @ u.conj().T).copy())
-    return out
+    u = haar_unitaries(t.n, [rng.integers(0, 2**63 - 1) for _ in range(trials)])
+    return list(np.diagonal(u @ t.data @ u.conj().transpose(0, 2, 1), axis1=1, axis2=2).copy())
 
 
 def _pair_rotation_candidates(b, ti, tj, thetas, phis):
@@ -78,20 +79,18 @@ def _apply_rotation(a, u, i, j, theta, phi):
     u[:, [i, j]] = u[:, [i, j]] @ g
 
 
-def _unitary_exp(x):
-    """exp of a skew-Hermitian matrix via a Hermitian eigendecomposition."""
-    w, v = np.linalg.eigh(1j * x)
-    return v @ np.diag(np.exp(-1j * w)) @ v.conj().T
-
-
 def search_membership(t: DenseMatrix, d, tol=1e-8, budget=100_000, seed=0):
     """Minimize the diagonal mismatch of U*TU over the unitary group.
 
     Random restarts with coordinate rotation sweeps for coarse progress,
     then Riemannian gradient descent with a backtracking line search (the
-    sweeps alone settle at pairwise-stable saddle points).  ``budget``
-    counts candidate evaluations; a Found result carries the verified
-    witness unitary.
+    sweeps alone settle at pairwise-stable saddle points).  Each gradient
+    step makes one Hermitian eigendecomposition i*X = V diag(w) V*: the
+    candidate at step eps is exp(eps*X) = V diag(exp(-i*eps*w)) V*, since
+    scaling by a power of two is exact, and the candidates are evaluated as
+    stacks.  The first candidate that lowers the objective is taken.
+    ``budget`` counts candidate evaluations up to that one, as one at a
+    time would; a Found result carries the verified witness unitary.
     """
     n = t.n
     target = np.array([complex(x) for x in d])
@@ -101,6 +100,7 @@ def search_membership(t: DenseMatrix, d, tol=1e-8, budget=100_000, seed=0):
     thetas = np.linspace(0.0, math.pi / 2, THETA_CANDIDATES, endpoint=False)
     phis = np.linspace(0.0, 2.0 * math.pi, PHI_CANDIDATES, endpoint=False)
     per_pair = THETA_CANDIDATES * PHI_CANDIDATES
+    diag = np.arange(n)
     rng = np.random.default_rng(seed)
     best = (math.inf, None)
     spent = 0
@@ -140,20 +140,25 @@ def search_membership(t: DenseMatrix, d, tol=1e-8, budget=100_000, seed=0):
             if nx < 1e-16 * scale:
                 break
             x = x / nx
-            eps = 0.5
             base = objective(a)
-            moved = False
-            while eps > 1e-17:
-                e = _unitary_exp(eps * x)
-                a2 = e.conj().T @ a @ e
-                spent += 1
-                if objective(a2) < base - 1e-24 * scale ** 2:
-                    a = a2
-                    u = u @ e
-                    moved = True
+            w, v = np.linalg.eigh(1j * x)
+            vh = v.conj().T
+            for steps in LINE_CHUNKS:
+                phases = np.zeros((len(steps), n, n), dtype=complex)
+                phases[:, diag, diag] = np.exp(-1j * (steps[:, None] * w))
+                e = v @ phases @ vh
+                a2 = e.conj().transpose(0, 2, 1) @ a @ e
+                r2 = np.diagonal(a2, axis1=1, axis2=2) - target
+                lower = np.flatnonzero(np.sum(np.abs(r2) ** 2, axis=1)
+                                       < base - 1e-24 * scale ** 2)
+                if lower.size:
+                    k = int(lower[0])
+                    spent += k + 1
+                    a = a2[k]
+                    u = u @ e[k]
                     break
-                eps /= 2.0
-            if not moved:
+                spent += len(steps)
+            else:
                 break
             res = float(np.max(np.abs(np.diagonal(a) - target)))
             if res < best[0]:

@@ -24,8 +24,9 @@ permutation of the streams list.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from numbers import Integral
 
 from .scalars import (
     INF,
@@ -112,12 +113,32 @@ class SequenceSpec:
         if self.field not in ("real", "complex"):
             raise PreconditionError("field must be 'real' or 'complex'")
         if self.exact:
+            object.__setattr__(self, "streams", tuple(_ints_as_fractions(s) for s in self.streams))
             for s in self.streams:
                 for p in stream_params(s):
                     if not is_exact_scalar(p):
                         raise PreconditionError("exact mode requires rational stream parameters")
                     if self.field == "real" and isinstance(p, QC):
                         raise PreconditionError("real exact mode cannot hold complex values")
+
+
+def _as_fraction(p):
+    return Fraction(int(p)) if isinstance(p, Integral) else p
+
+
+def _ints_as_fractions(s):
+    """The stream with its int parameters as Fractions, so that the true
+    divisions computing its entries and sums stay exact."""
+    if not any(isinstance(p, Integral) for p in stream_params(s)):
+        return s
+    if isinstance(s, FiniteList):
+        return FiniteList(_as_fraction(v) for v in s.values)
+    if isinstance(s, ConstantRepeat):
+        return replace(s, value=_as_fraction(s.value))
+    if isinstance(s, Geometric):
+        return replace(s, first=_as_fraction(s.first), ratio=_as_fraction(s.ratio),
+                       offset=_as_fraction(s.offset))
+    return replace(s, scale=_as_fraction(s.scale), offset=_as_fraction(s.offset))
 
 
 @dataclass(frozen=True)
@@ -132,6 +153,9 @@ class OrderedSequenceSpec:
     def __post_init__(self):
         object.__setattr__(self, "prefix", tuple(self.prefix))
         object.__setattr__(self, "tail", tuple(self.tail))
+        if self.exact:
+            object.__setattr__(self, "prefix", tuple(_as_fraction(v) for v in self.prefix))
+            object.__setattr__(self, "tail", tuple((_ints_as_fractions(s), w) for s, w in self.tail))
         for _, w in self.tail:
             if int(w) != w or w < 1:
                 raise PreconditionError("tail weights must be positive integers")

@@ -435,14 +435,21 @@ def attain_numerical_range_vector(m: DenseMatrix, z, tol=ATTAIN_TOL_DEFAULT,
 # Haar sampling
 
 
+def haar_unitaries(n: int, seeds) -> np.ndarray:
+    """Stack of Haar-distributed unitaries, one per seed, from one stacked QR
+    of complex Ginibre samples; each sample is drawn from its own seed."""
+    z = np.empty((len(seeds), n, n), dtype=complex)
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        z[k] = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
+
+
 def haar_unitary(n: int, seed) -> DenseMatrix:
     """Haar-distributed unitary from QR of a complex Ginibre sample."""
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    ph = d / np.abs(d)
-    return DenseMatrix(q * ph, real=False)
+    return DenseMatrix(haar_unitaries(n, [seed])[0], real=False)
 
 
 # ---------------------------------------------------------------------------

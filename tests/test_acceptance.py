@@ -91,6 +91,7 @@ def test_criterion_02_schur_direction_sampling():
 
 
 def test_criterion_03_hoffman_counterexample():
+    t0 = time.time()
     reject_fail = 0
     search_fail = 0
     for k in range(100):
@@ -113,9 +114,11 @@ def test_criterion_03_hoffman_counterexample():
         for d in sample_diagonals(nmat, 500, seed=1000 + t_idx):
             if decide_williams_3x3(list(lam), list(d)).verdict != "Yes":
                 accept_fail += 1
+    elapsed = time.time() - t0
     ok = reject_fail == 0 and search_fail == 0 and accept_fail == 0
     report(3, ok, f"midpoint rejections missed {reject_fail}, searches found "
-                  f"{search_fail}, sampled acceptances missed {accept_fail}")
+                  f"{search_fail}, sampled acceptances missed {accept_fail}, "
+                  f"{elapsed:.1f}s")
 
 
 def test_criterion_04_kadison():

@@ -85,6 +85,12 @@ class TestWeakMajorize:
         d = seq(geo(F(1, 2), F(1, 2)))
         assert weak_majorize(d, d).holds
 
+    def test_int_parameter_gives_exact_witness(self):
+        d = seq(FiniteList([F(1, 2)]), TelescopingHarmonic(1))
+        v = weak_majorize(d, seq(FiniteList([F(1)])))
+        assert v.mode == "exact" and v.verdict == "Fails"
+        assert v.witness[1] == F(7, 6) and type(v.witness[1]) is F
+
     def test_head_violation(self):
         d = seq(FiniteList([F(3, 4)]), ConstantRepeat(F(0), INF))
         lam = seq(geo(F(1, 2), F(1, 2)))

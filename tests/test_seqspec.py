@@ -10,12 +10,14 @@ from diagonalis.seqspec import (
     ConstantRepeat,
     FiniteList,
     Geometric,
+    OrderedSequenceSpec,
     TelescopingHarmonic,
     abs_values,
     affine_image,
     count_value,
     interval_blaschke_sum,
     materialize_prefix,
+    ordered_entries,
     seq,
     sorted_prefix_desc,
     spec_bounds,
@@ -112,6 +114,27 @@ class TestTailSum:
         for n in (0, 1, 3, 8):
             head = sum(sorted_prefix_desc(s, n), F(0))
             assert XSum.fin(head) + tail_sum_after_top(s, n) == total_sum(s)
+
+
+class TestIntParametersInExactSpecs:
+    """int parameters count as exact, so the entries and sums built from
+    them must be Fractions, not the floats of true int division."""
+
+    def test_sorted_prefix(self):
+        got = sorted_prefix_desc(seq(TelescopingHarmonic(1)), 2)
+        assert got == [F(1, 2), F(1, 6)]
+        assert all(type(v) is F for v in got)
+
+    def test_tail_sum(self):
+        got = tail_sum_after_top(seq(TelescopingHarmonic(1)), 2)
+        assert got == XSum.fin(F(1, 3))
+        assert type(got.value) is F
+
+    def test_ordered_spec(self):
+        o = OrderedSequenceSpec((1,), ((TelescopingHarmonic(1), 1),), "real", True)
+        assert list(itertools.islice(ordered_entries(o), 3)) == [F(1), F(1, 2), F(1, 6)]
+        got = total_sum(o)
+        assert got == XSum.fin(F(2)) and type(got.value) is F
 
 
 class TestSplitParts:
