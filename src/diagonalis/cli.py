@@ -296,7 +296,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_range(args) -> int:
     m = _matrix(args)
-    pts, _ = numerical_range_hull(m, grid=args.grid)
+    pts = numerical_range_hull(m, grid=args.grid)
     return _emit({"hull": [[p.real, p.imag] for p in pts]}, EXIT_YES)
 
 

@@ -448,10 +448,18 @@ def decide_neumann_closure(spec, d: SequenceSpec) -> Decision:
 
 def _hull_edges(points):
     """Convex hull vertices as complex numbers, ccw (edges join neighbours)."""
-    pl = [(complex(p).real, complex(p).imag) for p in points]
-    from .spectra import _convex_hull
-    hull = _convex_hull(pl)
-    return [complex(x, y) for x, y in hull]
+    pts = sorted({complex(p) for p in points}, key=lambda w: (w.real, w.imag))
+    if len(pts) <= 2:
+        return pts
+    hull = []
+    for chain in (pts, pts[::-1]):  # Andrew's lower and upper monotone chains
+        out = []
+        for p in chain:
+            while len(out) >= 2 and ((out[-1] - out[-2]).conjugate() * (p - out[-2])).imag <= 0:
+                out.pop()
+            out.append(p)
+        hull += out[:-1]
+    return hull
 
 
 def _interior_distance(z, hull):

@@ -5,21 +5,29 @@ obtained from the Gram matrix; both are self-contained so every constructor
 in this package can be verified without trusting an external eigensolver.
 Matrices here are small (n <= 64), where Jacobi is simple, provably
 convergent and accurate.
+
+A point of the numerical range W(M) is attained by adaptive support
+directions, and rejected only when a support direction certifies that it
+lies outside W(M) by more than the tolerance.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .scalars import (
     EPS_MAT,
+    INF,
     ConvergenceError,
     PreconditionError,
     UnsupportedError,
+    is_real_scalar,
 )
 from . import seqspec
 from .seqspec import (
@@ -31,10 +39,9 @@ from .seqspec import (
     stream_is_infinite,
     stream_limit,
 )
-from .scalars import INF
 
 JACOBI_SWEEP_CAP = 30
-THETA_GRID_DEFAULT = 720
+SUPPORT_DIRECTION_CAP = 64
 ATTAIN_TOL_DEFAULT = 1e-9
 
 
@@ -214,16 +221,13 @@ def numerical_range_support(m: DenseMatrix, theta: float):
     return float(vals[0]), vecs[:, 0]
 
 
-def numerical_range_hull(m: DenseMatrix, grid=THETA_GRID_DEFAULT):
-    """Boundary sample of W(M): points <Mx,x> for support directions."""
+def numerical_range_hull(m: DenseMatrix, grid: int):
+    """Boundary sample of W(M): points <Mx,x> for ``grid`` support directions."""
     pts = []
-    vecs = []
     for k in range(grid):
-        theta = 2.0 * math.pi * k / grid
-        _, x = numerical_range_support(m, theta)
-        pts.append(complex(np.vdot(x, m.data @ x)))
-        vecs.append(x)
-    return pts, vecs
+        _, x = numerical_range_support(m, 2.0 * math.pi * k / grid)
+        pts.append(_rayleigh(m.data, x))
+    return pts
 
 
 def _rayleigh(m: np.ndarray, x: np.ndarray) -> complex:
@@ -266,8 +270,8 @@ def _attain_2x2(b: np.ndarray, z: complex, tol: float):
         y = np.array([1.0, 0.0], dtype=complex)
         return q @ y
     bb = (w * np.conj(dd)).real
-    cc = abs(w) ** 2 - abs(off) ** 2 / 4.0
-    disc = bb * bb - aa * cc
+    # bb^2 - aa*(|w|^2 - |off|^2/4), rearranged so thin blocks lose no digits
+    disc = abs(off) ** 2 / 4.0 * (aa - abs(w) ** 2) - (w * np.conj(dd)).imag ** 2
     if disc < 0:
         if disc < -1e-12 * scale ** 2 * max(aa, 1.0):
             raise PreconditionError("target outside the numerical range of the block")
@@ -307,128 +311,98 @@ def _interp_on_span(m: np.ndarray, u: np.ndarray, v: np.ndarray, z: complex, tol
     return y[0] * u + y[1] * w
 
 
-def _segment_distance(z, a, b):
-    ab = b - a
-    denom = abs(ab) ** 2
-    if denom < 1e-300:
-        return abs(z - a)
-    t = ((z - a) * np.conj(ab)).real / denom
-    t = min(1.0, max(0.0, t))
-    return abs(z - (a + t * ab))
+def _chord_foot(p, q):
+    """Point of the segment [p, q] nearest to 0 and, if inside the segment,
+    the chord's normal towards 0 (the foot itself loses the digits of that
+    direction when the chord is far longer than its distance to 0)."""
+    d = q - p
+    dd = abs(d) ** 2
+    tau = -(p * d.conjugate()).real / dd if dd else 0.0
+    if tau <= 0.0:
+        return p, None
+    if tau >= 1.0:
+        return q, None
+    normal = -1j * d
+    return p + tau * d, (normal if (normal.conjugate() * p).real < 0 else -normal)
 
 
-def _polygon_contains(pts, z, margin):
-    """Distance-based membership of z in the convex hull of pts."""
-    hull = _convex_hull([ (p.real, p.imag) for p in pts ])
-    if len(hull) == 1:
-        return abs(complex(*hull[0]) - z) <= margin
-    if len(hull) == 2:
-        return _segment_distance(z, complex(*hull[0]), complex(*hull[1])) <= margin
-    # edges between near-duplicate sweep points have a direction that is
-    # rounding noise; the neighbouring edges bound z on their own
-    min_edge = 1e-12 * max(1.0, max(math.hypot(x, y) for x, y in hull))
-    inside = True
-    for i in range(len(hull)):
-        x1, y1 = hull[i]
-        x2, y2 = hull[(i + 1) % len(hull)]
-        cross = (x2 - x1) * (z.imag - y1) - (y2 - y1) * (z.real - x1)
-        edge = math.hypot(x2 - x1, y2 - y1)
-        if edge < min_edge:
-            continue
-        if cross / edge < -margin:
-            inside = False
-            break
-    return inside
+def _ray_crossing(p, q, e):
+    """Point where the chord [p, q] meets the open ray from 0 along e, or None."""
+    op, oq = (p * e.conjugate()).imag, (q * e.conjugate()).imag
+    if op * oq > 0.0 or op == oq:
+        return None
+    c = p + op / (op - oq) * (q - p)
+    return c if (c * e.conjugate()).real > 0.0 else None
 
 
-def _convex_hull(points):
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-    def half(iterable):
-        out = []
-        for p in iterable:
-            while len(out) >= 2 and ((out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
-                                     - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-    lower = half(pts)
-    upper = half(reversed(pts))
-    return lower[:-1] + upper[:-1]
+def _chord_vector(a, end0, end1, t, tol, snap):
+    """Unit x with <Ax, x> = t, for t on the chord between two (point, vector)
+    ends; an end within ``snap`` of t is returned as it is."""
+    (p, x), (q, y) = end0, end1
+    if min(abs(t - p), abs(t - q)) <= snap:
+        return x if abs(t - p) <= abs(t - q) else y
+    return _interp_on_span(a, x, y, t, tol)
 
 
-def attain_numerical_range_vector(m: DenseMatrix, z, tol=ATTAIN_TOL_DEFAULT,
-                                  grid=THETA_GRID_DEFAULT):
-    """Unit x with <Mx, x> = z up to ``tol``.
+def attain_numerical_range_vector(m: DenseMatrix, z, tol=ATTAIN_TOL_DEFAULT):
+    """Unit x with <Mx, x> = z up to ``tol`` * max(|M|_F, 1).
 
-    Locates support vectors whose range points straddle z along a line,
-    interpolates each boundary crossing inside a two-dimensional
-    compression, then combines the two crossing vectors.  Rejects z outside
-    the polygon hull of the support sweep.
+    Adaptive support directions (R. Carden, Inverse Problems 25 (2009)
+    115019).  With A = M - z, the top eigenvector of Re(e^{-i phi} A) gives
+    the boundary point of W(A) facing direction phi.  From the four axis
+    directions on, a chord that 0 lies outside is split at its normal (at a
+    corner, the facing angle interval is bisected) until the boundary points
+    surround 0 or a chord passes within tolerance of it.  Two-dimensional
+    compressions then give the vector: one on the chord by which the line
+    from the farthest point through 0 leaves, one on that line.  The only
+    rejection is a direction whose top eigenvalue is below -tol * scale,
+    which certifies that z lies outside W(M).
     """
     z = complex(z)
-    a = m.data
-    scale = max(float(np.linalg.norm(a)), 1.0)
-    diag = np.diagonal(a)
-    for i, dv in enumerate(diag):
-        if abs(dv - z) <= 0.1 * tol * scale:
-            e = np.zeros(m.n, dtype=complex)
-            e[i] = 1.0
-            return e
-    pts, vecs = numerical_range_hull(m, grid)
-    for p, x in zip(pts, vecs):
-        if abs(p - z) <= 0.1 * tol * scale:
-            return x
-    if not _polygon_contains(pts, z, max(tol * scale, 1e-12 * scale)):
-        raise PreconditionError("target outside the numerical range hull")
-    k = len(pts)
-    # z on (or near) a chord between adjacent sweep points: one interpolation
-    for i in range(k):
-        j = (i + 1) % k
-        if _segment_distance(z, pts[i], pts[j]) <= 1e-9 * scale:
-            try:
-                x = _interp_on_span(a, vecs[i], vecs[j], z, tol)
-            except (ConvergenceError, PreconditionError):
-                continue
-            if abs(_rayleigh(a, x) - z) <= tol * scale:
-                return x / np.linalg.norm(x)
-    for attempt in range(8):
-        psi = math.pi * (attempt + 0.37) / 8.0
-        direction = cmath.exp(1j * psi)
-        # signed coordinate of each sweep point transverse to the line
-        offs = [((p - z) * cmath.exp(-1j * psi)).imag for p in pts]
-        crossings = []
-        for i in range(k):
-            j = (i + 1) % k
-            oi, oj = offs[i], offs[j]
-            if oi == 0.0 and oj == 0.0:
-                continue
-            if (oi <= 0.0 <= oj) or (oj <= 0.0 <= oi):
-                t = abs(oi) / (abs(oi) + abs(oj)) if (abs(oi) + abs(oj)) > 0 else 0.0
-                target = pts[i] + t * (pts[j] - pts[i])
-                crossings.append((i, j, target))
-        sides = {}
-        for i, j, target in crossings:
-            side = ((target - z) * cmath.exp(-1j * psi)).real
-            key = side >= 0
-            if key not in sides or abs(side) > abs(sides[key][3]):
-                sides[key] = (i, j, target, side)
-        if len(sides) < 2:
-            continue
-        try:
-            ys = []
-            for i, j, target, _ in sides.values():
-                if abs(pts[i] - target) <= 1e-14 * scale:
-                    ys.append(vecs[i])
-                else:
-                    ys.append(_interp_on_span(a, vecs[i], vecs[j], target, tol))
-            x = _interp_on_span(a, ys[0], ys[1], z, tol)
-        except (ConvergenceError, PreconditionError):
-            continue
-        if abs(_rayleigh(a, x) - z) <= tol * scale:
-            return x / np.linalg.norm(x)
-    raise ConvergenceError("attainment failed after direction retries")
+    scale = max(m.norm(), 1.0)
+    a = m.data - z * np.eye(m.n)
+    shifted = DenseMatrix(a)
+    snap = 0.25 * tol * scale
+    sides = []  # (phi, <Ax, x>, x), sorted by phi in [0, 2 pi)
+
+    def support(phi):
+        top, x = numerical_range_support(shifted, -phi)
+        if top < -tol * scale:
+            raise PreconditionError(f"target outside the numerical range: top eigenvalue "
+                                    f"{top:.3e} in direction {phi:.6f} is below -tol*scale")
+        bisect.insort(sides, (phi, _rayleigh(a, x), x), key=lambda s: s[0])
+
+    for k in range(4):
+        support(k * math.pi / 2.0)
+    while True:
+        chords = list(zip(sides, sides[1:] + sides[:1]))
+        _, pf, xf = max(sides, key=lambda s: abs(s[1]))
+        e = -pf / abs(pf) if pf else 1.0
+        exits = [(c, s0, s1) for s0, s1 in chords
+                 if (c := _ray_crossing(s0[1], s1[1], e)) is not None]
+        if exits:  # the boundary points surround 0
+            c, s0, s1 = max(exits, key=lambda ex: abs(ex[0]))
+            y = _chord_vector(a, s0[1:], s1[1:], c, tol, snap)
+            x = _chord_vector(a, (pf, xf), (_rayleigh(a, y), y), 0.0, tol, snap)
+            break
+        (t, toward), s0, s1 = min(((_chord_foot(s0[1], s1[1]), s0, s1) for s0, s1 in chords),
+                                  key=lambda f: abs(f[0][0]))
+        if abs(t) <= 2.0 * snap:  # 0 lies on a chord
+            x = _chord_vector(a, s0[1:], s1[1:], t, tol, snap)
+            break
+        if len(sides) >= SUPPORT_DIRECTION_CAP:
+            raise ConvergenceError(f"no attainment or rejection in {len(sides)} support directions")
+        phi = cmath.phase(-t if toward is None else toward) % (2.0 * math.pi)
+        if toward is None:  # nearest at a boundary point: bisect the angles facing 0
+            i = bisect.bisect(sides, phi, key=lambda s: s[0]) - 1
+            hi = sides[i + 1][0] if i + 1 < len(sides) else 2.0 * math.pi
+            phi = (sides[i][0] + hi) / 2.0
+        support(phi)
+    x = x / np.linalg.norm(x)
+    res = abs(_rayleigh(m.data, x) - z)
+    if res > tol * scale:
+        raise ConvergenceError(f"attainment residual {res:.2e} above tolerance")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -511,11 +485,10 @@ def eigen_multiset(spec) -> SequenceSpec:
             streams.append(ConstantRepeat(_zero_of(spec.eigs), int(spec.kernel_dim)))
         return SequenceSpec(tuple(streams), spec.eigs.field, spec.eigs.exact)
     if isinstance(spec, FiniteSpectrumSpec):
-        from fractions import Fraction
         streams = []
         exact = all(not isinstance(p, float) and not isinstance(p, complex)
                     for p, _ in spec.points)
-        field = "real" if all(_is_real(p) for p, _ in spec.points) else "complex"
+        field = "real" if all(is_real_scalar(p) for p, _ in spec.points) else "complex"
         for p, mult in spec.points:
             streams.append(ConstantRepeat(p, mult if mult == INF else int(mult)))
         return SequenceSpec(tuple(streams), field, exact)
@@ -523,13 +496,7 @@ def eigen_multiset(spec) -> SequenceSpec:
 
 
 def _zero_of(s: SequenceSpec):
-    from fractions import Fraction
     return Fraction(0) if s.exact else 0.0
-
-
-def _is_real(p):
-    from .scalars import is_real_scalar
-    return is_real_scalar(p)
 
 
 def essential_points(spec):
