@@ -509,9 +509,7 @@ def check_blaschke(spec, d: SequenceSpec, mode="selfadjoint") -> Decision:
     tol = 0.0 if dmode == "exact" else 1e-12
     for s in canonical_streams(d):
         if stream_is_infinite(s):
-            lim = complex(stream_limit(s)) if not isinstance(stream_limit(s), QC) \
-                else complex(stream_limit(s))
-            sd = _interior_distance(lim, hull)
+            sd = _interior_distance(complex(stream_limit(s)), hull)
             if sd < -tol:
                 raise PreconditionError("stream limit escapes the essential numerical range")
             if sd > tol:
@@ -941,7 +939,7 @@ def check_fan_criterion(d: OrderedSequenceSpec) -> Decision:
     for v in drift_steps:
         drift = drift + v
         offsets.append(drift)
-    if not _is_zero_like(drift, mode):
+    if _norm_is_zero(drift, mode) is not True:
         return Decision(Decision.NO, "fan-zero-diagonal",
                         {"round_drift": drift, "reason": "partial sums escape to infinity"},
                         mode)
@@ -969,11 +967,6 @@ def _norm_is_zero(v, mode):
     if mag <= INTEGRALITY_BUFFER:
         return None
     return False
-
-
-def _is_zero_like(v, mode):
-    r = _norm_is_zero(v, mode)
-    return r is True
 
 
 @dataclass(frozen=True)

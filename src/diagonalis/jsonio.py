@@ -95,10 +95,17 @@ def encode_scalar(x):
     return x
 
 
+def _json_int(obj, what):
+    """A JSON integer; booleans and other numbers are input errors."""
+    if isinstance(obj, bool) or not isinstance(obj, int):
+        raise InputError(f"{what} must be a JSON integer, got {obj!r}")
+    return obj
+
+
 def _decode_count(obj):
     if obj == "inf":
         return INF
-    if isinstance(obj, int) and obj >= 1:
+    if _json_int(obj, "count") >= 1:
         return obj
     raise InputError(f"bad count {obj!r}")
 
@@ -108,6 +115,8 @@ def _encode_count(c):
 
 
 def decode_stream(obj, exact):
+    if not isinstance(obj, dict):
+        raise InputError(f"stream must be an object, got {obj!r}")
     kind = obj.get("kind")
     if kind == "finite":
         return FiniteList([decode_scalar(v, exact) for v in obj["values"]])
@@ -153,7 +162,8 @@ def decode_sequence(obj):
         prefix = [decode_scalar(v, exact) for v in obj.get("prefix", [])]
         tail = []
         for item in obj.get("tail", []):
-            tail.append((decode_stream(item["stream"], exact), int(item["weight"])))
+            tail.append((decode_stream(item["stream"], exact),
+                         _json_int(item["weight"], "weight")))
         return OrderedSequenceSpec(tuple(prefix), tuple(tail), field, exact)
     streams = [decode_stream(s, exact) for s in obj.get("streams", [])]
     if field == "real" and any(isinstance(p, (complex, QC))
@@ -175,7 +185,7 @@ def encode_sequence(spec):
 def decode_matrix(obj) -> DenseMatrix:
     if not isinstance(obj, dict):
         raise InputError("matrix must be an object")
-    n = int(obj["n"])
+    n = _json_int(obj["n"], "n")
     entries = obj["entries"]
     if len(entries) != n * n:
         raise InputError("entries must hold n*n values row-major")
@@ -209,7 +219,7 @@ def decode_operator(obj):
     if variant == "diagonalizable":
         eigs = decode_sequence(obj["eigs"])
         kd = obj.get("kernel_dim", 0)
-        kernel = INF if kd == "inf" else int(kd)
+        kernel = INF if kd == "inf" else _json_int(kd, "kernel_dim")
         return DiagonalizableSpec(eigs, kernel)
     raise InputError(f"unknown operator variant {variant!r}")
 
@@ -222,8 +232,7 @@ def encode_operator(spec):
                 "points": [[encode_scalar(v), _encode_count(m)] for v, m in spec.points]}
     if isinstance(spec, DiagonalizableSpec):
         return {"variant": "diagonalizable", "eigs": encode_sequence(spec.eigs),
-                "kernel_dim": _encode_count(spec.kernel_dim)
-                if spec.kernel_dim == INF else int(spec.kernel_dim)}
+                "kernel_dim": _encode_count(spec.kernel_dim)}
     raise InputError("operator spec has no wire format")
 
 

@@ -9,6 +9,12 @@ The partial-sum scans below certify their verdicts rather than extrapolate:
   closed-form tail (geometric or telescoping), the remaining infinitely many
   inequalities reduce to a tail-comparison rule decided exactly.
 
+Both tail rules take every comparison from one scan, ``_scan``, which
+compares tail_l(m) with tail_d(m + shift) for m = 0, 1, ... up to
+``_SCAN_CAP``.  A per-kind-pair table completes each rule: for "for every
+m", the index from which domination persists; for "eventually", the
+asymptotic order of the two tails.
+
 Outside the supported tail table (at most one infinite positive stream per
 side), verdicts unresolved at the horizon are Unknown, never guessed.  On
 the supported table the approximate p-majorization test coincides with the
@@ -20,7 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, count, repeat
 from numbers import Rational
+from operator import mul
 
 from .scalars import INF, Cmp, PreconditionError, fraction_str, unit_scale
 from .seqspec import (
@@ -174,96 +182,69 @@ def _tail_at(descr, m):
     return s / (b + m)
 
 
+def _terms(descr, shift):
+    """tail(m + shift) for m = 0, 1, ...; a geometric term is one product per step."""
+    if descr[0] == "geo":
+        _, a, r = descr
+        return accumulate(repeat(r), mul, initial=a * r**shift if shift else a)
+    _, s, b = descr
+    b = b + shift
+    return (s / (b + m) for m in count())
+
+
+def _scan(td, tl, shift, cmp):
+    """cmp.le(tail_l(m), tail_d(m + shift)) for m = 0 ... _SCAN_CAP.
+
+    Two telescoping tails are compared cross-multiplied: the quotients would
+    put small tail values inside the float comparison floor.
+    """
+    ms = range(_SCAN_CAP + 1)
+    if td[0] == tl[0] == "tel":
+        _, s1, b1 = td
+        _, s2, b2 = tl
+        b1 = b1 + shift
+        return (cmp.le(s2 * (b1 + m), s1 * (b2 + m)) for m in ms)
+    return (cmp.le(y, x) for _, y, x in zip(ms, _terms(tl, 0), _terms(td, shift)))
+
+
+def _first_violation(td, tl, shift, cmp):
+    """First m of the scan with a definite violation (uncertain ones skipped)."""
+    return next((m for m, c in enumerate(_scan(td, tl, shift, cmp)) if c is False),
+                _SCAN_CAP + 1)
+
+
 def _tails_dominate_forall(td, tl, cmp):
     """Does tail_d(m) >= tail_l(m) hold for every m >= 0?
 
     Returns True, None (uncertain), or (False, m) with the first violation.
+    The scan stops at the index from which domination persists:
+    0 for geo/geo with r_d >= r_l and for tel/tel with s_l <= s_d; for tel(d)
+    against geo(l) the m1 past which a r^m (b+m)/s decreases; never otherwise.
     """
     if tl[0] == "zero":
         return True
     if td[0] == "zero":
         return (False, 0)
-    if td[0] == "geo" and tl[0] == "geo":
-        _, a1, r1 = td
-        _, a2, r2 = tl
-        if r1 >= r2:
-            c = cmp.le(a2, a1)
-            if c is True:
-                return True
-            if c is None:
-                return None
-            if r1 == r2:
-                return (False, 0)
-            # ratio grows; find where domination starts, violations before it
-            return (False, 0)
-        m = 0
-        x, y = a1, a2
-        while m <= _SCAN_CAP:
-            c = cmp.le(y, x)
-            if c is False:
-                return (False, m)
-            if c is None:
-                return None
-            x, y = x * r1, y * r2
-            m += 1
-        return None
-    if td[0] == "geo" and tl[0] == "tel":
-        _, a, r = td
-        _, s, b = tl
-        m = 0
-        x = a
-        while m <= _SCAN_CAP:
-            c = cmp.le(s / (b + m), x)
-            if c is False:
-                return (False, m)
-            if c is None:
-                return None
-            x = x * r
-            m += 1
-        return None
-    if td[0] == "tel" and tl[0] == "geo":
-        _, s, b = td
-        _, a, r = tl
-        # h(m) = a r^m (b+m) / s is decreasing once m >= m1
-        m1_num = r * (b + 1) - b
-        m1_den = 1 - r
-        m1 = 0
-        if m1_num > 0:
-            q = m1_num / m1_den
-            m1 = int(q) + 1
-        m = 0
-        y = a
-        while m <= _SCAN_CAP:
-            c = cmp.le(y, s / (b + m))
-            if c is False:
-                return (False, m)
-            if c is None:
-                return None
-            if m >= m1:
-                return True
-            y = y * r
-            m += 1
-        return None
-    # tel vs tel
-    _, s1, b1 = td
-    _, s2, b2 = tl
-    cs = cmp.le(s2, s1)
-    c0 = cmp.le(s2 * b1, s1 * b2)
-    if cs is None or c0 is None:
-        return None
-    if cs and c0:
-        return True
-    if c0 is False:
-        return (False, 0)
-    # slope violation: (s2-s1) m > s1 b2 - s2 b1 eventually
-    m = 0
-    while m <= _SCAN_CAP:
-        c = cmp.le(s2 * (b1 + m), s1 * (b2 + m))
-        if c is False:
-            return (False, m)
+    kinds = (td[0], tl[0])
+    stop = None
+    if kinds == ("geo", "geo"):
+        if td[2] >= tl[2]:
+            stop = 0
+    elif kinds == ("tel", "tel"):
+        c = cmp.le(tl[1], td[1])
         if c is None:
             return None
-        m += 1
+        if c:
+            stop = 0
+    elif kinds == ("tel", "geo"):
+        b, r = td[2], tl[2]
+        m1_num = r * (b + 1) - b
+        stop = int(m1_num / (1 - r)) + 1 if m1_num > 0 else 0
+    for m, c in enumerate(_scan(td, tl, 0, cmp)):
+        if c is not True:
+            return None if c is None else (False, m)
+        if m == stop:
+            return True
     return None
 
 
@@ -272,63 +253,37 @@ def _tails_dominate_eventually(td, tl, p, cmp):
 
     ``p`` is a nonnegative integer or INF (meaning: for every finite p).
     Returns True / None / (False, m, p_used) where m indexes a violation for
-    the reported p.
+    the reported p.  The asymptotic order decides: a zero tail loses, a
+    telescoping tail outlasts a geometric one, the larger ratio or scale wins
+    between two of a kind, and a tie is settled at m = 0.
     """
     if tl[0] == "zero":
         return True
+    pp = 0 if p == INF else p
     if td[0] == "zero":
-        return (False, 0, 0 if p == INF else p)
-    if td[0] == "geo" and tl[0] == "geo":
-        _, a1, r1 = td
-        _, a2, r2 = tl
-        if r1 > r2:
-            return True
-        if r1 < r2:
-            pp = 0 if p == INF else p
-            return (False, _first_violation_geo(a1 * r1**pp, r1, a2, r2, cmp), pp)
-        if p == INF:
-            # a1 r^p >= a2 fails for large p
-            pp = 0
-            x = a1
-            while cmp.le(a2, x) is not False and pp <= _SCAN_CAP:
-                x = x * r1
-                pp += 1
-            return (False, 0, pp)
-        c = cmp.le(a2, a1 * r1**p)
-        if c is True:
-            return True
-        if c is None:
+        return (False, 0, pp)
+    kinds = (td[0], tl[0])
+    if kinds == ("geo", "geo"):
+        order = (td[2] > tl[2]) - (td[2] < tl[2])
+    elif kinds == ("tel", "tel"):
+        gt = cmp.lt(tl[1], td[1])
+        eq = False if gt else cmp.eq(td[1], tl[1])
+        if gt is None or eq is None:
             return None
-        return (False, 0, p)
-    if td[0] == "tel" and tl[0] == "geo":
+        order = 1 if gt else 0 if eq else -1
+    else:
+        order = 1 if td[0] == "tel" else -1
+    if order > 0:
         return True
-    if td[0] == "geo" and tl[0] == "tel":
-        pp = 0 if p == INF else p
-        _, a, r = td
-        _, s, b = tl
-        m = 0
-        x = a * r**pp
-        while cmp.le(s / (b + m), x) is not False and m <= _SCAN_CAP:
-            x = x * r
-            m += 1
-        return (False, m, pp)
-    # tel vs tel
-    _, s1, b1 = td
-    _, s2, b2 = tl
-    cs_gt = cmp.lt(s2, s1)
-    if cs_gt is None:
-        return None
-    if cs_gt:
-        return True
-    cs_eq = cmp.eq(s1, s2)
-    if cs_eq is None:
-        return None
-    if not cs_eq:  # s1 < s2
-        pp = 0 if p == INF else p
-        m = 0
-        while cmp.le(s2 * (b1 + pp + m), s1 * (b2 + m)) is not False and m <= _SCAN_CAP:
-            m += 1
-        return (False, m, pp)
+    if order < 0:
+        return (False, _first_violation(td, tl, pp, cmp), pp)
+    if kinds == ("geo", "geo"):
+        if p == INF:
+            # tail_l(0) <= tail_d(p) fails for large p: scan against a constant
+            return (False, 0, _first_violation(td, ("geo", tl[1], 1), 0, cmp))
+        c = next(_scan(td, tl, p, cmp))
+        return c if c is not False else (False, 0, p)
+    b1, b2 = td[2], tl[2]
     if p == INF:
         return (False, 0, max(b2 - b1 + 1, 0))
     if b1 + p <= b2:
@@ -336,17 +291,30 @@ def _tails_dominate_eventually(td, tl, p, cmp):
     return (False, 0, p)
 
 
-def _first_violation_geo(a1, r1, a2, r2, cmp):
-    m = 0
-    x, y = a1, a2
-    while cmp.le(y, x) is not False and m <= _SCAN_CAP:
-        x, y = x * r1, y * r2
-        m += 1
-    return m
-
-
 # ---------------------------------------------------------------------------
 # spec-level deciders
+
+
+def _tail_witness(sd, sl, m, shift=0):
+    """(index, lhs, rhs) of a tail-rule violation m entries past both settled scans."""
+    return (sd.n + m, sd.total.value - _tail_at(sd.tail_descr(), m + shift),
+            sl.total.value - _tail_at(sl.tail_descr(), m))
+
+
+def _totals_differ(d, lam):
+    """Fails or Unknown unless the totals are equal (two infinite sums count as equal)."""
+    mode = _mode(d, lam)
+    t_d, t_l = total_sum(d), total_sum(lam)
+    eq = Cmp(mode == "exact").xs_eq(t_d, t_l)
+    if eq is False:
+        return MajorizationVerdict(
+            "Fails", mode, witness=(0, t_d.value if t_d.finite else t_d.kind,
+                                    t_l.value if t_l.finite else t_l.kind),
+            detail="total sums differ")
+    if eq is None:
+        return MajorizationVerdict("Unknown", mode, horizon=0,
+                                   detail="totals inside float tolerance")
+    return None
 
 
 def weak_majorize(d: SequenceSpec, lam: SequenceSpec,
@@ -390,11 +358,7 @@ def weak_majorize(d: SequenceSpec, lam: SequenceSpec,
             if res is None:
                 return MajorizationVerdict("Unknown", mode, horizon=n,
                                            detail="tail comparison unresolved")
-            _, m = res
-            idx = n + m
-            lhs = td_total - _tail_at(sd.tail_descr(), m)
-            rhs = sl.total.value - _tail_at(sl.tail_descr(), m)
-            return MajorizationVerdict("Fails", mode, witness=(idx, lhs, rhs),
+            return MajorizationVerdict("Fails", mode, witness=_tail_witness(sd, sl, res[1]),
                                        detail="tail rule")
     return MajorizationVerdict("Unknown", mode, horizon=horizon,
                                detail="horizon reached without certificate")
@@ -403,23 +367,7 @@ def weak_majorize(d: SequenceSpec, lam: SequenceSpec,
 def majorize_spec(d: SequenceSpec, lam: SequenceSpec,
                   horizon=HORIZON_DEFAULT) -> MajorizationVerdict:
     """Majorization d ≺ λ: weak majorization plus equal totals."""
-    mode = _mode(d, lam)
-    cmp = Cmp(mode == "exact")
-    t_d, t_l = total_sum(d), total_sum(lam)
-    if t_d.kind == "pinf" and t_l.kind == "pinf":
-        pass  # both infinite sums count as equal
-    else:
-        eq = cmp.xs_eq(t_d, t_l)
-        if eq is False:
-            return MajorizationVerdict(
-                "Fails", mode,
-                witness=(0, t_d.value if t_d.finite else t_d.kind,
-                         t_l.value if t_l.finite else t_l.kind),
-                detail="total sums differ")
-        if eq is None:
-            return MajorizationVerdict("Unknown", mode, horizon=0,
-                                       detail="totals inside float tolerance")
-    return weak_majorize(d, lam, horizon=horizon)
+    return _totals_differ(d, lam) or weak_majorize(d, lam, horizon=horizon)
 
 
 def majorize_l1(d: SequenceSpec, lam: SequenceSpec,
@@ -429,16 +377,10 @@ def majorize_l1(d: SequenceSpec, lam: SequenceSpec,
         raise PreconditionError("l1 majorization requires real specs")
     validate_l1(d, "d")
     validate_l1(lam, "lambda")
+    off = _totals_differ(d, lam)
+    if off:
+        return off
     mode = _mode(d, lam)
-    cmp = Cmp(mode == "exact")
-    eq = cmp.xs_eq(total_sum(d), total_sum(lam))
-    if eq is False:
-        td, tl = total_sum(d), total_sum(lam)
-        return MajorizationVerdict("Fails", mode, witness=(0, td.value, tl.value),
-                                   detail="total sums differ")
-    if eq is None:
-        return MajorizationVerdict("Unknown", mode, horizon=0,
-                                   detail="totals inside float tolerance")
     d_pos, d_neg = split_parts(d)
     l_pos, l_neg = split_parts(lam)
     vp = weak_majorize(d_pos, l_pos, horizon=horizon)
@@ -487,13 +429,11 @@ def _p_shifted(d: SequenceSpec, lam: SequenceSpec, p, approx: bool,
         return MajorizationVerdict("Unknown", mode, horizon=sd.n,
                                    detail="tail constants inside float tolerance")
     _, m, p_used = res
-    idx = sd.n + m
-    lhs = sd.total.value - _tail_at(sd.tail_descr(), m + p_used)
-    rhs = sl.total.value - _tail_at(sl.tail_descr(), m)
     detail = "eventual inequality fails"
     if p == INF:
         detail += f" already at p={p_used}"
-    return MajorizationVerdict("Fails", mode, witness=(idx, lhs, rhs), detail=detail)
+    return MajorizationVerdict("Fails", mode, witness=_tail_witness(sd, sl, m, p_used),
+                               detail=detail)
 
 
 def p_majorize(d: SequenceSpec, lam: SequenceSpec, p,

@@ -13,40 +13,41 @@ from fractions import Fraction
 from math import gcd
 
 
+def _reduce(rows, ncols):
+    """Gauss-Jordan elimination in place over the first ``ncols`` columns.
+
+    Returns the pivot columns; pivot k leads reduced row k.
+    """
+    pivots = []
+    for col in range(ncols):
+        row = len(pivots)
+        if row == len(rows):
+            break
+        piv = next((r for r in range(row, len(rows)) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[row], rows[piv] = rows[piv], rows[row]
+        inv = 1 / rows[row][col]
+        rows[row] = [v * inv for v in rows[row]]
+        for r in range(len(rows)):
+            if r != row and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[row])]
+        pivots.append(col)
+    return pivots
+
+
 def solve_exact(a, b):
     """Solve A x = b over the rationals; None if singular/inconsistent.
 
     ``a`` is a list of rows, ``b`` a list; entries Fraction-coercible.
     """
-    n = len(a)
-    m = len(a[0]) if n else 0
+    m = len(a[0]) if a else 0
     aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    row = 0
-    pivots = []
-    for col in range(m):
-        piv = next((r for r in range(row, n) if aug[r][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [v * inv for v in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == n:
-            break
-    for r in range(row, n):
-        if aug[r][m] != 0:
-            return None  # inconsistent
-    if len(pivots) < m:
-        return None  # underdetermined
-    x = [Fraction(0)] * m
-    for r, col in enumerate(pivots):
-        x[col] = aug[r][m]
-    return x
+    pivots = _reduce(aug, m)
+    if len(pivots) < m or any(row[m] != 0 for row in aug[m:]):
+        return None  # underdetermined or inconsistent
+    return [row[m] for row in aug[:m]]
 
 
 def nullspace_vector(a):
@@ -55,34 +56,16 @@ def nullspace_vector(a):
     Intended for systems of corank exactly one; returns the free-variable
     basis vector of the reduced system.
     """
-    n = len(a)
-    m = len(a[0]) if n else 0
+    m = len(a[0]) if a else 0
     mat = [[Fraction(x) for x in row] for row in a]
-    row = 0
-    pivots = {}
-    for col in range(m):
-        piv = next((r for r in range(row, n) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        inv = 1 / mat[row][col]
-        mat[row] = [v * inv for v in mat[row]]
-        for r in range(n):
-            if r != row and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[row])]
-        pivots[col] = row
-        row += 1
-        if row == n:
-            break
+    pivots = _reduce(mat, m)
     free = [c for c in range(m) if c not in pivots]
     if not free:
         return None
-    fc = free[0]
     x = [Fraction(0)] * m
-    x[fc] = Fraction(1)
-    for col, r in pivots.items():
-        x[col] = -mat[r][fc]
+    x[free[0]] = Fraction(1)
+    for r, col in enumerate(pivots):
+        x[col] = -mat[r][free[0]]
     return x
 
 

@@ -354,9 +354,12 @@ def attain_numerical_range_vector(m: DenseMatrix, z, tol=ATTAIN_TOL_DEFAULT):
     corner, the facing angle interval is bisected) until the boundary points
     surround 0 or a chord passes within tolerance of it.  Two-dimensional
     compressions then give the vector: one on the chord by which the line
-    from the farthest point through 0 leaves, one on that line.  The only
-    rejection is a direction whose top eigenvalue is below -tol * scale,
-    which certifies that z lies outside W(M).
+    from the farthest point through 0 leaves, one on that line.  A z just
+    outside W(M) is still unresolved after ``SUPPORT_DIRECTION_CAP``
+    directions; it gets the vector of the nearest chord or boundary point
+    when that lies within tol * scale.  The only rejection is a direction
+    whose top eigenvalue is below -tol * scale, which certifies that z lies
+    outside W(M).
     """
     z = complex(z)
     scale = max(m.norm(), 1.0)
@@ -387,10 +390,12 @@ def attain_numerical_range_vector(m: DenseMatrix, z, tol=ATTAIN_TOL_DEFAULT):
             break
         (t, toward), s0, s1 = min(((_chord_foot(s0[1], s1[1]), s0, s1) for s0, s1 in chords),
                                   key=lambda f: abs(f[0][0]))
-        if abs(t) <= 2.0 * snap:  # 0 lies on a chord
+        capped = len(sides) >= SUPPORT_DIRECTION_CAP
+        # 0 lies on a chord, or out of reach but within tolerance of one
+        if abs(t) <= 2.0 * snap or capped and abs(t) <= tol * scale:
             x = _chord_vector(a, s0[1:], s1[1:], t, tol, snap)
             break
-        if len(sides) >= SUPPORT_DIRECTION_CAP:
+        if capped:
             raise ConvergenceError(f"no attainment or rejection in {len(sides)} support directions")
         phi = cmath.phase(-t if toward is None else toward) % (2.0 * math.pi)
         if toward is None:  # nearest at a boundary point: bisect the angles facing 0

@@ -227,6 +227,30 @@ class TestInputBoundary:
         code, body = invoke(capsys, "decide", "kadison", "--d", d)
         assert code == 3 and body["type"] == "InputError"
 
+    _GEO = '{"kind":"geometric","first":"1/4","ratio":"1/2"}'
+    _ORDERED = '{"ordered":true,"field":"real","exact":true,"prefix":["1/2"],"tail":[%s]}'
+    _CONST = '{"field":"real","exact":true,"streams":[{"kind":"const","value":"1/2","count":%s}]}'
+    _DIAG = '{"variant":"diagonalizable","eigs":%s,"kernel_dim":%%s}' % GEO_HALF
+
+    @pytest.mark.parametrize("argv", [
+        ("decide", "kadison", "--d", '{"streams":[1]}'),
+        ("decide", "kadison", "--d", _ORDERED % ('{"stream":%s,"weight":1.5}' % _GEO)),
+        ("decide", "kadison", "--d", _ORDERED % ('{"stream":%s,"weight":true}' % _GEO)),
+        ("decide", "kadison", "--d", _CONST % "true"),
+        ("decide", "three-point", "--spec", _DIAG % "1.5", "--d", GEO_HALF),
+        ("decide", "three-point", "--spec", _DIAG % "true", "--d", GEO_HALF),
+        ("verify", "kadison-codimension",
+         "--matrix", '{"n":true,"real":true,"entries":[[1,0]]}'),
+        ("verify", "kadison-codimension",
+         "--matrix", '{"n":1.5,"real":true,"entries":[[1,0]]}'),
+    ])
+    def test_json_integer_fields_are_input_errors(self, capsys, argv):
+        code = run(list(argv))
+        captured = capsys.readouterr()
+        assert code == 3
+        assert json.loads(captured.out)["type"] == "InputError"
+        assert "Traceback" not in captured.err
+
     def test_fault_inside_a_decider_keeps_its_type(self, capsys, monkeypatch):
         from diagonalis import deciders
 

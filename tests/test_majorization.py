@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagonalis.scalars import INF, PreconditionError
+from diagonalis.scalars import INF, Cmp, PreconditionError
 from diagonalis.majorization import (
+    _tails_dominate_eventually,
+    _tails_dominate_forall,
     approx_p_majorize,
     majorize_finite,
     majorize_l1,
@@ -198,6 +200,96 @@ ratios = st.fractions(min_value=F(1, 8), max_value=F(7, 8), max_denominator=8)
 firsts = st.fractions(min_value=F(1, 8), max_value=3, max_denominator=8)
 heads = st.lists(st.fractions(min_value=0, max_value=2, max_denominator=6),
                  min_size=0, max_size=3)
+
+
+class TestTailRules:
+    """The closed-form tail rules on every kind pair, with the values and
+    first-violation indices the per-pair loops they replaced returned."""
+
+    Z = ("zero",)
+
+    @staticmethod
+    def g(a, r):
+        return ("geo", F(a), F(r))
+
+    @staticmethod
+    def t(s, b):
+        return ("tel", F(s), b)
+
+    # (rule, tail_d, tail_l, p, result), the same in exact and float mode
+    CASES = [
+        ("forall", Z, g(1, "1/2"), None, (False, 0)),
+        ("forall", g(1, "1/2"), Z, None, True),
+        ("eventually", Z, t(1, 1), 3, (False, 0, 3)),
+        ("eventually", Z, t(1, 1), INF, (False, 0, 0)),
+        ("eventually", t(1, 1), Z, 3, True),
+        # geo/geo: r_d >= r_l settles at m = 0; r_d < r_l is scanned
+        ("forall", g(1, "1/2"), g("1/2", "1/2"), None, True),
+        ("forall", g("1/2", "3/4"), g(1, "1/2"), None, (False, 0)),
+        ("forall", g(4, "1/4"), g(1, "1/2"), None, (False, 3)),
+        ("eventually", g(4, "1/4"), g(1, "1/2"), 1, (False, 1, 1)),
+        ("eventually", g(1, "3/4"), g(1, "1/2"), INF, True),
+        ("eventually", g(1, "1/2"), g("1/4", "1/2"), 2, True),
+        ("eventually", g(1, "1/2"), g("1/4", "1/2"), 3, (False, 0, 3)),
+        ("eventually", g(1, "1/2"), g("1/4", "1/2"), INF, (False, 0, 3)),
+        # geo/tel: the telescoping tail always wins eventually
+        ("forall", g(2, "1/2"), t(1, 1), None, (False, 4)),
+        ("eventually", g(2, "1/2"), t(1, 1), 2, (False, 0, 2)),
+        ("eventually", g(2, "1/2"), t(1, 1), INF, (False, 4, 0)),
+        # tel/geo: m1 = 3; a violation before it, domination once there
+        ("forall", t(1, 1), g("9/10", "3/4"), None, (False, 1)),
+        ("forall", t(1, 1), g("1/2", "3/4"), None, True),
+        ("eventually", t(1, 1), g(5, "3/4"), 3, True),
+        # tel/tel: s_l <= s_d, s_l > s_d, equal scales
+        ("forall", t(2, 1), t(1, 2), None, True),
+        ("forall", t(1, 3), t(1, 2), None, (False, 0)),
+        ("forall", t(1, 1), t(2, 3), None, (False, 2)),
+        ("forall", t(1, 1), t(2, 4), None, (False, 3)),
+        ("eventually", t(2, 1), t(1, 5), 3, True),
+        ("eventually", t(2, 1), t(1, 5), INF, True),
+        ("eventually", t(1, 1), t(2, 4), 3, (False, 0, 3)),
+        ("eventually", t(1, 1), t(2, 4), INF, (False, 3, 0)),
+        ("eventually", t(1, 2), t(1, 5), 3, True),
+        ("eventually", t(1, 2), t(1, 5), 4, (False, 0, 4)),
+        ("eventually", t(1, 2), t(1, 5), INF, (False, 0, 4)),
+    ]
+
+    # float pairs whose deciding comparison lies inside the Cmp buffer
+    BUFFER = [
+        ("forall", ("geo", 1.0, 0.5), ("geo", 1.0 + 1e-9, 0.5), None),
+        ("forall", ("geo", 1.0, 0.5), ("geo", 1.0 + 1e-9, 0.6), None),
+        ("forall", ("geo", 1.0, 0.5), ("tel", 1.0 + 1e-9, 1), None),
+        ("forall", ("tel", 1.0, 1), ("tel", 1.0 + 1e-9, 1), None),
+        ("forall", ("tel", 1.0, 1), ("geo", 1.0 + 1e-9, 0.5), None),
+        ("eventually", ("tel", 1.0, 1), ("tel", 1.0 + 1e-9, 3), 2),
+        ("eventually", ("geo", 1.0, 0.5), ("geo", 0.25 + 1e-9, 0.5), 2),
+    ]
+
+    @staticmethod
+    def decide(rule, td, tl, p, exact):
+        if rule == "forall":
+            return _tails_dominate_forall(td, tl, Cmp(exact))
+        return _tails_dominate_eventually(td, tl, p, Cmp(exact))
+
+    @staticmethod
+    def as_float(descr):
+        if descr[0] == "geo":
+            return ("geo", float(descr[1]), float(descr[2]))
+        if descr[0] == "tel":
+            return ("tel", float(descr[1]), descr[2])
+        return descr
+
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("rule,td,tl,p,expected", CASES)
+    def test_table(self, rule, td, tl, p, expected, exact):
+        if not exact:
+            td, tl = self.as_float(td), self.as_float(tl)
+        got = self.decide(rule, td, tl, p, exact)
+        assert got == expected and type(got) is type(expected)
+
+    @pytest.mark.parametrize("rule,td,tl,p", BUFFER)
+    def test_float_buffer_is_uncertain(self, rule, td, tl, p):
+        assert self.decide(rule, td, tl, p, False) is None
 
 
 @st.composite

@@ -203,6 +203,26 @@ class TestNumericalRange:
             with pytest.raises(PreconditionError):
                 attain_numerical_range_vector(DenseMatrix(a), z)
 
+    def test_attain_just_outside_within_tolerance(self):
+        # support points pushed outward by 0.7 tol*scale: no direction can
+        # reject them, so they are attained from the nearest boundary chord
+        for k in range(20):
+            r = np.random.default_rng([k, 5])
+            n = 3 + k % 4
+            if k % 2:
+                lam = r.standard_normal(n) + 1j * r.standard_normal(n)
+                u = haar_unitary(n, seed=[k, 6]).data
+                m = DenseMatrix(u @ np.diag(lam) @ u.conj().T)
+            else:
+                m = DenseMatrix(r.standard_normal((n, n)) + 1j * r.standard_normal((n, n)))
+            phi = r.uniform(0, 2 * math.pi)
+            _, x = numerical_range_support(m, -phi)
+            scale = max(1, m.norm())
+            z = np.vdot(x, m.data @ x) + 0.7e-9 * scale * np.exp(1j * phi)
+            x = attain_numerical_range_vector(m, z, tol=1e-9)
+            assert abs(np.vdot(x, m.data @ x) - z) <= 1e-9 * scale, k
+            assert abs(np.linalg.norm(x) - 1) <= 1e-10, k
+
     def test_attain_segment_interior_and_ends(self):
         # W(e^{ia} S + c) for real symmetric S is the segment between the
         # images of its extreme eigenvalues
