@@ -28,7 +28,13 @@ from .majorization import (
     weak_majorize,
 )
 from .scalars import INF, QC, DiagonalisError, InputError
-from .spectra import numerical_range_hull, hermitian_eigenvalues, singular_values
+from .seqspec import OrderedSequenceSpec
+from .spectra import (
+    DiagonalizableSpec,
+    hermitian_eigenvalues,
+    numerical_range_hull,
+    singular_values,
+)
 
 EXIT_YES, EXIT_NO, EXIT_UNKNOWN, EXIT_ERROR = 0, 1, 2, 3
 
@@ -85,8 +91,16 @@ def _arg(args, name, decoder, attr=None, **kwargs):
     return _decode(decoder, raw, **kwargs)
 
 
-def _seq(args, name, attr=None):
-    return _arg(args, name, jsonio.decode_sequence, attr)
+def _check_order(spec, what, ordered=False):
+    """``spec``, if it is ordered (``"ordered": true``) exactly when asked for."""
+    if isinstance(spec, OrderedSequenceSpec) != ordered:
+        raise InputError(f"{what} takes {'an ordered' if ordered else 'an unordered'} "
+                         "sequence spec")
+    return spec
+
+
+def _seq(args, name, attr=None, ordered=False):
+    return _check_order(_arg(args, name, jsonio.decode_sequence, attr), f"--{name}", ordered)
 
 
 def _scalars(args, name, attr=None):
@@ -102,7 +116,10 @@ def _reals(args, name, attr=None):
 
 
 def _operator(args):
-    return _arg(args, "spec", jsonio.decode_operator)
+    spec = _arg(args, "spec", jsonio.decode_operator)
+    if isinstance(spec, DiagonalizableSpec):
+        _check_order(spec.eigs, "--spec eigs")
+    return spec
 
 
 def _matrix(args, name="matrix"):
@@ -116,7 +133,8 @@ def _kernel_dim(args):
 
 
 def _rays(raw):
-    return [(jsonio.decode_scalar(phase, exact=False), jsonio.decode_sequence(mag))
+    return [(jsonio.decode_scalar(phase, exact=False),
+             _check_order(jsonio.decode_sequence(mag), "--rays"))
             for phase, mag in raw]
 
 
@@ -185,7 +203,7 @@ def cmd_decide(args) -> int:
         dec = deciders.check_mt_p_summable(_operator(args), _seq(args, "d"),
                                            _decode(float, args.p))
     elif tag == "fan":
-        dec = deciders.check_fan_criterion(_seq(args, "d"))
+        dec = deciders.check_fan_criterion(_seq(args, "d", ordered=True))
     elif tag == "ffh-trace":
         cls = deciders.classify_trace_set(_arg(args, "rays", _rays))
         return _emit(cls.as_json(), EXIT_YES)

@@ -463,8 +463,12 @@ def construct_zero_diagonal_basis(t: DenseMatrix, tol=1e-9) -> Realization:
 # ---------------------------------------------------------------------------
 # Thompson realizations
 
+# alternating-projection sweeps per restart; up to ten times as many while
+# the diagonal residual is already below 1e-3 of the scale
+_THOMPSON_SWEEPS = 500
 
-def construct_thompson(s, d, tol=1e-9, budget=200, sweeps=500, seed=0):
+
+def construct_thompson(s, d, tol=1e-9, budget=200, seed=0):
     """Matrix with singular values s and diagonal d.
 
     Dimensions 1 and 2 are closed-form; larger sizes use verified
@@ -519,7 +523,7 @@ def construct_thompson(s, d, tol=1e-9, budget=200, sweeps=500, seed=0):
         m = u @ np.diag(s_f) @ v.conj().T
         prev = math.inf
         sweep = 0
-        while sweep < sweeps or (sweep < 10 * sweeps and prev < 1e-3 * scale):
+        while sweep < _THOMPSON_SWEEPS or (sweep < 10 * _THOMPSON_SWEEPS and prev < 1e-3 * scale):
             sweep += 1
             np.fill_diagonal(m, target_d)
             u2, _, v2 = svd_via_gram(DenseMatrix(m))
@@ -532,7 +536,7 @@ def construct_thompson(s, d, tol=1e-9, budget=200, sweeps=500, seed=0):
                                               "alternating-projection", realness)
                 except ConvergenceError:
                     break
-            if res >= prev * 0.999999 and sweep >= sweeps:
+            if res >= prev * 0.999999 and sweep >= _THOMPSON_SWEEPS:
                 break
             prev = res
             best = min(best, res)
@@ -615,7 +619,7 @@ def construct_unitary_with_diagonal(d, tol=1e-9) -> Realization:
 # Williams realizations
 
 
-def construct_williams(lam, d, tol=1e-8, budget=4096, seed=0):
+def construct_williams(lam, d, tol=1e-8, budget=4096):
     """3x3 normal matrix realization of a Williams-admissible diagonal."""
     dec = decide_williams_3x3(lam, d)
     if dec.verdict != "Yes":

@@ -214,6 +214,8 @@ def decide_gohberg_markus(lam: SequenceSpec, d: SequenceSpec) -> Decision:
 
 def decide_kw(s: SequenceSpec, kernel_dim, d: SequenceSpec) -> Decision:
     """Positive compact operators: kernel-aware majorization characterizations."""
+    if kernel_dim != INF and (int(kernel_dim) != kernel_dim or kernel_dim < 0):
+        raise PreconditionError("kernel_dim is a nonnegative integer or inf")
     validate_c0_plus(s, "s(A)")
     validate_c0_plus(d, "d")
     mode = _spec_mode(s, d)

@@ -102,6 +102,13 @@ def _json_int(obj, what):
     return obj
 
 
+def _json_bool(obj, what):
+    """A JSON boolean; strings, numbers and null are input errors."""
+    if not isinstance(obj, bool):
+        raise InputError(f"{what} must be a JSON boolean, got {obj!r}")
+    return obj
+
+
 def _decode_count(obj):
     if obj == "inf":
         return INF
@@ -145,7 +152,7 @@ def encode_stream(s):
         if not (s.offset == 0):
             out["offset"] = encode_scalar(s.offset)
         return out
-    if isinstance(s, TelescopingHarmonic):
+    if isinstance(s, TelescopingHarmonic) and s.n0 == 1:
         out = {"kind": "telescoping", "scale": encode_scalar(s.scale)}
         if not (s.offset == 0):
             out["offset"] = encode_scalar(s.offset)
@@ -157,8 +164,8 @@ def decode_sequence(obj):
     if not isinstance(obj, dict):
         raise InputError("sequence spec must be an object")
     field = obj.get("field", "real")
-    exact = bool(obj.get("exact", True))
-    if obj.get("ordered"):
+    exact = _json_bool(obj.get("exact", True), "exact")
+    if _json_bool(obj.get("ordered", False), "ordered"):
         prefix = [decode_scalar(v, exact) for v in obj.get("prefix", [])]
         tail = []
         for item in obj.get("tail", []):
@@ -193,7 +200,7 @@ def decode_matrix(obj) -> DenseMatrix:
     for idx, e in enumerate(entries):
         v = decode_scalar(e, exact=False)
         data[idx // n, idx % n] = complex(v) if not isinstance(v, float) else v
-    return DenseMatrix(data, real=bool(obj.get("real", False)))
+    return DenseMatrix(data, real=_json_bool(obj.get("real", False), "real"))
 
 
 def encode_matrix(m: DenseMatrix):
@@ -211,7 +218,7 @@ def decode_operator(obj):
     if variant == "matrix":
         return MatrixSpec(decode_matrix(obj["matrix"]))
     if variant == "finite_spectrum":
-        exact = bool(obj.get("exact", True))
+        exact = _json_bool(obj.get("exact", True), "exact")
         pts = []
         for val, mult in obj["points"]:
             pts.append((decode_scalar(val, exact), _decode_count(mult)))

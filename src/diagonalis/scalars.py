@@ -248,20 +248,6 @@ class XSum:
     def __sub__(self, other: "XSum") -> "XSum":
         return self + (-other)
 
-    def scale(self, c) -> "XSum":
-        if self.kind == "fin":
-            return XSum.fin(c * self.value)
-        if self.kind == "div":
-            return self
-        s = sign_of(c.real) if is_real_scalar(c) else None
-        if s is None or s == 0:
-            if isinstance(c, (int, Fraction)) and c == 0:
-                return XSum.fin(c * 0)
-            return XSum.div()
-        if s < 0:
-            return -self
-        return self
-
     def as_json(self):
         if self.kind == "fin":
             from .jsonio import encode_scalar
@@ -335,16 +321,6 @@ class Cmp:
         if r is None:
             return None
         return not r
-
-    def sign(self, x):
-        """sign with an uncertainty band around zero in float mode."""
-        if self.exact:
-            return sign_of(x)
-        if x == 0:
-            return 0
-        if abs(x) <= self.REL_TOL * max(abs(x), 1.0) and abs(x) <= self.REL_TOL:
-            return None
-        return 1 if x > 0 else -1
 
     def xs_eq(self, a: XSum, b: XSum):
         if a.kind == "div" or b.kind == "div":

@@ -7,14 +7,14 @@ streams.  Four stream kinds are public:
 * ``ConstantRepeat(value, count)`` with ``count`` a positive integer or inf
 * ``Geometric(first, ratio, offset)``: entries ``offset + first*ratio**k``
   for ``k = 0, 1, ...`` with ``|ratio| < 1``
-* ``TelescopingHarmonic(scale, offset)``: entries ``offset + scale/(n(n+1))``
-  for ``n = 1, 2, ...``
+* ``TelescopingHarmonic(scale, offset, n0)``: entries
+  ``offset + scale/(n(n+1))`` for ``n = n0, n0 + 1, ...``
 
 The ``offset`` fields default to zero; they exist so affine images of
-geometric and telescoping streams stay exactly representable.  A fifth,
-internal kind ``TelTail`` is a telescoping stream starting at index n0; it
-shows up when analyses peel finitely many head terms off a telescoping
-stream.
+geometric and telescoping streams stay exactly representable.  The start
+index ``n0`` defaults to 1; peeling finitely many head terms off a
+telescoping stream leaves a tail with a later start, which has no wire
+format.
 
 Everything here is a pure function over immutable values, and all
 rearrangement-invariant operations give identical results under any
@@ -91,15 +91,11 @@ class Geometric:
 class TelescopingHarmonic:
     scale: object
     offset: object = 0
+    n0: int = 1
 
-
-@dataclass(frozen=True)
-class TelTail:
-    """Telescoping stream whose entries start at index n0 (internal)."""
-
-    scale: object
-    n0: int
-    offset: object = 0
+    def __post_init__(self):
+        if int(self.n0) != self.n0 or self.n0 < 1:
+            raise PreconditionError("telescoping start index n0 must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -178,7 +174,7 @@ def stream_params(s):
         return (s.value,)
     if isinstance(s, Geometric):
         return (s.first, s.ratio, s.offset)
-    if isinstance(s, (TelescopingHarmonic, TelTail)):
+    if isinstance(s, TelescopingHarmonic):
         return (s.scale, s.offset)
     raise TypeError(f"not a stream: {s!r}")
 
@@ -203,15 +199,9 @@ def stream_limit(s):
     """Accumulation value of an infinite stream (its only limit point)."""
     if isinstance(s, ConstantRepeat) and _is_inf(s.count):
         return s.value
-    if isinstance(s, Geometric):
-        return s.offset
-    if isinstance(s, (TelescopingHarmonic, TelTail)):
+    if isinstance(s, (Geometric, TelescopingHarmonic)):
         return s.offset
     return None
-
-
-def _tel_start(s) -> int:
-    return s.n0 if isinstance(s, TelTail) else 1
 
 
 def stream_entries(s):
@@ -221,7 +211,7 @@ def stream_entries(s):
     if isinstance(s, ConstantRepeat):
         if _is_inf(s.count):
             return itertools.repeat(s.value)
-        return itertools.repeat(s.value, s.count)
+        return (s.value for _ in range(s.count))  # range, unlike repeat, takes any int
     if isinstance(s, Geometric):
         def gen():
             term = s.first
@@ -229,9 +219,9 @@ def stream_entries(s):
                 yield s.offset + term
                 term = term * s.ratio
         return gen()
-    if isinstance(s, (TelescopingHarmonic, TelTail)):
+    if isinstance(s, TelescopingHarmonic):
         def gen():
-            n = _tel_start(s)
+            n = s.n0
             while True:
                 yield s.offset + s.scale / (n * (n + 1))
                 n += 1
@@ -252,15 +242,9 @@ def _limit_mass(level) -> XSum:
 def stream_total(s) -> XSum:
     if isinstance(s, FiniteList):
         return XSum.fin(_ksum(s.values))
-    if isinstance(s, ConstantRepeat):
-        if _is_inf(s.count):
-            return _limit_mass(s.value)
+    if not stream_is_infinite(s):
         return XSum.fin(s.value * s.count)
-    if isinstance(s, Geometric):
-        return XSum.fin(s.first / (1 - s.ratio)) + _limit_mass(s.offset)
-    if isinstance(s, (TelescopingHarmonic, TelTail)):
-        return XSum.fin(s.scale / _tel_start(s)) + _limit_mass(s.offset)
-    raise TypeError
+    return XSum.fin(stream_tail_deviation(s)) + _limit_mass(stream_limit(s))
 
 
 def stream_tail_deviation(s):
@@ -269,8 +253,8 @@ def stream_tail_deviation(s):
         return s.value * 0
     if isinstance(s, Geometric):
         return s.first / (1 - s.ratio)
-    if isinstance(s, (TelescopingHarmonic, TelTail)):
-        return s.scale / _tel_start(s)
+    if isinstance(s, TelescopingHarmonic):
+        return s.scale / s.n0
     raise TypeError
 
 
@@ -317,7 +301,7 @@ def _canon_one(s):
             r2 = r * r
             return [Geometric(s.first, r2, s.offset), Geometric(s.first * r, r2, s.offset)]
         return [s]
-    if isinstance(s, (TelescopingHarmonic, TelTail)) and _z(s.scale):
+    if isinstance(s, TelescopingHarmonic) and _z(s.scale):
         return [ConstantRepeat(s.offset + s.scale * 0, INF)]
     return [s]
 
@@ -335,24 +319,10 @@ def materialize_prefix(spec, n: int):
     """
     if n < 0:
         raise PreconditionError("n must be nonnegative")
-    if isinstance(spec, OrderedSequenceSpec):
-        return list(itertools.islice(ordered_entries(spec), n))
-    iters = [stream_entries(s) for s in spec.streams]
-    alive = list(range(len(iters)))
-    out = []
-    while alive and len(out) < n:
-        survivors = []
-        for i in alive:
-            try:
-                out.append(next(iters[i]))
-            except StopIteration:
-                continue
-            survivors.append(i)
-            if len(out) >= n:
-                survivors.extend(j for j in alive if j > i)
-                break
-        alive = survivors
-    return out
+    if isinstance(spec, SequenceSpec):
+        spec = OrderedSequenceSpec((), tuple((s, 1) for s in spec.streams),
+                                   spec.field, spec.exact)
+    return list(itertools.islice(ordered_entries(spec), n))
 
 
 def ordered_entries(spec: OrderedSequenceSpec):
@@ -437,7 +407,7 @@ class _TelRun:
     __slots__ = ("scale", "n", "offset", "head")
 
     def __init__(self, s):
-        self.scale, self.n = s.scale, _tel_start(s) - 1
+        self.scale, self.n = s.scale, s.n0 - 1
         self.offset = None if _z(s.offset) else s.offset
         self.pop()
 
@@ -539,10 +509,10 @@ def _peel_head_by_gap(s, gap):
         if _z(term):
             return head, ConstantRepeat(s.offset + term, INF)
         return head, Geometric(term, s.ratio, s.offset)
-    if isinstance(s, (TelescopingHarmonic, TelTail)):
+    if isinstance(s, TelescopingHarmonic):
         if _z(s.scale):
             return [], ConstantRepeat(s.offset, INF)
-        n = _tel_start(s)
+        n = s.n0
         guard = 0
         while abs2(s.scale / (n * (n + 1)) / gap) >= 1:
             head.append(s.offset + s.scale / (n * (n + 1)))
@@ -550,7 +520,7 @@ def _peel_head_by_gap(s, gap):
             guard += 1
             if guard > _EXPANSION_CAP:
                 raise UnsupportedError("head peel exceeded expansion cap")
-        return head, TelTail(s.scale, n, s.offset)
+        return head, TelescopingHarmonic(s.scale, s.offset, n)
     if isinstance(s, ConstantRepeat):
         return [], s
     raise TypeError
@@ -564,9 +534,7 @@ def _negate_stream(s):
     if isinstance(s, Geometric):
         return Geometric(-s.first, s.ratio, -s.offset)
     if isinstance(s, TelescopingHarmonic):
-        return TelescopingHarmonic(-s.scale, -s.offset)
-    if isinstance(s, TelTail):
-        return TelTail(-s.scale, s.n0, -s.offset)
+        return TelescopingHarmonic(-s.scale, -s.offset, s.n0)
     raise TypeError
 
 
@@ -621,18 +589,12 @@ def affine_image(spec: SequenceSpec, a, b) -> SequenceSpec:
             out.append(FiniteList([a * v + b for v in s.values]))
         elif isinstance(s, ConstantRepeat):
             out.append(ConstantRepeat(a * s.value + b, s.count))
+        elif _z(a):
+            out.append(ConstantRepeat(b, INF))
         elif isinstance(s, Geometric):
-            if _z(a):
-                out.append(ConstantRepeat(b, INF))
-            else:
-                out.append(Geometric(a * s.first, s.ratio, a * s.offset + b))
-        elif isinstance(s, (TelescopingHarmonic, TelTail)):
-            if _z(a):
-                out.append(ConstantRepeat(b, INF))
-            elif isinstance(s, TelTail):
-                out.append(TelTail(a * s.scale, s.n0, a * s.offset + b))
-            else:
-                out.append(TelescopingHarmonic(a * s.scale, a * s.offset + b))
+            out.append(Geometric(a * s.first, s.ratio, a * s.offset + b))
+        else:
+            out.append(TelescopingHarmonic(a * s.scale, a * s.offset + b, s.n0))
     field = spec.field
     if field == "real" and not (is_real_scalar(a) and is_real_scalar(b)):
         field = "complex"
@@ -662,18 +624,13 @@ def abs_values(spec: SequenceSpec) -> SequenceSpec:
                 if isinstance(s, Geometric):
                     out.append(Geometric(scalar_abs(s.first), scalar_abs(s.ratio), 0.0))
                 else:
-                    out.append(TelTail(scalar_abs(s.scale), _tel_start(s), 0.0)
-                               if isinstance(s, TelTail)
-                               else TelescopingHarmonic(scalar_abs(s.scale), 0.0))
+                    out.append(TelescopingHarmonic(scalar_abs(s.scale), 0.0, s.n0))
                 continue
             lim = stream_limit(s)
             if lim == 0:
-                if isinstance(s, Geometric):
-                    out.append(Geometric(abs(s.first), abs(s.ratio), s.offset * 0))
-                elif s.scale >= 0:
-                    out.append(s)
-                else:
-                    out.append(_negate_stream(s))
+                # the negation keeps this zero limit as it is, sign included
+                out.append(s if stream_tail_deviation(s) >= 0
+                           else replace(_negate_stream(s), offset=s.offset))
             else:
                 head, tail = _peel_head_by_gap(s, lim)
                 out.append(FiniteList([scalar_abs(e) for e in head]))
@@ -707,15 +664,10 @@ def spec_bounds(spec: SequenceSpec):
         if isinstance(s, FiniteList):
             for v in s.values:
                 upd(v, True)
-        elif isinstance(s, ConstantRepeat):
-            upd(s.value, True)
-        elif isinstance(s, Geometric):
-            upd(s.offset + s.first, True)
-            upd(s.offset, False)
         else:
-            n0 = _tel_start(s)
-            upd(s.offset + s.scale / (n0 * (n0 + 1)), True)
-            upd(s.offset, False)
+            upd(next(stream_entries(s)), True)
+            if stream_is_infinite(s):
+                upd(stream_limit(s), False)
     if lo is None:
         return None
     return lo, lo_att, hi, hi_att
@@ -725,37 +677,20 @@ def count_value(spec: SequenceSpec, v):
     """Exact multiplicity of a value in the multiset (may be INF)."""
     total = 0
     for s in canonical_streams(spec):
-        if isinstance(s, FiniteList):
-            total += sum(1 for x in s.values if x == v)
-        elif isinstance(s, ConstantRepeat):
+        if isinstance(s, ConstantRepeat):
             if s.value == v:
                 if _is_inf(s.count):
                     return INF
                 total += s.count
-        elif isinstance(s, Geometric):
-            gap = v - s.offset
+            continue
+        if isinstance(s, FiniteList):
+            entries = s.values
+        else:
+            gap = v - stream_limit(s)
             if _z(gap):
                 continue  # the limit itself is never attained by a nonzero tail
-            term = s.first
-            guard = 0
-            while not _z(term) and scalar_abs(term) >= scalar_abs(gap):
-                if term == gap:
-                    total += 1
-                term = term * s.ratio
-                guard += 1
-                if guard > _EXPANSION_CAP:
-                    raise UnsupportedError("count_value exceeded expansion cap")
-        else:
-            gap = v - s.offset
-            if _z(gap) or _z(s.scale):
-                continue
-            n = _tel_start(s)
-            while scalar_abs(s.scale) / (n * (n + 1)) >= scalar_abs(gap):
-                if s.scale / (n * (n + 1)) == gap:
-                    total += 1
-                n += 1
-                if n > _EXPANSION_CAP:
-                    raise UnsupportedError("count_value exceeded expansion cap")
+            entries, _ = _peel_head_by_gap(s, gap)
+        total += sum(1 for x in entries if x == v)
     return total
 
 
@@ -777,15 +712,10 @@ def validate_c0_plus(spec: SequenceSpec, what="sequence"):
                 raise PreconditionError(f"{what} has negative entries")
             if _is_inf(s.count) and s.value > 0:
                 raise PreconditionError(f"{what} does not converge to zero")
-        elif isinstance(s, Geometric):
-            if not _z(s.offset):
-                raise PreconditionError(f"{what} does not converge to zero")
-            if s.first < 0 or s.ratio < 0:
-                raise PreconditionError(f"{what} has negative entries")
         else:
-            if not _z(s.offset):
+            if not _z(stream_limit(s)):
                 raise PreconditionError(f"{what} does not converge to zero")
-            if s.scale < 0:
+            if next(stream_entries(s)) < 0:
                 raise PreconditionError(f"{what} has negative entries")
 
 

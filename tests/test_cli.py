@@ -213,6 +213,15 @@ class TestRoundTrip:
         spec = jsonio.decode_operator(raw)
         assert jsonio.decode_operator(jsonio.encode_operator(spec)) == spec
 
+    def test_peeled_telescoping_tail_has_no_wire_format(self):
+        from diagonalis import jsonio
+        from diagonalis.scalars import InputError
+        from diagonalis.seqspec import TelescopingHarmonic, _peel_head_by_gap
+        head, tail = _peel_head_by_gap(TelescopingHarmonic(F(1)), F(1, 10))
+        assert head == [F(1, 2), F(1, 6)] and tail == TelescopingHarmonic(F(1), 0, 3)
+        with pytest.raises(InputError):
+            jsonio.encode_stream(tail)
+
     def test_matrix_round_trip(self):
         from diagonalis import jsonio
         raw = {"n": 2, "real": False, "entries": [[1, 2], [0, 0], [3, -1], [0.5, 0]]}
@@ -250,6 +259,33 @@ class TestInputBoundary:
         assert code == 3
         assert json.loads(captured.out)["type"] == "InputError"
         assert "Traceback" not in captured.err
+
+    _POINTS = ('{"variant":"finite_spectrum","exact":%s,'
+               '"points":[["0","inf"],["1/2","inf"],["1","inf"]]}')
+
+    @pytest.mark.parametrize("argv", [
+        ("decide", "kadison", "--d", THIRD_WITH_ZEROS.replace("true", '"false"')),
+        ("decide", "kadison", "--d", THIRD_WITH_ZEROS.replace('"exact"', '"ordered":"no","exact"')),
+        ("decide", "three-point", "--spec", _POINTS % '"false"', "--d", THIRD_WITH_ZEROS),
+        ("verify", "kadison-codimension",
+         "--matrix", '{"n":1,"real":"yes","entries":[[1,0]]}'),
+    ])
+    def test_json_boolean_fields_are_input_errors(self, capsys, argv):
+        code, body = invoke(capsys, *argv)
+        assert code == 3 and body["type"] == "InputError"
+
+    _ORDERED_GEO = _ORDERED % ('{"stream":%s,"weight":1}' % _GEO)
+
+    @pytest.mark.parametrize("argv", [
+        ("decide", "fan", "--d", GEO_HALF),
+        ("decide", "kadison", "--d", _ORDERED_GEO),
+        ("decide", "three-point", "--spec", _DIAG.replace(GEO_HALF, _ORDERED_GEO) % '"inf"',
+         "--d", GEO_HALF),
+        ("decide", "ffh-trace", "--rays", "[[0, %s]]" % _ORDERED_GEO),
+    ])
+    def test_ordered_and_unordered_specs_are_input_errors(self, capsys, argv):
+        code, body = invoke(capsys, *argv)
+        assert code == 3 and body["type"] == "InputError"
 
     def test_fault_inside_a_decider_keeps_its_type(self, capsys, monkeypatch):
         from diagonalis import deciders

@@ -150,6 +150,12 @@ class TestKW:
         out2 = decide_kw(s, 1, s)
         assert out2.verdict == "NecessaryConditionFails"
 
+    @pytest.mark.parametrize("kernel_dim", [-1, F(3, 2), 1.5])
+    def test_kernel_dim_is_a_nonnegative_integer(self, kernel_dim):
+        s = seq(geo(F(1, 2), F(1, 2)))
+        with pytest.raises(PreconditionError):
+            decide_kw(s, kernel_dim, s)
+
 
 class TestKadison:
     def test_half_half(self):

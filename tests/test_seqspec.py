@@ -52,6 +52,10 @@ class TestMaterializePrefix:
         s = seq(tel(1))
         assert materialize_prefix(s, 2) == [F(1, 2), F(1, 6)]
 
+    def test_repeat_count_past_sys_maxsize(self):
+        s = seq(ConstantRepeat(F(1, 2), 10 ** 400), FiniteList([F(1)]))
+        assert materialize_prefix(s, 3) == [F(1, 2), F(1), F(1, 2)]
+
     def test_prefix_stability(self):
         s = seq(FiniteList([F(3), F(7)]), geo(1, F(1, 3)), ConstantRepeat(F(5), INF))
         a = materialize_prefix(s, 6)
@@ -302,3 +306,74 @@ def test_sorted_prefix_matches_brute_force(spec, n):
 def test_head_plus_tail_is_total(spec, n):
     head = sum(sorted_prefix_desc(spec, n), F(0))
     assert XSum.fin(head) + tail_sum_after_top(spec, n) == total_sum(spec)
+
+
+nonzero_fracs = small_fracs.filter(lambda x: x != 0)
+signed_ratios = st.fractions(min_value=F(-9, 10), max_value=F(9, 10),
+                             max_denominator=10).filter(lambda r: r != 0)
+
+
+@st.composite
+def offset_specs(draw):
+    """Exact specs of all four kinds, with offsets; telescoping streams may
+    start past index 1, as a peeled tail does."""
+    kinds = st.sampled_from(["finite", "const", "geo", "tel"])
+    streams = []
+    for kind in draw(st.lists(kinds, min_size=1, max_size=4)):
+        if kind == "finite":
+            streams.append(FiniteList(draw(st.lists(small_fracs, min_size=1, max_size=4))))
+        elif kind == "const":
+            count = draw(st.one_of(st.integers(1, 4), st.just(INF)))
+            streams.append(ConstantRepeat(draw(small_fracs), count))
+        elif kind == "geo":
+            streams.append(Geometric(draw(nonzero_fracs), draw(signed_ratios), draw(small_fracs)))
+        else:
+            streams.append(TelescopingHarmonic(draw(nonzero_fracs), draw(small_fracs),
+                                               draw(st.integers(1, 6))))
+    return seq(*streams)
+
+
+def entries_by_hand(s, n):
+    """The first n entries of one stream, from its defining formula."""
+    if isinstance(s, FiniteList):
+        return list(s.values[:n])
+    if isinstance(s, ConstantRepeat):
+        return [s.value] * (n if s.count == INF else min(n, s.count))
+    if isinstance(s, Geometric):
+        return [s.offset + s.first * s.ratio ** k for k in range(n)]
+    return [s.offset + s.scale / (m * (m + 1)) for m in range(s.n0, s.n0 + n)]
+
+
+def entries_outside(s, gap):
+    """How many leading entries of an infinite stream deviate from its limit
+    by at least |gap|; every later entry lies within the gap."""
+    k = 0
+    if isinstance(s, Geometric):
+        while abs(s.first * s.ratio ** k) >= abs(gap):
+            k += 1
+    elif isinstance(s, TelescopingHarmonic):
+        while abs(s.scale) / ((s.n0 + k) * (s.n0 + k + 1)) >= abs(gap):
+            k += 1
+    return k
+
+
+@settings(max_examples=150, deadline=None)
+@given(offset_specs(), st.data())
+def test_counts_bounds_and_prefix_match_brute_force(spec, data):
+    v = data.draw(st.one_of(st.sampled_from(materialize_prefix(spec, 12)), small_fracs))
+    infinite = [s for s in spec.streams if isinstance(s, (Geometric, TelescopingHarmonic))]
+    # rounds enough for every finite stream, the first two entries of every
+    # infinite one, and each infinite stream's entries outside the gap to v
+    rounds = max([5] + [entries_outside(s, v - s.offset) + 1
+                        for s in infinite if v != s.offset])
+    lists = [entries_by_hand(s, rounds) for s in spec.streams]
+    scan = [lst[i] for i in range(rounds) for lst in lists if i < len(lst)]
+    assert materialize_prefix(spec, len(scan)) == scan
+
+    repeated_forever = any(isinstance(s, ConstantRepeat) and s.count == INF and s.value == v
+                           for s in spec.streams)
+    assert count_value(spec, v) == (INF if repeated_forever else scan.count(v))
+
+    limits = [s.offset for s in infinite]
+    lo, hi = min(scan + limits), max(scan + limits)
+    assert spec_bounds(spec) == (lo, lo in scan, hi, hi in scan)
