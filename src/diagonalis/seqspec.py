@@ -375,8 +375,8 @@ class _Runs:
         self.i = 0
         self.head, self.left = self.runs[0] if self.runs else (None, 0)
 
-    def pop(self):
-        self.left -= 1
+    def pop(self, k=1):
+        self.left -= k
         if not self.left:
             self.i += 1
             self.head, self.left = self.runs[self.i] if self.i < len(self.runs) else (None, 0)
@@ -392,8 +392,8 @@ class _GeoRun:
         self.offset = None if _z(s.offset) else s.offset
         self.head = self.term if self.offset is None else self.offset + self.term
 
-    def pop(self):
-        self.term = self.term * self.ratio
+    def pop(self, k=1):
+        self.term = self.term * (self.ratio if k == 1 else self.ratio ** k)
         self.head = self.term if self.offset is None else self.offset + self.term
 
     def descr(self):
@@ -411,8 +411,8 @@ class _TelRun:
         self.offset = None if _z(s.offset) else s.offset
         self.pop()
 
-    def pop(self):
-        self.n += 1
+    def pop(self, k=1):
+        self.n += k
         term = self.scale / (self.n * (self.n + 1))
         self.head = term if self.offset is None else self.offset + term
 

@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -40,6 +41,20 @@ class TestDecide:
             "--d", '{"field":"real","exact":true,"streams":[{"kind":"telescoping","scale":1}]}',
             "--lambda", GEO_HALF)
         assert code == 0 and body["verdict"] == "Holds"
+
+    def test_two_tail_weak_majorization_holds_quickly(self, capsys):
+        both = json.dumps({"field": "real", "exact": True, "streams": [
+            {"kind": "geometric", "first": "1/3", "ratio": "1/2"},
+            {"kind": "geometric", "first": "1/4", "ratio": "1/5"}]})
+        argv = ["decide", "majorization", "--kind", "weak", "--d", both, "--lambda", both]
+        times = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            code = run(argv)
+            times.append(time.perf_counter() - t0)
+            body = json.loads(capsys.readouterr().out)
+            assert code == 0 and body["verdict"] == "Holds"
+        assert sorted(times)[2] < 0.05
 
     def test_unknown_tag_is_error(self, capsys):
         code, body = invoke(capsys, "decide", "no-such-theorem", "--d", "[1]")

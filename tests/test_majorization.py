@@ -1,10 +1,16 @@
+import math
+import time
 from fractions import Fraction as F
+from itertools import accumulate, count, repeat
+from operator import mul
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagonalis.scalars import INF, Cmp, PreconditionError
+from diagonalis import majorization
 from diagonalis.majorization import (
     _tails_dominate_eventually,
     _tails_dominate_forall,
@@ -114,6 +120,18 @@ class TestWeakMajorize:
         v = weak_majorize(lam, d)
         assert v.verdict == "Fails"
 
+    def test_violation_past_cap_is_unknown_without_stepping(self):
+        # ratios 1/2 and 1/2 + 1e-9: the first violation lies near m = 5e7
+        r = F(1, 2) + F(1, 10**9)
+        d = seq(FiniteList([F(9, 10)]), geo(F(1, 2), F(1, 2)))
+        lam = seq(FiniteList([F(1)]), Geometric(F(9, 10) * (1 - r), r))
+        t0 = time.perf_counter()
+        v = weak_majorize(d, lam)
+        forall = _tails_dominate_forall(("geo", F(2), F(1, 2)), ("geo", F(1), r), Cmp(True))
+        assert time.perf_counter() - t0 < 1.0
+        assert v.verdict == "Unknown" and v.detail == "tail comparison unresolved"
+        assert forall is None
+
     def test_negative_rejected(self):
         with pytest.raises(PreconditionError):
             weak_majorize(seq(FiniteList([F(-1)])), seq(FiniteList([F(1)])))
@@ -167,6 +185,14 @@ class TestPMajorize:
         g = seq(geo(F(1, 2), F(1, 2)))
         v = p_majorize(g, g, 1)
         assert v.verdict == "Fails"
+
+    def test_long_finite_run_is_taken_whole(self):
+        # two million equal entries settle and align as one (value, count) run
+        d = seq(ConstantRepeat(F(1, 10**7), 2 * 10**6))
+        t0 = time.perf_counter()
+        v = p_majorize(d, seq(FiniteList([F(1, 5)])), 1)
+        assert time.perf_counter() - t0 < 0.1
+        assert v.verdict == "Holds"
 
     def test_finite_support_self_all_p(self):
         d = seq(FiniteList([F(2), F(1)]), ConstantRepeat(F(0), INF))
@@ -292,6 +318,172 @@ class TestTailRules:
         assert self.decide(rule, td, tl, p, False) is None
 
 
+# ---------------------------------------------------------------------------
+# reference: the tail rules stepping m = 0, 1, 2, ... one comparison at a time
+
+
+def _ref_terms(descr, shift):
+    if descr[0] == "geo":
+        _, a, r = descr
+        return accumulate(repeat(r), mul, initial=a * r**shift if shift else a)
+    _, s, b = descr
+    b = b + shift
+    return (s / (b + m) for m in count())
+
+
+def _ref_scan(td, tl, shift, cmp, cap):
+    ms = range(cap + 1)
+    if td[0] == tl[0] == "tel":
+        _, s1, b1 = td
+        _, s2, b2 = tl
+        b1 = b1 + shift
+        return (cmp.le(s2 * (b1 + m), s1 * (b2 + m)) for m in ms)
+    return (cmp.le(y, x) for _, y, x in zip(ms, _ref_terms(tl, 0), _ref_terms(td, shift)))
+
+
+def _ref_first_violation(td, tl, shift, cmp, cap):
+    return next((m for m, c in enumerate(_ref_scan(td, tl, shift, cmp, cap)) if c is False),
+                cap + 1)
+
+
+def ref_forall(td, tl, cmp, cap):
+    if tl[0] == "zero":
+        return True
+    if td[0] == "zero":
+        return (False, 0)
+    kinds = (td[0], tl[0])
+    stop = None
+    if kinds == ("geo", "geo"):
+        if td[2] >= tl[2]:
+            stop = 0
+    elif kinds == ("tel", "tel"):
+        c = cmp.le(tl[1], td[1])
+        if c is None:
+            return None
+        if c:
+            stop = 0
+    elif kinds == ("tel", "geo"):
+        b, r = td[2], tl[2]
+        m1_num = r * (b + 1) - b
+        stop = int(m1_num / (1 - r)) + 1 if m1_num > 0 else 0
+    for m, c in enumerate(_ref_scan(td, tl, 0, cmp, cap)):
+        if c is not True:
+            return None if c is None else (False, m)
+        if m == stop:
+            return True
+    return None
+
+
+def ref_eventually(td, tl, p, cmp, cap):
+    if tl[0] == "zero":
+        return True
+    pp = 0 if p == INF else p
+    if td[0] == "zero":
+        return (False, 0, pp)
+    kinds = (td[0], tl[0])
+    if kinds == ("geo", "geo"):
+        order = (td[2] > tl[2]) - (td[2] < tl[2])
+    elif kinds == ("tel", "tel"):
+        gt = cmp.lt(tl[1], td[1])
+        eq = False if gt else cmp.eq(td[1], tl[1])
+        if gt is None or eq is None:
+            return None
+        order = 1 if gt else 0 if eq else -1
+    else:
+        order = 1 if td[0] == "tel" else -1
+    if order > 0:
+        return True
+    if order < 0:
+        return (False, _ref_first_violation(td, tl, pp, cmp, cap), pp)
+    if kinds == ("geo", "geo"):
+        if p == INF:
+            return (False, 0, _ref_first_violation(td, ("geo", tl[1], 1), 0, cmp, cap))
+        c = next(_ref_scan(td, tl, p, cmp, cap))
+        return c if c is not False else (False, 0, p)
+    b1, b2 = td[2], tl[2]
+    if p == INF:
+        return (False, 0, max(b2 - b1 + 1, 0))
+    if b1 + p <= b2:
+        return True
+    return (False, 0, p)
+
+
+REF_CAP = 5000
+tail_ratios = st.fractions(min_value=F(1, 1000), max_value=F(999, 1000), max_denominator=1000)
+# scales down to 1e-12 put whole runs of comparisons inside the float floor
+tail_scales = st.builds(lambda f, e: f / 10**e,
+                        st.fractions(min_value=F(1, 1000), max_value=4, max_denominator=1000),
+                        st.sampled_from([0, 0, 0, 3, 6, 9, 10, 11, 12]))
+
+
+@st.composite
+def tail_descrs(draw):
+    kind = draw(st.sampled_from(["geo", "tel", "zero"]))
+    if kind == "geo":
+        return ("geo", draw(tail_scales), draw(tail_ratios))
+    if kind == "tel":
+        return ("tel", draw(tail_scales), draw(st.integers(min_value=1, max_value=60)))
+    return ("zero",)
+
+
+@st.composite
+def crossing_pairs(draw):
+    """(tail_d, tail_l) whose comparison turns exactly at a drawn index M up
+    to past the cap, then nudged by one part in 10**9 either way or not.
+    Ratios keep small denominators, so that stepping to M stays cheap."""
+    nudge = 1 + F(draw(st.integers(min_value=-1, max_value=1)), 10**9)
+    kind = draw(st.sampled_from(["geo/geo", "tel/tel", "geo/tel", "tel/geo"]))
+    a = draw(tail_scales)
+    small = st.fractions(min_value=F(1, 8), max_value=F(7, 8), max_denominator=8)
+    if kind == "geo/geo":
+        # tail_l(M) = tail_d(M) with r_l > r_d; a_d stays a finite float
+        r_d, r_l = sorted(draw(st.lists(small, min_size=2, max_size=2, unique=True)))
+        top = min(REF_CAP + 100, int(300 / math.log10(r_l / r_d)))
+        M = draw(st.integers(min_value=0, max_value=top))
+        return ("geo", a * (r_l / r_d) ** M * nudge, r_d), ("geo", a, r_l)
+    M = draw(st.integers(min_value=0, max_value=REF_CAP + 100))
+    if kind == "tel/tel":
+        # s_l (b_d + M) = s_d (b_l + M) with s_l = (1 + 1/k) s_d
+        k = draw(st.integers(min_value=1, max_value=1000))
+        b_d = k * (M // k + 1) - M
+        return ("tel", a, b_d), ("tel", a * (1 + F(1, k)) * nudge, b_d + (b_d + M) // k)
+    # a r^M (b + M) = s for a geometric against a telescoping tail
+    r = draw(small)
+    b = draw(st.integers(min_value=1, max_value=60))
+    geo, tel = ("geo", a, r), ("tel", a * r**M * (b + M) * nudge, b)
+    return (geo, tel) if kind == "geo/tel" else (tel, geo)
+
+
+class TestTailRulesAgainstStepping:
+    """The bracketed rules give what stepping every m up to the cap gives."""
+
+    @staticmethod
+    def check(td, tl, p):
+        as_float = TestTailRules.as_float
+        for exact in (True, False):
+            d, l = (td, tl) if exact else (as_float(td), as_float(tl))
+            cmp = Cmp(exact)
+            with mock.patch.object(majorization, "_SCAN_CAP", REF_CAP):
+                if p is None:
+                    got, ref = _tails_dominate_forall(d, l, cmp), ref_forall(d, l, cmp, REF_CAP)
+                else:
+                    got = _tails_dominate_eventually(d, l, p, cmp)
+                    ref = ref_eventually(d, l, p, cmp, REF_CAP)
+            assert got == ref and type(got) is type(ref), (td, tl, p, exact)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tail_descrs(), tail_descrs(),
+           st.one_of(st.none(), st.integers(min_value=0, max_value=5), st.just(INF)))
+    def test_random_pairs(self, td, tl, p):
+        self.check(td, tl, p)
+
+    @settings(max_examples=50, deadline=None)
+    @given(crossing_pairs(),
+           st.one_of(st.none(), st.integers(min_value=0, max_value=5), st.just(INF)))
+    def test_crossings(self, pair, p):
+        self.check(*pair, p)
+
+
 @st.composite
 def c0_specs(draw):
     streams = [FiniteList(draw(heads))]
@@ -312,6 +504,112 @@ def test_weak_agrees_with_brute_force(d, lam):
         assert brute
     elif v.verdict == "Fails" and v.witness[0] <= 300:
         assert not brute
+
+
+class TestMultiTail:
+    """Several tails per side, decided by threshold sums once no finite entry is left."""
+
+    @staticmethod
+    def two_geo(a1, r1, a2, r2):
+        return seq(geo(a1, r1), geo(a2, r2))
+
+    def test_equal_specs_hold(self):
+        both = seq(geo(F(1, 3), F(1, 2)), TelescopingHarmonic(F(1, 4)), FiniteList([F(1, 5)]))
+        v = weak_majorize(both, both)
+        assert v.holds and v.detail == "threshold sums"
+
+    def test_same_ratio_regrouped_holds(self):
+        d = self.two_geo(F(3, 4), F(1, 2), F(1, 2), F(1, 2))
+        lam = self.two_geo(F(1), F(1, 2), F(1, 4), F(1, 2))
+        v = weak_majorize(d, lam)
+        assert v.holds and v.detail == "threshold sums"
+        assert brute_weak_ok(d, lam, depth=400)
+        assert majorize_spec(d, lam).holds
+        # lambda keeps more streams than d: D turns negative near 0
+        assert weak_majorize(lam, d).verdict == "Fails"
+
+    def test_fails_with_the_scan_witness(self):
+        d = self.two_geo(F(25, 24), F(1, 4), F(11, 9), F(1, 3))
+        lam = self.two_geo(F(5, 3), F(1, 4), F(2, 3), F(1, 3))
+        v = weak_majorize(d, lam, horizon=300)
+        assert v.verdict == "Fails" and v.witness == (7, F(98845, 31104), F(5489, 1728))
+        assert not brute_weak_ok(d, lam)
+
+    def test_tied_ratios_stay_unknown(self):
+        # one ratio-1/4 and one ratio-1/3 stream per side, firsts regrouped
+        d = self.two_geo(F(2), F(1, 4), F(50, 9), F(1, 3))
+        lam = self.two_geo(F(6), F(1, 4), F(2), F(1, 3))
+        v = weak_majorize(d, lam, horizon=300)
+        assert v.verdict == "Unknown" and v.horizon == 300
+
+    def test_p_majorization_keeps_the_one_tail_table(self):
+        both = self.two_geo(F(1, 3), F(1, 2), F(1, 4), F(1, 5))
+        assert p_majorize(both, both, 0).holds
+        v = p_majorize(both, both, 1)
+        assert v.verdict == "Unknown" and "supported comparison table" in v.detail
+
+
+@st.composite
+def multi_tail_pairs(draw):
+    """(d, lambda) with finite heads and up to three geometric or telescoping
+    tails per side: one spec twice, a total regrouped into geometric streams
+    of one ratio, or two independent draws."""
+    r = draw(ratios)
+
+    def tails(common):
+        out = []
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            kind = "geo" if common else draw(st.sampled_from(["geo", "same-ratio", "tel"]))
+            if kind == "tel":
+                out.append(TelescopingHarmonic(draw(firsts)))
+            else:
+                out.append(Geometric(draw(firsts), draw(ratios) if kind == "geo" else r))
+        return out
+
+    head = FiniteList(draw(heads))
+    mode = draw(st.sampled_from(["same", "regroup", "independent"]))
+    lam = [head] + tails(False)
+    if mode == "same":
+        d = [head] + draw(st.permutations(lam[1:]))
+    elif mode == "regroup":
+        kept = [s for s in lam if not (isinstance(s, Geometric) and s.ratio == r)]
+        total = sum(s.first for s in lam if s not in kept)
+        weights = draw(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3))
+        d = kept + [Geometric(total * w / sum(weights), r) for w in weights] if total else lam
+    else:
+        d = [FiniteList(draw(heads))] + tails(draw(st.booleans()))
+    pair = (seq(*d), seq(*lam))
+    return pair[::-1] if draw(st.booleans()) else pair
+
+
+@settings(max_examples=80, deadline=None)
+@given(multi_tail_pairs())
+def test_multi_tail_agrees_with_brute_force(pair):
+    d, lam = pair
+    v = weak_majorize(d, lam, horizon=400)
+    brute = brute_weak_ok(d, lam, depth=300)
+    if v.verdict == "Holds":
+        assert brute
+    elif v.verdict == "Fails" and v.witness[0] <= 300:
+        assert not brute
+
+
+def _median_seconds(fn, runs=5):
+    times = []
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        out = fn()
+        times.append(time.perf_counter() - t0)
+    return sorted(times)[runs // 2], out
+
+
+def test_slow_ratio_scan_is_bracketed():
+    # 999/1000 against 1/(n(n+1)): the first violation is at index 9114
+    r = F(999, 1000)
+    secs, v = _median_seconds(lambda: weak_majorize(seq(geo(1 - r, r)),
+                                                    seq(TelescopingHarmonic(F(1)))))
+    assert v.verdict == "Fails" and v.witness == (9114, 1 - r**9114, 1 - F(1, 9115))
+    assert secs < 0.05
 
 
 @settings(max_examples=40, deadline=None)
