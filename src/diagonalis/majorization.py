@@ -13,10 +13,11 @@ The partial-sum scans below certify their verdicts rather than extrapolate:
   condition sum min(d_i, t) >= sum min(lambda_i, t) for every t > 0.
 
 Both tail rules ask where tail_l(m) <= tail_d(m + shift) first fails, up to
-``_SCAN_CAP``.  They locate that index in closed form, from the shape of the
-two tails, by bisection on log estimates whose rounding error is bounded,
-and confirm it on exact values at m and m - 1.  A first violation past the
-cap is not reported.  A per-kind-pair table completes each rule: for "for
+``_SCAN_CAP``.  They locate that index from the shape of the two tails, by
+bisection on log estimates whose rounding error is bounded and on exact
+values where that bound does not decide, and confirm an index found with
+estimates on exact values at m and m - 1.  A first violation past the cap
+is not reported.  A per-kind-pair table completes each rule: for "for
 every m", the index from which domination persists; for "eventually", the
 asymptotic order of the two tails.
 

@@ -471,6 +471,28 @@ class TestTailRulesAgainstStepping:
                     ref = ref_eventually(d, l, p, cmp, REF_CAP)
             assert got == ref and type(got) is type(ref), (td, tl, p, exact)
 
+    # float pairs whose first definite violation starts a run of indices in
+    # the middle of the scan: tail_l - tail_d rises past the Cmp buffer and
+    # falls back below it, so the search must split where it turns
+    MIDDLE_RUNS = [
+        (("geo", 3.193522094458298, 0.44329411984169215),
+         ("geo", 7.816349981511953e-07, 0.934621134920433), 5),
+        (("geo", 2.3709146132788924e-06, 0.7396797069473168),
+         ("geo", 1.3362919586286386e-07, 0.9895301199982608), INF),
+        (("geo", 1.8526906910677643, 0.238656287893407),
+         ("tel", 1.8618023305292286e-06, 5), 5),
+        (("geo", 0.0034936276361403925, 0.6012930015753296),
+         ("tel", 3.123772277560402e-06, 1), INF),
+    ]
+
+    @pytest.mark.parametrize("td,tl,p", MIDDLE_RUNS)
+    def test_float_middle_runs(self, td, tl, p):
+        cmp = Cmp(False)
+        with mock.patch.object(majorization, "_SCAN_CAP", REF_CAP):
+            got = _tails_dominate_eventually(td, tl, p, cmp)
+            ref = ref_eventually(td, tl, p, cmp, REF_CAP)
+        assert got == ref
+
     @settings(max_examples=300, deadline=None)
     @given(tail_descrs(), tail_descrs(),
            st.one_of(st.none(), st.integers(min_value=0, max_value=5), st.just(INF)))
