@@ -190,11 +190,10 @@ class MergedDesc(DescendingMerge):
 
     def advance_to(self, n):
         """Move a settled scan on to ``n`` >= ``self.n`` entries taken, in closed form."""
-        k = n - self.n
-        if self.tails and k:
-            descr = self.tail_descr()
-            self.tails[0].pop(k)
-            self.partial = self.partial + _tail_at(descr, 0) - _tail_at(descr, k)
+        if self.tails and n > self.n:
+            left = _tail_at(self.tail_descr(), 0)
+            self.tails[0].pop(n - self.n)
+            self.partial = self.partial + left - _tail_at(self.tail_descr(), 0)
         self.n = n
 
     @property

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from diagonalis.scalars import INF, Cmp, PreconditionError
 from diagonalis import majorization
 from diagonalis.majorization import (
+    MergedDesc,
     _tails_dominate_eventually,
     _tails_dominate_forall,
     approx_p_majorize,
@@ -193,6 +194,18 @@ class TestPMajorize:
         v = p_majorize(d, seq(FiniteList([F(1, 5)])), 1)
         assert time.perf_counter() - t0 < 0.1
         assert v.verdict == "Holds"
+
+    @pytest.mark.parametrize("tail", [geo(F(1, 3), F(1, 2)), TelescopingHarmonic(F(2))])
+    def test_closed_form_alignment_matches_stepping(self, tail):
+        stepped, aligned = (MergedDesc(seq(FiniteList([F(1, 2)]), tail)) for _ in range(2))
+        for _ in range(2):
+            stepped.advance()
+            aligned.advance_run()
+        for _ in range(7):
+            stepped.advance()
+        aligned.advance_to(9)
+        assert (aligned.n, aligned.partial, aligned.tail_descr()) == (
+            stepped.n, stepped.partial, stepped.tail_descr())
 
     def test_finite_support_self_all_p(self):
         d = seq(FiniteList([F(2), F(1)]), ConstantRepeat(F(0), INF))
