@@ -338,8 +338,9 @@ class _TailPair:
         return self.values[m]
 
     def power(self, r, k):
-        """r**k, by one division when r**(k + 1) was taken already."""
-        if k < _EXACT_BELOW:
+        """r**k, by one division when r**(k + 1) was taken already (the
+        constant tail's int ratio 1 would divide to a float)."""
+        if k < _EXACT_BELOW or r == 1:
             return r**k
         if (r, k) not in self.powers:
             above = self.powers.get((r, k + 1))

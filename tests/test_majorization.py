@@ -498,6 +498,14 @@ class TestTailRulesAgainstStepping:
          ("tel", 3.123772277560402e-06, 1), INF),
     ]
 
+    def test_geometric_tie_at_every_shift_stays_exact(self):
+        # ratios 1 - 1e-11 and firsts 1e-9 apart: the shift that breaks the tie
+        # is 101, decided on exact values against the constant tail a_l
+        r = 1 - F(1, 10**11)
+        td, tl = ("geo", F(684 * 10**24, 89), r), ("geo", F(683999999316 * 10**15, 89), r)
+        self.check(td, tl, INF)
+        assert _tails_dominate_eventually(td, tl, INF, Cmp(True)) == (False, 0, 101)
+
     @pytest.mark.parametrize("td,tl,p", MIDDLE_RUNS)
     def test_float_middle_runs(self, td, tl, p):
         cmp = Cmp(False)
