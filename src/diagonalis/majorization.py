@@ -17,9 +17,10 @@ Both tail rules ask where tail_l(m) <= tail_d(m + shift) first fails, up to
 bisection on log estimates whose rounding error is bounded and on exact
 values where that bound does not decide, and confirm an index found with
 estimates on exact values at m and m - 1.  A first violation past the cap
-is not reported.  A per-kind-pair table completes each rule: for "for
-every m", the index from which domination persists; for "eventually", the
-asymptotic order of the two tails.
+is not reported: "for every m" is then Unknown, and a failure that the
+asymptotic order proves is Fails without a witness.  A per-kind-pair table
+completes each rule: for "for every m", the index from which domination
+persists; for "eventually", the asymptotic order of the two tails.
 
 The threshold condition certifies Holds when the streams left on the two
 sides cancel one for one, or when every stream left is geometric with one
@@ -429,9 +430,8 @@ class _TailPair:
 
 def _first_violation(td, tl, shift, cmp):
     """First m <= _SCAN_CAP with a definite violation (uncertain ones
-    skipped), or _SCAN_CAP + 1."""
-    m = _TailPair(td, tl, shift, cmp).first(_SCAN_CAP, definite=True)
-    return _SCAN_CAP + 1 if m is None else m
+    skipped), or None."""
+    return _TailPair(td, tl, shift, cmp).first(_SCAN_CAP, definite=True)
 
 
 def _tails_dominate_forall(td, tl, cmp):
@@ -476,7 +476,9 @@ def _tails_dominate_eventually(td, tl, p, cmp):
     Returns True / None / (False, m, p_used) where m indexes a violation for
     the reported p.  The asymptotic order decides: a zero tail loses, a
     telescoping tail outlasts a geometric one, the larger ratio or scale wins
-    between two of a kind, and a tie is settled at m = 0.
+    between two of a kind, and a tie is settled at m = 0.  A failure the
+    order proves but whose first violation lies past _SCAN_CAP has m = None
+    (and p_used = None for a geometric tie at p = INF).
     """
     if tl[0] == "zero":
         return True
@@ -501,7 +503,8 @@ def _tails_dominate_eventually(td, tl, p, cmp):
     if kinds == ("geo", "geo"):
         if p == INF:
             # tail_l(0) <= tail_d(p) fails for large p: scan against a constant
-            return (False, 0, _first_violation(td, ("geo", tl[1], 1), 0, cmp))
+            p_used = _first_violation(td, ("geo", tl[1], 1), 0, cmp)
+            return (False, None if p_used is None else 0, p_used)
         c = cmp.le(*_sides(td, tl, p, 0))
         return c if c is not False else (False, 0, p)
     b1, b2 = td[2], tl[2]
@@ -711,6 +714,9 @@ def _p_shifted(d: SequenceSpec, lam: SequenceSpec, p, approx: bool,
                                    detail="tail constants inside float tolerance")
     _, m, p_used = res
     detail = "eventual inequality fails"
+    if m is None:
+        return MajorizationVerdict("Fails", mode, detail=detail + " by the tails' asymptotic "
+                                   f"order; its first violation lies past {_SCAN_CAP}")
     if p == INF:
         detail += f" already at p={p_used}"
     return MajorizationVerdict("Fails", mode, witness=_tail_witness(sd, sl, m, p_used),

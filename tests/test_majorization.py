@@ -211,6 +211,19 @@ class TestPMajorize:
         d = seq(FiniteList([F(2), F(1)]), ConstantRepeat(F(0), INF))
         assert p_majorize(d, d, INF).holds
 
+    def test_tie_broken_past_the_cap_names_no_p(self):
+        # equal ratios: some finite p fails, but the first one is 406, past a
+        # cap of 100, so the answer is Fails without an unconfirmed p = 101
+        r = F(999, 1000)
+        d = seq(FiniteList([F(1, 2)]), geo(F(3, 2000), r))
+        lam = seq(FiniteList([F(1)]), geo(F(1, 1000), r))
+        with mock.patch.object(majorization, "_SCAN_CAP", 100):
+            v = p_majorize(d, lam, INF)
+            assert v.verdict == "Fails" and v.witness is None
+            assert "101" not in v.detail and "past 100" in v.detail
+            assert p_majorize(d, lam, 101).holds
+        assert p_majorize(d, lam, INF).detail.endswith("already at p=406")
+
 
 class TestApproxP:
     def test_implied_by_p(self):
@@ -356,7 +369,7 @@ def _ref_scan(td, tl, shift, cmp, cap):
 
 def _ref_first_violation(td, tl, shift, cmp, cap):
     return next((m for m, c in enumerate(_ref_scan(td, tl, shift, cmp, cap)) if c is False),
-                cap + 1)
+                None)
 
 
 def ref_forall(td, tl, cmp, cap):
@@ -410,7 +423,8 @@ def ref_eventually(td, tl, p, cmp, cap):
         return (False, _ref_first_violation(td, tl, pp, cmp, cap), pp)
     if kinds == ("geo", "geo"):
         if p == INF:
-            return (False, 0, _ref_first_violation(td, ("geo", tl[1], 1), 0, cmp, cap))
+            p_used = _ref_first_violation(td, ("geo", tl[1], 1), 0, cmp, cap)
+            return (False, None if p_used is None else 0, p_used)
         c = next(_ref_scan(td, tl, p, cmp, cap))
         return c if c is not False else (False, 0, p)
     b1, b2 = td[2], tl[2]

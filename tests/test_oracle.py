@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import json
 from fractions import Fraction as F
 
 import numpy as np
@@ -16,7 +17,8 @@ from diagonalis.oracle import (
     sample_diagonals,
     search_membership,
 )
-from diagonalis.spectra import DenseMatrix
+from diagonalis.scalars import PreconditionError
+from diagonalis.spectra import DenseMatrix, haar_unitary
 
 rng = np.random.default_rng(31337)
 
@@ -67,6 +69,69 @@ class TestSearch:
         out = search_membership(t, [2, -1], tol=1e-6, budget=30_000, seed=7)
         assert isinstance(out, SearchNotFound)
         assert out.best_residual > 0.5
+
+
+class TestSearchInput:
+    T = DenseMatrix.diagonal([1, 0])
+
+    @pytest.mark.parametrize("d,tol,budget", [
+        ([float("nan"), 0], 1e-6, 1000),
+        ([complex(0, float("inf")), 1], 1e-6, 1000),
+        ([1, 0], float("nan"), 1000),
+        ([1, 0], float("inf"), 1000),
+        ([1, 0], 0.0, 1000),
+        ([1, 0], -1e-6, 1000),
+        ([1, 0], 1e-6, -5),
+    ])
+    def test_rejected_at_the_boundary(self, d, tol, budget):
+        with pytest.raises(PreconditionError):
+            search_membership(self.T, d, tol=tol, budget=budget, seed=0)
+
+    def test_zero_budget_searches_nothing(self):
+        out = search_membership(self.T, [1, 0], tol=1e-6, budget=0, seed=0)
+        assert isinstance(out, SearchNotFound) and out.budget == 0
+
+    @pytest.mark.parametrize("extra", [["--d", "[NaN, 0]"],
+                                       ["--d", "[1, 0]", "--tol", "nan"],
+                                       ["--d", "[1, 0]", "--budget", "-5"]])
+    def test_cli_exits_with_precondition_error(self, extra):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.run(["oracle", "search", "--matrix",
+                            '{"n":2,"real":true,"entries":[[1,0],[0,0],[0,0],[0,0]]}'] + extra)
+        assert code == 3
+        assert json.loads(buf.getvalue())["type"] == "PreconditionError"
+
+
+def _reachable_target(kind, k):
+    """T and a diagonal of its unitary orbit: T = U diag(lam) U* (normal) or a
+    Ginibre matrix (general), d = diag(V*TV), all drawn from k."""
+    g = np.random.default_rng([k, 7])
+    if kind == "normal":
+        lam = g.standard_normal(3) + 1j * g.standard_normal(3)
+        u = haar_unitary(3, [k, 1]).data
+        t = u @ np.diag(lam) @ u.conj().T
+    else:
+        t = g.standard_normal((3, 3)) + 1j * g.standard_normal((3, 3))
+    v = haar_unitary(3, [k, 2]).data
+    return t, np.diagonal(v.conj().T @ t @ v)
+
+
+@pytest.mark.parametrize("kind,least", [("normal", 59), ("general", 60)])
+def test_search_finds_reachable_targets(kind, least):
+    """Positive control: the search must find diagonals known to be reachable,
+    or its failures on Hoffman midpoints say nothing."""
+    found = 0
+    for k in range(60):
+        t, d = _reachable_target(kind, k)
+        out = search_membership(DenseMatrix(t), list(d), tol=1e-6, budget=5000, seed=k)
+        if isinstance(out, Found):
+            u = out.unitary.data
+            assert np.linalg.norm(u.conj().T @ u - np.eye(3)) <= 1e-12
+            got = np.diagonal(u.conj().T @ t @ u)
+            assert np.max(np.abs(got - d)) <= 1e-6 * max(np.linalg.norm(t), 1.0)
+            found += 1
+    assert found >= least
 
 
 class TestDifferential:
@@ -122,31 +187,31 @@ def _sample_digest(ds):
 # (kind, n, budget, seed) -> digest of search_membership(t, d, tol=1e-6, budget, seed)
 PINNED_SEARCHES = {
     ("general", 3, 5000, 0):
-        "deb646f00db147f8f0917838ebc74a961cdc7978954919a3c66ccdb5c340e73c",
+        "d3664b6d5cee36e90042a396b593aec507ef4d32a7eda6b100300657f1c1639c",
     ("general", 3, 5000, 1):
-        "9a06f784d3cbf8a74ca239b98a5e060d62b3e4ca1fc33a9d8e863084c66279c9",
+        "8425cf6d5ed2997095e7ea47956e1de3df92d733283d591459e3df96e57413ec",
     ("general", 3, 5000, 2):
-        "773eb25744aad5adc87a2d41e64b2c10c8f5ebddaea789c56feab5af8125d5b4",
+        "49ee19f681f9fd052d5ecb6be0545e059bb5dbe3934b9de92a2419055ce73cf7",
     ("normal", 3, 5000, 3):
-        "1a65009798e36f315833d04386aa628e31f11707e0733e92076a7051f0eebfae",
+        "205040775c61fede946c499eac009b204ad4a6a9863916db166a45bbf9dbe8e4",
     ("normal", 3, 5000, 4):
-        "0bba34af0375134d2c178ae20f15c94e3e6859bab413c9ac412549aada6d74c6",
+        "746050a5dff388d64b815ebfdd821601e556bc25beb98c45e8335362a6e6eac9",
     ("normal", 3, 5000, 5):
-        "d54dc0127e77b353d974a90f2b6dbbf54bd2ed8e3a61b7c1adb2ace1db4d7b82",
+        "b858031d679c011880e81cc3c0e39209e1314e26f7b249184e9a09dddecb0d57",
     ("hoffman", 3, 3000, 6):
-        "b034174d0809cf672c71c75c36885152d10b535f4f5eddd1ef2f7026ae015d6c",
+        "ef9019ceaf036e8e893e296add3292f72f9218ed4fa1e49be8e52d4238f7efb8",
     ("hoffman", 3, 3000, 7):
         "6c99ef97f09e6298d7114afb45fed35b6bd182bfe4f179f129208d4e0b91eb76",
     # 1536 evaluations go to the two coordinate sweeps, so these budgets run
-    # out inside a gradient line search
+    # out inside the Levenberg-Marquardt polish
     ("general", 3, 1700, 8):
-        "f08bf5674eb343eb8243df1fc23fc148c419c446fc33c74e03717a5cd93befea",
+        "af2837bf6fcc6277bce4be6de697f50bda944ce7fdf9d47859e5d0496ebb1e65",
     ("normal", 3, 1700, 9):
-        "f0a2cefc94fbf82c17c92f60810363b727d7cc01c53c0a15d4ecf62b402150d1",
+        "6381fbf6634ee09dd8c0dcce4010f3f311cd92fed7c1b11eec419b6d6ba084c1",
     ("hermitian", 4, 5000, 10):
-        "e2456295016343560cfa1475a5d4b13139c709068d8d817db0f56fdf8053fa30",
+        "e4b7d38fe5b7fdd3cecb0a58e2467195e1ccb283a767431d810e73330684c942",
     ("general", 2, 2000, 11):
-        "61bf39c7bda6545e0b5659ea36db8f19b349012e2cf911974a029bdfab7c8146",
+        "e1875e02601a4790a92cc9a68b551e6c8c1f264fb736ac4b3584f1bef57a2564",
     ("hermitian", 5, 4000, 12):
         "0b0b1738698aa8d013c81bc5d31ddba204c2d49809771e5a736e89698db5f6ff",
 }
@@ -173,7 +238,7 @@ SAMPLE_ARGV = ["oracle", "sample", "--matrix",
                "--trials", "6", "--seed", "11"]
 PINNED_CLI = {
     "search":
-        "d59e2ae1f2dda231a20ecb3318e459fa8a97fadff19b9468b77cb3a4868059bb",
+        "f18b31f87a77914a620c142710a251ba2318c9af30e957b3cf4e1810128abe06",
     "sample":
         "ede9babc416cf54e6d91c5cb7a20dea389502117e980763e8cfadb69ee682255",
 }
