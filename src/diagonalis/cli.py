@@ -233,15 +233,15 @@ def cmd_construct(args) -> int:
         out = constructors.construct_zero_diagonal_basis(_matrix(args), tol=args.tol)
     elif target == "thompson":
         out = constructors.construct_thompson(_reals(args, "s"), _scalars(args, "d"),
-                                              tol=args.tol, budget=args.budget or 200,
-                                              seed=args.seed)
+                                              tol=args.tol, seed=args.seed,
+                                              budget=200 if args.budget is None else args.budget)
     elif target == "unitary":
         out = constructors.construct_unitary_with_diagonal(_scalars(args, "d"),
                                                            tol=args.tol)
     elif target == "williams":
         out = constructors.construct_williams(_scalars(args, "lambda", "lam"),
                                               _scalars(args, "d"), tol=max(args.tol, 1e-8),
-                                              budget=args.budget or 4096)
+                                              budget=4096 if args.budget is None else args.budget)
     else:
         raise InputError(f"unknown construct target {target!r}")
     if isinstance(out, constructors.NotFound):
@@ -299,8 +299,8 @@ def cmd_oracle(args) -> int:
     if what == "search":
         t = _matrix(args)
         d = _arg(args, "d", _complexes)
-        out = oracle.search_membership(t, d, tol=args.tol,
-                                       budget=args.budget or 100_000, seed=args.seed)
+        budget = 100_000 if args.budget is None else args.budget
+        out = oracle.search_membership(t, d, tol=args.tol, budget=budget, seed=args.seed)
         if isinstance(out, oracle.Found):
             return _emit(out.as_json(), EXIT_YES)
         return _emit(out.as_json(), EXIT_UNKNOWN)

@@ -71,8 +71,9 @@ class NotFound:
     best_residual: float
 
     def as_json(self):
+        best = float(self.best_residual)
         return {"not_found": True, "budget": self.budget,
-                "best_residual": float(self.best_residual)}
+                "best_residual": best if math.isfinite(best) else None}
 
 
 # ---------------------------------------------------------------------------
@@ -200,16 +201,12 @@ def _birkhoff_matching(support):
     return perm
 
 
-def convex_decomposition(lam, d, tol=1e-10):
-    """Weights and permutations with sum_i w_i lam_{pi_i} = d.
+def _doubly_stochastic(lam, d, exact):
+    """Doubly stochastic S with S lam = d, from the bracketing chain.
 
-    Built from the bracketing-chain doubly stochastic matrix followed by
-    greedy Birkhoff extraction; exact over the rationals.
+    Rows follow the input order of d and columns that of lam; ties are
+    ordered by index.  Exact input is sorted and mixed on Fractions.
     """
-    dec = decide_schur_horn(lam, d)
-    if dec.verdict != "Yes":
-        raise PreconditionError("d is not majorized by lam")
-    exact = all(isinstance(x, Rational) for x in list(lam) + list(d))
     n = len(lam)
     num = Fraction if exact else float
     lam_sorted, d_sorted, steps, fixed = _t_transform_chain(lam, d, exact)
@@ -223,15 +220,41 @@ def convex_decomposition(lam, d, tol=1e-10):
         new_j = [(1 - t) * a + t * b for a, b in zip(row_i, row_j)]
         s_mat[i] = new_i
         s_mat[j] = new_j
-    order_d = sorted(range(n), key=lambda p: (-float(d[p]), p))
-    order_l = sorted(range(n), key=lambda p: (-float(lam[p]), p))
+    order_d = sorted(range(n), key=lambda p: (-num(d[p]), p))
+    order_l = sorted(range(n), key=lambda p: (-num(lam[p]), p))
     full = [[num(0)] * n for _ in range(n)]
     for k in range(n):
         for m in range(n):
             full[order_d[k]][order_l[m]] = s_mat[fixed[k]][m]
+    return full
+
+
+def convex_decomposition(lam, d, tol=1e-10):
+    """Weights and permutations with sum_i w_i lam_{pi_i} = d.
+
+    Built from the bracketing-chain doubly stochastic matrix followed by
+    greedy Birkhoff extraction.  Exact input is extracted on integers: the
+    matrix is scaled by D, the lcm of its denominators, and each weight w
+    becomes Fraction(w, D).  Its check is exact and integer-only as well:
+    the weights sum to D, and every row r satisfies
+    sum_k w_k lam_hat[pi_k(r)] = d_r D L, where L is the lcm of lam's
+    denominators and lam_hat = L lam.  No exact value is converted to float.
+    Float input is extracted with a 1e-12 cutoff and checked against tol.
+    """
+    dec = decide_schur_horn(lam, d)
+    if dec.verdict != "Yes":
+        raise PreconditionError("d is not majorized by lam")
+    exact = all(isinstance(x, Rational) for x in list(lam) + list(d))
+    n = len(lam)
+    full = _doubly_stochastic(lam, d, exact)
+    if exact:
+        unit = math.lcm(*(x.denominator for row in full for x in row))
+        remaining = [[x.numerator * (unit // x.denominator) for x in row] for row in full]
+    else:
+        unit = 1.0
+        remaining = [row[:] for row in full]
     eps = 0 if exact else 1e-12
-    remaining = [row[:] for row in full]
-    weight_left = num(1)
+    weight_left = unit
     out = []
     cap = (n - 1) ** 2 + 1
     support = [[x > eps for x in row] for row in remaining]
@@ -251,10 +274,21 @@ def convex_decomposition(lam, d, tol=1e-10):
             if remaining[r][c] <= eps:
                 support[r][c] = False
         weight_left -= w
+    if exact:
+        lam_q = [Fraction(x) for x in lam]
+        l_den = math.lcm(*(x.denominator for x in lam_q))
+        lam_hat = [x.numerator * (l_den // x.denominator) for x in lam_q]
+        if sum(w for w, _ in out) != unit:
+            raise ConvergenceError("exact decomposition weights do not sum to 1")
+        for r, x in enumerate(Fraction(x) for x in d):
+            row = sum(w * lam_hat[p[r]] for w, p in out)
+            if row * x.denominator != x.numerator * unit * l_den:
+                raise ConvergenceError(f"exact decomposition misses d at row {r}")
+        return [(Fraction(w, unit), p) for w, p in out]
     total_w = sum(w for w, _ in out)
-    recon = [sum(w * num(lam[p[r]]) for w, p in out) for r in range(n)]
-    resid = max(abs(float(recon[r]) - float(d[r])) for r in range(n))
-    wres = abs(float(total_w) - 1.0)
+    recon = [sum(w * float(lam[p[r]]) for w, p in out) for r in range(n)]
+    resid = max(abs(recon[r] - float(d[r])) for r in range(n))
+    wres = abs(total_w - 1.0)
     if resid > tol * max(1.0, max(abs(float(x)) for x in lam)) or wres > 1e-12:
         raise ConvergenceError(f"decomposition verification failed at {resid:.2e}")
     return out
@@ -265,11 +299,18 @@ def construct_projection_with_diagonal(d, tol=1e-9) -> Realization:
     vals = [Fraction(x) if isinstance(x, Rational) else float(x) for x in d]
     n = len(vals)
     total = sum(vals)
-    r = round(float(total))
-    if abs(float(total) - r) > max(tol, 1e-9):
-        raise PreconditionError("entries must sum to an integer")
-    if any(float(v) < -1e-12 or float(v) > 1 + 1e-12 for v in vals):
-        raise PreconditionError("entries must lie in [0, 1]")
+    if isinstance(total, Fraction):
+        r = int(total)
+        if total != r:
+            raise PreconditionError("entries must sum to an integer")
+        if any(v < 0 or v > 1 for v in vals):
+            raise PreconditionError("entries must lie in [0, 1]")
+    else:
+        r = round(float(total))
+        if abs(float(total) - r) > max(tol, 1e-9):
+            raise PreconditionError("entries must sum to an integer")
+        if any(float(v) < -1e-12 or float(v) > 1 + 1e-12 for v in vals):
+            raise PreconditionError("entries must lie in [0, 1]")
     if not 0 <= r <= n:
         raise PreconditionError("integer sum out of range")
     lam = [1] * r + [0] * (n - r)

@@ -60,8 +60,10 @@ class SearchNotFound:
     best_residual: float
 
     def as_json(self):
+        # a search that ran no restart has an infinite best, which JSON cannot carry
+        best = self.best_residual
         return {"found": False, "budget": self.budget,
-                "best_residual": self.best_residual}
+                "best_residual": best if math.isfinite(best) else None}
 
 
 def sample_diagonals(t: DenseMatrix, trials: int, seed) -> list:

@@ -9,10 +9,17 @@ from diagonalis import cli
 from diagonalis.cli import run
 
 
+def strict_json(text):
+    """json.loads that refuses the Infinity and NaN literals, which JSON lacks."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 def invoke(capsys, *argv):
     code = run(list(argv))
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    return code, strict_json(out)
 
 
 GEO_HALF = '{"field":"real","exact":true,"streams":[{"kind":"geometric","first":"1/2","ratio":"1/2"}]}'
@@ -91,6 +98,29 @@ class TestConstruct:
         code, body = invoke(capsys, "construct", "schur-horn",
                             "--lambda", "[1,0]", "--d", "[1.5,-0.5]")
         assert code == 3 and body["type"] == "PreconditionError"
+
+
+class TestZeroBudget:
+    def test_oracle_search_makes_no_evaluation(self, capsys, monkeypatch):
+        def no_restart(*args, **kwargs):
+            raise AssertionError("a restart was drawn")
+        monkeypatch.setattr("diagonalis.oracle.haar_unitary", no_restart)
+        mat = json.dumps({"n": 2, "real": True,
+                          "entries": [[1, 0], [0, 0], [0, 0], [0, 0]]})
+        code, body = invoke(capsys, "oracle", "search", "--matrix", mat,
+                            "--d", "[0.5,0.5]", "--budget", "0")
+        assert code == 2
+        assert body == {"found": False, "budget": 0, "best_residual": None}
+
+    def test_thompson_restarts_nothing(self, capsys):
+        code, body = invoke(capsys, "construct", "thompson", "--s", "[3,2,1]",
+                            "--d", "[2,2,2]", "--budget", "0")
+        assert code == 2
+        assert body == {"not_found": True, "budget": 0, "best_residual": None}
+
+    def test_non_finite_constant_is_rejected(self):
+        with pytest.raises(ValueError):
+            strict_json('{"best_residual":Infinity}')
 
 
 class TestVerifyOracleRange:

@@ -20,6 +20,7 @@ from diagonalis.constructors import (
     construct_zero_diagonal_basis,
     convex_decomposition,
     _birkhoff_matching,
+    _doubly_stochastic,
 )
 from diagonalis.deciders import (
     decide_horn_unitary,
@@ -118,6 +119,49 @@ class TestBirkhoffMatching:
         assert _birkhoff_matching([[True, False], [True, False]]) is None
 
 
+def fraction_extraction(full):
+    """Reference: greedy Birkhoff extraction run on the Fractions themselves."""
+    n = len(full)
+    remaining = [row[:] for row in full]
+    weight_left = F(1)
+    out = []
+    support = [[x > 0 for x in row] for row in remaining]
+    for _ in range((n - 1) ** 2 + 1):
+        if weight_left <= 0:
+            break
+        perm = _birkhoff_matching(support)
+        if perm is None:
+            break
+        w = min(remaining[r][perm[r]] for r in range(n))
+        if w <= 0:
+            break
+        out.append((w, tuple(perm)))
+        for r, c in enumerate(perm):
+            remaining[r][c] -= w
+            if remaining[r][c] <= 0:
+                support[r][c] = False
+        weight_left -= w
+    return out
+
+
+def coprime_instance(seed):
+    """n = 2..24 entries over pairwise coprime denominators below 10**6, and d
+    a random convex combination of three permutations of lam."""
+    r = np.random.default_rng([seed, 24])
+    n = 2 + seed % 23
+    dens = []
+    while len(dens) < n:
+        q = int(r.integers(2, 10**6))
+        if all(math.gcd(q, p) == 1 for p in dens):
+            dens.append(q)
+    lam = [F(int(a), q) for a, q in zip(r.integers(-10**6, 10**6, n), dens)]
+    c = [int(x) for x in r.integers(1, 10**6, 3)]
+    perms = [[int(i) for i in r.permutation(n)] for _ in c]
+    d = [sum(F(w, sum(c)) * lam[p[i]] for w, p in zip(c, perms)) for i in range(n)]
+    return lam, d
+
+
+@pytest.mark.usefixtures("no_exact_float")
 class TestConvexDecomposition:
     def test_worked_example_exact(self):
         out = convex_decomposition([F(3), F(1), F(0)], [F(2), F(1), F(1)])
@@ -150,6 +194,27 @@ class TestConvexDecomposition:
         assert [sum(w * lam[p[i]] for w, p in out) for i in range(n)] == d
         digest = hashlib.sha256(repr(out).encode()).hexdigest()[:16]
         assert (len(out), digest) == self.RECORDED[(seed, n)]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_integer_extraction_matches_fractions(self, seed):
+        lam, d = coprime_instance(seed)
+        full = _doubly_stochastic(lam, d, True)
+        if len(lam) >= 4:
+            # the common denominator is far beyond a machine word
+            assert math.lcm(*(x.denominator for row in full for x in row)) > 2**64
+        out = convex_decomposition(lam, d)
+        assert out == fraction_extraction(full)
+        assert all(type(w) is F for w, _ in out)
+
+    def test_near_tie_is_sorted_exactly(self):
+        # 1/3 -+ 1e-30 round to the same float, so a float sort could pair
+        # them with the wrong rows of the doubly stochastic matrix
+        lam = [F(1), F(0), F(0)]
+        eps = F(1, 10**30)
+        d = [F(1, 3) - eps, F(1, 3) + eps, F(1, 3)]
+        out = convex_decomposition(lam, d)
+        assert sum(w for w, _ in out) == 1
+        assert [sum(w * lam[p[r]] for w, p in out) for r in range(3)] == d
 
     def test_random_reconstruction(self):
         for _ in range(15):
@@ -186,6 +251,15 @@ class TestProjection:
     def test_non_integer_sum(self):
         with pytest.raises(PreconditionError):
             construct_projection_with_diagonal([F(1, 3)])
+
+    def test_exact_sum_checked_exactly(self):
+        # the sum is 1 + 1e-30, which is 1.0 in floats
+        with pytest.raises(PreconditionError, match="entries must sum to an integer"):
+            construct_projection_with_diagonal([F(1, 2) + F(1, 10**30), F(1, 2)])
+
+    def test_exact_range_checked_exactly(self):
+        with pytest.raises(PreconditionError, match="entries must lie in"):
+            construct_projection_with_diagonal([F(1) + F(1, 10**30), -F(1, 10**30)])
 
 
 class TestKadisonBlock:

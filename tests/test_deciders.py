@@ -45,6 +45,7 @@ zeros = ConstantRepeat(F(0), INF)
 ones = ConstantRepeat(F(1), INF)
 
 
+@pytest.mark.usefixtures("no_exact_float")
 class TestSchurHorn:
     def test_yes(self):
         assert decide_schur_horn([F(3), F(1), F(0)], [F(2), F(1), F(1)]).verdict == "Yes"
@@ -56,6 +57,24 @@ class TestSchurHorn:
         d = decide_schur_horn([1.0, 0.0], [1.1, -0.1])
         assert d.verdict == "No"
         assert d.certificate["witness"]["index"] == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exact_decisions_at_1e30(self, seed):
+        r = np.random.default_rng([seed, 60])
+        lam = [F(int(a), int(q)) for a, q in zip(r.integers(-10**6, 10**6, 60),
+                                                 r.integers(1, 10**6, 60))]
+        perm = [int(i) for i in r.permutation(60)]
+        eps = F(1, 10**30)
+        d = [(lam[i] + lam[perm[i]]) / 2 for i in range(60)]
+        assert decide_schur_horn(lam, d).verdict == "Yes"
+        d[0] += eps
+        assert decide_schur_horn(lam, d).verdict == "No"
+        # a permutation of lam is extreme: spreading it by eps leaves the hull
+        d = [lam[i] for i in perm]
+        assert decide_schur_horn(lam, d).verdict == "Yes"
+        d[max(range(60), key=d.__getitem__)] += eps
+        d[min(range(60), key=d.__getitem__)] -= eps
+        assert decide_schur_horn(lam, d).verdict == "No"
 
 
 def slice_sums(xs):

@@ -60,6 +60,7 @@ def brute_weak_ok(d, lam, depth=200):
     return True
 
 
+@pytest.mark.usefixtures("no_exact_float")
 class TestMajorizeFinite:
     def test_holds(self):
         v = majorize_finite([F(2), F(1), F(1)], [F(3), F(1), F(0)])
@@ -82,6 +83,7 @@ class TestMajorizeFinite:
         assert majorize_finite([F(1)], [F(2)]).verdict == "Fails"
 
 
+@pytest.mark.usefixtures("no_exact_float")
 class TestWeakMajorize:
     def test_shifted_geometric_holds(self):
         d = seq(geo(F(1, 4), F(1, 2)))
@@ -149,6 +151,7 @@ class TestWeakMajorize:
         assert not brute_weak_ok(lam, d)
 
 
+@pytest.mark.usefixtures("no_exact_float")
 class TestL1Majorize:
     def test_zero_majorized_by_balanced_pair(self):
         d = seq(ConstantRepeat(F(0), INF))
@@ -170,6 +173,7 @@ class TestL1Majorize:
             majorize_l1(seq(ConstantRepeat(F(1, 10), INF)), seq(FiniteList([F(1)])))
 
 
+@pytest.mark.usefixtures("no_exact_float")
 class TestPMajorize:
     def test_telescoping_under_geometric_all_p(self):
         d = seq(TelescopingHarmonic(F(1)))
@@ -225,6 +229,7 @@ class TestPMajorize:
         assert p_majorize(d, lam, INF).detail.endswith("already at p=406")
 
 
+@pytest.mark.usefixtures("no_exact_float")
 class TestApproxP:
     def test_implied_by_p(self):
         d = seq(TelescopingHarmonic(F(1)))
