@@ -516,6 +516,8 @@ def construct_thompson(s, d, tol=1e-9, budget=200, seed=0):
     alternating projections with seeded restarts and report NotFound when
     the budget runs out (never claiming nonexistence).
     """
+    if budget < 0:
+        raise PreconditionError("budget must be nonnegative")
     dec = decide_thompson(s, d)
     if dec.verdict != "Yes":
         raise PreconditionError("Thompson inequalities reject (s, d)")
@@ -661,7 +663,14 @@ def construct_unitary_with_diagonal(d, tol=1e-9) -> Realization:
 
 
 def construct_williams(lam, d, tol=1e-8, budget=4096):
-    """3x3 normal matrix realization of a Williams-admissible diagonal."""
+    """3x3 normal matrix realization of a Williams-admissible diagonal.
+
+    Off the collinear case, a phase sweep tries the points of a square grid
+    of max(8, sqrt(budget / 4)) points a side, none at budget 0, and reports
+    NotFound when none finishes (never claiming nonexistence).
+    """
+    if budget < 0:
+        raise PreconditionError("budget must be nonnegative")
     dec = decide_williams_3x3(lam, d)
     if dec.verdict != "Yes":
         raise PreconditionError("Williams conditions reject (lam, d)")
@@ -678,7 +687,7 @@ def construct_williams(lam, d, tol=1e-8, budget=4096):
     w = np.clip(w, 0.0, None)
     w = w / w.sum()
     roots = np.sqrt(w)
-    grid = max(8, int(math.sqrt(budget / 4)))
+    grid = max(8, int(math.sqrt(budget / 4))) if budget else 0
     best = None
     for ia in range(grid):
         alpha = 2.0 * math.pi * ia / grid

@@ -593,38 +593,29 @@ def _on_segment(cmp, p, a, b):
     return _all3([_parallel(cmp, u, v), cmp.le(0, t), cmp.le(t, abs2(u))])
 
 
-def _conic_through_tangent(traces, side_dirs, exact):
-    """Conic coefficients (A,B,C,D,E,F) tangent to each side at its trace.
-
-    The exact solve also proves the conic an ellipse.  For a thin ellipse the
-    float B^2 - 4AC of the unit-norm SVD coefficients is within rounding of 0.
+def _inconic(bc, p):
+    """Q(p) for the ellipse inscribed in the triangle that touches each side
+    at the trace of the isotomic conjugate (vw : uw : uv) of bc = (u, v, w);
+    p is in barycentric coordinates.  Q vanishes on the ellipse, and each
+    side meets it in a double root at that trace.
     """
-    rows = []
-    for (tx, ty), (sx, sy) in zip(traces, side_dirs):
-        rows.append([tx * tx, tx * ty, ty * ty, tx, ty, 1])
-        rows.append([2 * tx * sx, ty * sx + tx * sy, 2 * ty * sy, sx, sy, 0])
-    if exact:
-        coef = ratlinalg.nullspace_vector(rows)
-        if coef is None:
-            raise PreconditionError("degenerate inscribed-conic system")
-        if coef[1] * coef[1] - 4 * coef[0] * coef[2] >= 0:
-            raise PreconditionError("inscribed conic is not an ellipse")
-        return coef
-    m = np.array([[float(x) for x in r] for r in rows])
-    _, _, vt = np.linalg.svd(m)
-    return list(vt[-1])
-
-
-def _conic_eval(coef, x, y):
-    a, b, c, d, e, f = coef
-    return a * x * x + b * x * y + c * y * y + d * x + e * y + f
+    u, v, w = bc
+    x, y, z = p
+    return ((u * x) ** 2 + (v * y) ** 2 + (w * z) ** 2
+            - 2 * (u * v * x * y + v * w * y * z + w * u * z * x))
 
 
 def decide_williams_3x3(lam, d) -> Decision:
     """Diagonals of a 3x3 normal matrix with eigenvalues ``lam``.
 
     Exact input runs on ``QC`` points, float input on ``complex`` ones, through
-    the same geometry; only the inscribed conic's solver differs.
+    the same geometry.  In the interior case one closed form serves both
+    modes: with d1 = (u, v, w) in barycentric coordinates, the ellipse
+    inscribed in the triangle that touches the sides at the traces of the
+    isotomic conjugate (vw : uw : uv) is Q = 0 for
+    Q(x, y, z) = (ux)^2 + (vy)^2 + (wz)^2 - 2(uv xy + vw yz + wu zx)
+    (Williams, J. London Math. Soc. 3, 1971), and d2 is admissible when it
+    lies on the center's side of it.
     """
     lam = list(lam)
     d = list(d)
@@ -670,25 +661,15 @@ def decide_williams_3x3(lam, d) -> Decision:
         ok = _all3([pair_ok, _on_segment(cmp, d[1], reflected, lam[k])])
         return _decided(ok, tag, {**cert, "clause": "edge case",
                                   "reflected_d1": reflected * unit, "opposite_vertex": k}, mode)
-    # interior: inscribed conic tangent at the traces of the isotomic conjugate
-    u, v, w = bc
-    conj = (v * w, u * w, u * v)
-    traces = []
-    side_dirs = []
-    for i, j in ((1, 2), (0, 2), (0, 1)):
-        pt = (lam[i] * conj[i] + lam[j] * conj[j]) / (conj[i] + conj[j])
-        traces.append((pt.real, pt.imag))
-        sd = lam[j] - lam[i]
-        side_dirs.append((sd.real, sd.imag))
-    coef = _conic_through_tangent(traces, side_dirs, exact)
-    # the achievable pair set is centrally symmetric, pinning the center
+    # interior: the inscribed ellipse with perspector the isotomic conjugate
+    # of d1; the achievable pair set is centrally symmetric, pinning the center
     center = (lam[0] + lam[1] + lam[2] - d[0]) / 2
     cert["ellipse_center"] = center * unit
     if pair_ok is not True:
         return _decided(pair_ok, tag,
                         {**cert, "clause": "pair not symmetric about the ellipse center"}, mode)
-    q_center = _conic_eval(coef, center.real, center.imag)
-    q_d2 = _conic_eval(coef, d[1].real, d[1].imag)
+    q_center = _inconic(bc, ratlinalg.barycentric(center, *lam))
+    q_d2 = _inconic(bc, ratlinalg.barycentric(d[1], *lam))
     # d2 is inside or on the ellipse: on the center's side of the conic
     return _decided(cmp.le(0, q_d2 / q_center), tag, {**cert, "clause": "interior case"}, mode)
 

@@ -67,10 +67,14 @@ class SearchNotFound:
 
 
 def sample_diagonals(t: DenseMatrix, trials: int, seed) -> list:
-    """Diagonals of Haar-conjugated copies of t, each unitary drawn from its
-    own per-trial seed and all of them conjugated as one stack."""
-    rng = np.random.default_rng(seed)
-    u = haar_unitaries(t.n, [rng.integers(0, 2**63 - 1) for _ in range(trials)])
+    """Diagonals of ``trials`` Haar-conjugated copies of t.
+
+    The unitaries are drawn as one stack from ``seed``'s generator and
+    conjugate t in one stacked product.
+    """
+    if trials < 0:
+        raise PreconditionError("trials must be nonnegative")
+    u = haar_unitaries(t.n, np.random.default_rng(seed), trials)
     return list(np.diagonal(u @ t.data @ u.conj().transpose(0, 2, 1), axis1=1, axis2=2).copy())
 
 

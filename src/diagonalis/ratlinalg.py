@@ -1,72 +1,13 @@
 """Small exact linear-algebra kernels over the rationals and integers.
 
 These back the exact geometry paths: barycentric coordinates (Cramer's
-rule, which serves float points too), the inscribed conic's five-coefficient
-linear system, and integer lattice membership for deviation sums.
-Everything else is plain Gaussian or Euclidean elimination on
-Fractions/ints; sizes never exceed a handful of rows.
+rule, which serves float points too) and integer lattice membership for
+deviation sums, by Euclidean elimination on ints.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
-
-
-def _reduce(rows, ncols):
-    """Gauss-Jordan elimination in place over the first ``ncols`` columns.
-
-    Returns the pivot columns; pivot k leads reduced row k.
-    """
-    pivots = []
-    for col in range(ncols):
-        row = len(pivots)
-        if row == len(rows):
-            break
-        piv = next((r for r in range(row, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[row], rows[piv] = rows[piv], rows[row]
-        inv = 1 / rows[row][col]
-        rows[row] = [v * inv for v in rows[row]]
-        for r in range(len(rows)):
-            if r != row and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[row])]
-        pivots.append(col)
-    return pivots
-
-
-def solve_exact(a, b):
-    """Solve A x = b over the rationals; None if singular/inconsistent.
-
-    ``a`` is a list of rows, ``b`` a list; entries Fraction-coercible.
-    """
-    m = len(a[0]) if a else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    pivots = _reduce(aug, m)
-    if len(pivots) < m or any(row[m] != 0 for row in aug[m:]):
-        return None  # underdetermined or inconsistent
-    return [row[m] for row in aug[:m]]
-
-
-def nullspace_vector(a):
-    """A nonzero rational vector in the nullspace of A (rows), or None.
-
-    Intended for systems of corank exactly one; returns the free-variable
-    basis vector of the reduced system.
-    """
-    m = len(a[0]) if a else 0
-    mat = [[Fraction(x) for x in row] for row in a]
-    pivots = _reduce(mat, m)
-    free = [c for c in range(m) if c not in pivots]
-    if not free:
-        return None
-    x = [Fraction(0)] * m
-    x[free[0]] = Fraction(1)
-    for r, col in enumerate(pivots):
-        x[col] = -mat[r][free[0]]
-    return x
 
 
 def barycentric(p, a, b, c):

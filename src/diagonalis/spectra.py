@@ -414,13 +414,15 @@ def attain_numerical_range_vector(m: DenseMatrix, z, tol=ATTAIN_TOL_DEFAULT):
 # Haar sampling
 
 
-def haar_unitaries(n: int, seeds) -> np.ndarray:
-    """Stack of Haar-distributed unitaries, one per seed, from one stacked QR
-    of complex Ginibre samples; each sample is drawn from its own seed."""
-    z = np.empty((len(seeds), n, n), dtype=complex)
-    for k, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        z[k] = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
+def haar_unitaries(n: int, rng, count: int) -> np.ndarray:
+    """Stack of ``count`` Haar-distributed unitaries from the generator ``rng``.
+
+    All ``count`` complex Ginibre samples are drawn as one stack, real parts
+    first, and orthonormalized by one stacked QR whose R diagonal is made
+    positive (Mezzadri, Notices AMS 54, 2007).
+    """
+    z = (rng.standard_normal((count, n, n))
+         + 1j * rng.standard_normal((count, n, n))) / math.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=1, axis2=2)
     return q * (d / np.abs(d))[:, None, :]
@@ -428,7 +430,7 @@ def haar_unitaries(n: int, seeds) -> np.ndarray:
 
 def haar_unitary(n: int, seed) -> DenseMatrix:
     """Haar-distributed unitary from QR of a complex Ginibre sample."""
-    return DenseMatrix(haar_unitaries(n, [seed])[0], real=False)
+    return DenseMatrix(haar_unitaries(n, np.random.default_rng(seed), 1)[0], real=False)
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,10 @@ class TestConstruct:
         assert code == 3 and body["type"] == "PreconditionError"
 
 
+WILLIAMS_ARGS = ["--lambda", "[[0,0],[1,0],[0,1]]",
+                 "--d", "[[0.3,0.3],[0.4,0.3],[0.3,0.4]]"]
+
+
 class TestZeroBudget:
     def test_oracle_search_makes_no_evaluation(self, capsys, monkeypatch):
         def no_restart(*args, **kwargs):
@@ -117,6 +121,25 @@ class TestZeroBudget:
                             "--d", "[2,2,2]", "--budget", "0")
         assert code == 2
         assert body == {"not_found": True, "budget": 0, "best_residual": None}
+
+    def test_williams_tries_no_grid_point(self, capsys, monkeypatch):
+        def no_grid_point(*args, **kwargs):
+            raise AssertionError("a grid point was tried")
+        monkeypatch.setattr("diagonalis.constructors._try_finish_williams", no_grid_point)
+        code, body = invoke(capsys, "construct", "williams", *WILLIAMS_ARGS, "--budget", "0")
+        assert code == 2
+        assert body == {"not_found": True, "budget": 0, "best_residual": None}
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "williams", *WILLIAMS_ARGS, "--budget", "-5"],
+        ["construct", "thompson", "--s", "[3,2,1]", "--d", "[2,2,2]", "--budget", "-5"],
+        ["oracle", "sample", "--matrix", '{"n":1,"real":true,"entries":[[1,0]]}',
+         "--trials", "-1"],
+    ])
+    def test_negative_count_is_precondition_error(self, capsys, argv):
+        code, body = invoke(capsys, *argv)
+        assert code == 3
+        assert body["type"] == "PreconditionError"
 
     def test_non_finite_constant_is_rejected(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import pytest
 
 from diagonalis.scalars import INF, QC, PreconditionError
 from diagonalis.deciders import (
+    _inconic,
     check_arveson,
     classify_trace_set,
     decide_williams_3x3,
@@ -14,6 +15,7 @@ from diagonalis.deciders import (
     verify_kadison_codimension_identity,
     verify_normal_codimension_identity,
 )
+from diagonalis.ratlinalg import barycentric
 from diagonalis.seqspec import ConstantRepeat, FiniteList, Geometric, seq
 from diagonalis.spectra import DenseMatrix, haar_unitary
 
@@ -89,28 +91,36 @@ class TestWilliams:
             d = np.diagonal(u @ n.data @ u.conj().T)
             assert decide_williams_3x3(list(lam), list(d)).verdict == "Yes", k
 
-    def test_conic_center_matches_trace_center(self):
-        # the inscribed conic's center agrees with (sum(lam) - d1)/2 exactly
-        from diagonalis.deciders import _conic_through_tangent
-        from diagonalis.ratlinalg import barycentric, solve_exact
-        lam = [QC(F(0), F(0)), QC(F(1), F(0)), QC(F(0), F(1))]
-        d1 = QC(F(1, 4), F(1, 3))
-        u, v, w = barycentric(d1, *lam)
-        conj = (v * w, u * w, u * v)
-        pairs = ((1, 2), (0, 2), (0, 1))
-        traces, dirs = [], []
-        for k in range(3):
-            i, j = pairs[k]
-            s = conj[i] + conj[j]
-            pt = (lam[i] * conj[i] + lam[j] * conj[j]) / QC(F(s), F(0))
-            traces.append((pt.re, pt.im))
-            sd = lam[j] - lam[i]
-            dirs.append((sd.re, sd.im))
-        a, b, c, dx, dy, _ = _conic_through_tangent(traces, dirs, exact=True)
-        cx, cy = solve_exact([[2 * a, b], [b, 2 * c]], [-dx, -dy])  # gradient zero
-        center = (lam[0] + lam[1] + lam[2] - d1) * QC(F(1, 2), F(0))
-        assert (cx, cy) == (center.re, center.im)
+    def test_thin_triangle_diagonal_pinned(self):
+        # a sampled diagonal the unit-norm SVD conic of the float path
+        # rejected: its ratio q(d2)/q(center) was -2.9e-7
+        lam = [1.8318639369533638 + 1.010162342843781j,
+               -2.0178380318601317 - 0.5527618867529014j,
+               -0.0410198268929277 + 0.2496059192435454j]
+        d = [-0.07424744711438439 + 0.23627304884308217j,
+             0.5874050380698047 + 0.504802553879808j,
+             -0.7401515127551155 - 0.0340692273884651j]
+        assert decide_williams_3x3(lam, d).verdict == "Yes"
 
+    def test_thin_triangles_never_no(self):
+        # 300 triangles of relative height 1e-4 to 1e-1 away from the origin,
+        # 40 Haar-sampled diagonals each: every one is a true diagonal
+        verdicts = {"Yes": 0, "No": 0, "Unknown": 0}
+        for k in range(300):
+            g = np.random.default_rng([k, 13])
+            a, b = g.standard_normal(2) + 1j * g.standard_normal(2) + (3 + 3j)
+            c = a + g.uniform(-1, 2) * (b - a) + 1j * 10 ** g.uniform(-4, -1) * (b - a)
+            lam = np.array([a, b, c])
+            z = g.standard_normal((40, 3, 3)) + 1j * g.standard_normal((40, 3, 3))
+            q, r = np.linalg.qr(z)
+            ph = np.diagonal(r, axis1=1, axis2=2)
+            u = q * (ph / np.abs(ph))[:, None, :]
+            for d in np.einsum("kij,j,kij->ki", u.conj(), lam, u):
+                verdicts[decide_williams_3x3(list(lam), list(d)).verdict] += 1
+        assert verdicts["No"] == 0
+        assert verdicts["Yes"] >= 0.95 * 12000
+
+    @pytest.mark.usefixtures("no_exact_float")
     @pytest.mark.parametrize("lam, d, verdict", [
         ([1, 1, 1], [0, 1, 2], "No"),  # only the scalar matrix has these eigenvalues
         ([1, 1, 1], [1, 1, 1], "Yes"),
@@ -132,6 +142,128 @@ class TestWilliams:
         perm = [lam[2], lam[0], lam[1]]
         c = decide_williams_3x3(perm, [d[0], d[1], d[2]]).verdict
         assert a == c
+
+
+def rational_interior(g, bound=20):
+    """A nondegenerate rational triangle, a point strictly inside it, and the
+    point's barycentric coordinates."""
+    while True:
+        num, den = g.integers(-bound, bound + 1, size=6), g.integers(1, 10, size=6)
+        xy = [F(int(a), int(b)) for a, b in zip(num, den)]
+        lam = [QC(xy[k], xy[k + 3]) for k in range(3)]
+        e1, e2 = lam[1] - lam[0], lam[2] - lam[0]
+        if e1.re * e2.im != e1.im * e2.re:
+            break
+    wts = [int(x) for x in g.integers(1, 12, size=3)]
+    bc = [F(x, sum(wts)) for x in wts]
+    d1 = QC(sum(b * v.re for b, v in zip(bc, lam)), sum(b * v.im for b, v in zip(bc, lam)))
+    return lam, d1, bc
+
+
+def det_bareiss(m):
+    """Determinant of a square integer matrix by fraction-free elimination."""
+    m = [row[:] for row in m]
+    sign, prev = 1, 1
+    for k in range(len(m) - 1):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, len(m)) if m[r][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, len(m)):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+def conic_solve_reference(lam, d1, bc, p):
+    """Q(p)/Q(center) for the conic found the long way: the null vector of the
+    6x6 rational system that puts the conic through each trace of the
+    isotomic conjugate of d1 = bc, tangent there to its side."""
+    u, v, w = bc
+    conj = (v * w, u * w, u * v)
+    rows = []
+    for i, j in ((1, 2), (0, 2), (0, 1)):
+        t = (lam[i] * conj[i] + lam[j] * conj[j]) / QC(conj[i] + conj[j], F(0))
+        s = lam[j] - lam[i]
+        rows.append([t.re * t.re, t.re * t.im, t.im * t.im, t.re, t.im, F(1)])
+        rows.append([2 * t.re * s.re, t.im * s.re + t.re * s.im, 2 * t.im * s.im,
+                     s.re, s.im, F(0)])
+    scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
+    rows = [[int(x * k) for x in row] for row, k in zip(rows, scales)]
+    # the system has rank 5: the null vector is the cofactor row of a dropped row
+    for drop in range(6):
+        rest = rows[:drop] + rows[drop + 1:]
+        coef = [(-1) ** j * det_bareiss([r[:j] + r[j + 1:] for r in rest]) for j in range(6)]
+        if any(coef):
+            break
+    assert not any(sum(x * y for x, y in zip(row, coef)) for row in rows)
+    a, b, c, dx, dy, f = coef
+    assert b * b - 4 * a * c < 0  # an ellipse
+
+    def conic(z):
+        x, y = z.re, z.im
+        return a * x * x + b * x * y + c * y * y + dx * x + dy * y + f
+
+    center = (lam[0] + lam[1] + lam[2] - d1) * QC(F(1, 2), F(0))
+    return conic(p) / conic(center)
+
+
+@pytest.mark.usefixtures("no_exact_float")
+class TestWilliamsExact:
+    """The closed-form inscribed ellipse, on rational triangles, exactly."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_inconic_touches_each_side_at_its_trace(self, seed):
+        g = np.random.default_rng([seed, 31])
+        for _ in range(50):
+            lam, d1, bc = rational_interior(g)
+            assert barycentric(d1, *lam) == tuple(bc)
+            u, v, w = bc
+            conj = (v * w, u * w, u * v)
+            for i, j in ((1, 2), (0, 2), (0, 1)):
+                t = (lam[i] * conj[i] + lam[j] * conj[j]) / QC(conj[i] + conj[j], F(0))
+                side = lam[j] - lam[i]
+                assert _inconic(bc, barycentric(t, *lam)) == 0
+                # a double root: Q is even about the trace along the side
+                ahead = _inconic(bc, barycentric(t + side, *lam))
+                assert ahead == _inconic(bc, barycentric(t - side, *lam)) != 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_inconic_center_is_critical_and_ellipse(self, seed):
+        g = np.random.default_rng([seed, 32])
+        for _ in range(50):
+            lam, d1, bc = rational_interior(g)
+            assert barycentric(d1, *lam) == tuple(bc)
+            center = (lam[0] + lam[1] + lam[2] - d1) * QC(F(1, 2), F(0))
+
+            def q(e):
+                return _inconic(bc, barycentric(center + e, *lam))
+
+            steps = [QC(F(1), F(0)), QC(F(0), F(1)), QC(F(1), F(1))]
+            for e in steps:  # the gradient vanishes: Q is even about the center
+                assert q(e) == q(-e)
+            # the quadratic part is positive definite: an ellipse, center inside
+            a, c = q(steps[0]) - q(0), q(steps[1]) - q(0)
+            b = q(steps[2]) - q(0) - a - c
+            assert a > 0 and 4 * a * c - b * b > 0 and q(0) < 0
+
+    def test_matches_conic_solve_on_exact_corpus(self):
+        g = np.random.default_rng(33)
+        seen = {"Yes": 0, "No": 0}
+        for _ in range(3000):
+            lam, d1, bc = rational_interior(g, bound=6)
+            center = (lam[0] + lam[1] + lam[2] - d1) * QC(F(1, 2), F(0))
+            off = g.integers(-8, 9, size=2)
+            d2 = center + QC(F(int(off[0]), 8), F(int(off[1]), 8))
+            d = [d1, d2, lam[0] + lam[1] + lam[2] - d1 - d2]
+            out = decide_williams_3x3(lam, d)
+            want = "Yes" if conic_solve_reference(lam, d1, bc, d2) >= 0 else "No"
+            assert (out.verdict, out.certificate["clause"]) == (want, "interior case")
+            seen[want] += 1
+        assert min(seen.values()) >= 300
 
 
 class TestArveson:

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -48,6 +49,21 @@ class TestSampling:
         t = DenseMatrix.diagonal(lam)
         for d in sample_diagonals(t, 200, seed=4):
             assert decide_williams_3x3(lam, list(d)).verdict == "Yes"
+
+    def test_rank_one_projection_diagonal_is_uniform(self):
+        # for Haar U in U(2), |u11|^2 is uniform on [0, 1]: Kolmogorov-Smirnov
+        # distance of 4000 samples below its 0.1% critical value 1.95/sqrt(4000)
+        t = DenseMatrix.diagonal([1, 0])
+        x = np.sort([d[0].real for d in sample_diagonals(t, 4000, seed=5)])
+        k = np.arange(1, len(x) + 1)
+        ks = max(np.max(k / len(x) - x), np.max(x - (k - 1) / len(x)))
+        assert ks <= 1.95 / math.sqrt(len(x))
+
+    def test_trials_boundary(self):
+        t = DenseMatrix.diagonal([1, 0])
+        assert sample_diagonals(t, 0, seed=6) == []
+        with pytest.raises(PreconditionError):
+            sample_diagonals(t, -1, seed=6)
 
 
 class TestSearch:
@@ -219,15 +235,15 @@ PINNED_SEARCHES = {
 # (n, trials, seed) -> digest of sample_diagonals on the "general" matrix
 PINNED_SAMPLES = {
     (2, 40, 0):
-        "c27a078e6691e701faa7955f9a3b2fcd4b50f8adfacb27795f05f325fc8527e2",
+        "299a22b26a8bf5371edd9f3d121c1eeff743d6da5b61519f21dc0c5d0960ebcc",
     (3, 40, 1):
-        "8178b1462d68effb8b7d3b1897db71145250c147f8dcedd180251abf1b395625",
+        "62826abf1cd0a9cae8c7413693a724e9e3366663e58ae17d95ce50f3e9b8c7af",
     (5, 17, 2):
-        "246caaa61edbff0977c88fa1dcd8dad5d7dcfb88fe67b556f3ac3520887630d1",
+        "ff59e010898f9e62996153bdf90986ee12c57af9ce0b2a8d4b2f9f27b160afcf",
     (8, 40, 3):
-        "53c29c1614fb92bb0f667ffc7f53f34a1121ead988d520657721bd5178b7e748",
+        "ac8c01dbc514c46e0768ba9e6fcf52b89f007da06b0413cc101655efb8418668",
     (1, 5, 4):
-        "60df2bedd0f9f48f132f77c86947502b1d74864e18bc344edbd744d1f8a81807",
+        "40cf90fe7c5fce0188649e43d39126f0f2ee4353de9306f680e05f5a1542bebc",
 }
 
 SEARCH_ARGV = ["oracle", "search", "--matrix",
@@ -240,7 +256,7 @@ PINNED_CLI = {
     "search":
         "f18b31f87a77914a620c142710a251ba2318c9af30e957b3cf4e1810128abe06",
     "sample":
-        "ede9babc416cf54e6d91c5cb7a20dea389502117e980763e8cfadb69ee682255",
+        "61f6aff39dd929698c32c72dd1912f3fd0faf82aa87347487668467284a97d23",
 }
 
 
