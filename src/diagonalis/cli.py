@@ -132,8 +132,8 @@ def _kernel_dim(args):
     return INF if args.kernel_dim == "inf" else _decode(int, args.kernel_dim)
 
 
-def _rays(raw):
-    return [(jsonio.decode_scalar(phase, exact=False),
+def _rays(raw, exact):
+    return [(jsonio.decode_scalar(phase, exact=exact),
              _check_order(jsonio.decode_sequence(mag), "--rays"))
             for phase, mag in raw]
 
@@ -205,7 +205,7 @@ def cmd_decide(args) -> int:
     elif tag == "fan":
         dec = deciders.check_fan_criterion(_seq(args, "d", ordered=True))
     elif tag == "ffh-trace":
-        cls = deciders.classify_trace_set(_arg(args, "rays", _rays))
+        cls = deciders.classify_trace_set(_arg(args, "rays", _rays, exact=args.exact))
         return _emit(cls.as_json(), EXIT_YES)
     else:
         raise InputError(f"unknown theorem tag {tag!r}")
@@ -342,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spec", help="operator spec (JSON or file)")
         p.add_argument("--points", help="increasing spectrum points, JSON list")
         p.add_argument("--vertices", help="polygon vertices, JSON list")
-        p.add_argument("--rays", help="[[phase, sequence-spec], ...]")
+        p.add_argument("--rays", help="[[phase, sequence-spec], ...]; a phase is an angle "
+                       "or a unit [re, im] direction, read exactly with --exact")
         p.add_argument("--p", help="p level (integer or 'inf')")
         p.add_argument("--kernel-dim", help="kernel dimension (integer or 'inf')")
         p.add_argument("--kind", help="majorization kind: finite|weak|l1|p|approx-p")

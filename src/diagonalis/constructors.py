@@ -41,10 +41,8 @@ from .spectra import (
     _attain_2x2,
     _interp_on_span,
     haar_unitary,
-    hermitian_eigensystem,
     hermitian_eigenvalues,
     singular_values,
-    svd_via_gram,
 )
 
 
@@ -106,7 +104,9 @@ def _t_transform_chain(lam, d, exact):
                 below = [min(active, key=lambda i: work[i])]
         i = min(above, key=lambda k: (work[k], k))
         j = max((k for k in below if k != i), key=lambda k: (work[k], -k), default=None)
-        if work[i] == t_val or j is None:
+        # equal ends cannot mix: float dust outside their value is left to
+        # the caller's residual check
+        if work[i] == t_val or j is None or work[i] == work[j]:
             fixed.append(i)
             active.remove(i)
             steps.append((i, i, num(1), t_val))
@@ -512,9 +512,12 @@ _THOMPSON_SWEEPS = 500
 def construct_thompson(s, d, tol=1e-9, budget=200, seed=0):
     """Matrix with singular values s and diagonal d.
 
-    Dimensions 1 and 2 are closed-form; larger sizes use verified
-    alternating projections with seeded restarts and report NotFound when
-    the budget runs out (never claiming nonexistence).
+    Dimensions 1 and 2 are closed-form; larger sizes use alternating
+    projections with seeded restarts and report NotFound when the budget
+    runs out (never claiming nonexistence).  Each sweep sets the diagonal
+    and then the singular values through ``np.linalg.svd`` of the working
+    array, which stays float64 for real data; a candidate is accepted only
+    after the self-contained Jacobi ``singular_values`` confirms it.
     """
     if budget < 0:
         raise PreconditionError("budget must be nonnegative")
@@ -569,8 +572,8 @@ def construct_thompson(s, d, tol=1e-9, budget=200, seed=0):
         while sweep < _THOMPSON_SWEEPS or (sweep < 10 * _THOMPSON_SWEEPS and prev < 1e-3 * scale):
             sweep += 1
             np.fill_diagonal(m, target_d)
-            u2, _, v2 = svd_via_gram(DenseMatrix(m))
-            m = u2 @ np.diag(s_f) @ v2.conj().T
+            u2, _, vh2 = np.linalg.svd(m)
+            m = (u2 * s_f) @ vh2
             res = float(np.max(np.abs(np.diagonal(m) - target_d)))
             if res <= 0.5 * tol * scale:
                 np.fill_diagonal(m, target_d)
@@ -607,8 +610,11 @@ def construct_unitary_with_diagonal(d, tol=1e-9) -> Realization:
 
     Structure: entries of modulus one become fixed phases; the rest absorb
     their moduli deficit through K coplanar rotations by a common angle,
-    whose planes come from a rank-2K projection with prescribed diagonal.
-    All pieces are closed-form, so the result is deterministic.
+    whose planes span the range of a rank-2K projection with prescribed
+    diagonal.  The planes are ``np.linalg.eigh`` eigenvectors of its 2K
+    largest eigenvalues; any orthonormal basis of the range gives the same
+    diagonal, which the direct residual check confirms.  The result is
+    deterministic.
     """
     dec = decide_horn_unitary(d, "unitary")
     if dec.verdict != "Yes":
@@ -636,8 +642,8 @@ def construct_unitary_with_diagonal(d, tol=1e-9) -> Realization:
         c = 1.0 - delta_total / (2 * k)
         mu = [x / (1.0 - c) for x in deltas]
         proj = construct_projection_with_diagonal(mu, tol=min(1e-10, tol))
-        vals, vecs = hermitian_eigensystem(proj.matrix)
-        q = np.real(vecs[:, : 2 * k])
+        # orthonormal basis of the range: eigh lists eigenvalues ascending
+        q = np.linalg.eigh(proj.matrix.data.real)[1][:, m - 2 * k:]
         s_ang = math.sqrt(max(0.0, 1.0 - c * c))
         r = np.eye(m)
         for t in range(k):

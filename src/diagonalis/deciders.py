@@ -582,7 +582,17 @@ def decide_three_point(spec, d: SequenceSpec) -> Decision:
 
 
 def _parallel(cmp, u, v):
-    """Whether plane vectors u, v are parallel: the cross product's terms agree."""
+    """Whether plane vectors u, v are parallel: the cross product's terms agree.
+
+    In float mode both terms are divided by max(|u|, |v|): a move of the
+    unit-scale data by 1e-10 moves u x v by about 1e-10 (|u| + |v|), so
+    that is the size the tolerance should be measured against, not 1.
+    """
+    if not cmp.exact:
+        size = max(abs(u), abs(v))
+        if size == 0:
+            return True
+        u = u / size
     return cmp.eq(u.real * v.imag, u.imag * v.real)
 
 
@@ -988,7 +998,10 @@ def classify_trace_set(rays) -> TraceSetClass:
     """Shape of the set of basis-dependent traces of a diagonal normal operator.
 
     ``rays``: list of (phase, magnitude SequenceSpec); eigenvalues are
-    direction * magnitude over each ray's stream.
+    direction * magnitude over each ray's stream.  A phase is an angle or a
+    unit direction.  When every direction is a ``QC`` and every magnitude
+    spec is exact, the class, the point and the line are computed exactly;
+    otherwise in floats, with a fixed 1e-12 for the cross product signs.
     """
     dirs = []
     summable = []
@@ -1001,62 +1014,42 @@ def classify_trace_set(rays) -> TraceSetClass:
         ok = all(stream_abs_summable(s) for s in mag.streams)
         dirs.append(u)
         summable.append(ok)
-        totals.append(total_sum(mag) if ok else None)
+        totals.append(total_sum(mag).value if ok else None)
+    exact = all(isinstance(u, QC) for u in dirs) and all(mag.exact for _, mag in rays)
+    if not exact:
+        dirs = [complex(u) for u in dirs]
+        totals = [None if t is None else float(t) for t in totals]
+    tol = 0 if exact else 1e-12
     ns = [i for i in range(len(rays)) if not summable[i]]
     if not ns:
-        val = 0j
-        for i in range(len(rays)):
-            val += _mul_dir(dirs[i], totals[i].value)
+        val = as_qc(0) if exact else 0j
+        for u, t in zip(dirs, totals):
+            val += u * t
         return TraceSetClass("Point", value=val)
-    tol = 1e-12
-    collinear = True
-    for i in ns[1:]:
-        cr = _cross(dirs[ns[0]], dirs[i])
-        if abs(cr) > tol:
-            collinear = False
-            break
-    if collinear:
-        both = any(_dot(dirs[ns[0]], dirs[i]) < 0 for i in ns)
-        u0 = complex(dirs[ns[0]])
-        if both:
+    u0 = dirs[ns[0]]
+    if all(abs(_cross(u0, dirs[i])) <= tol for i in ns[1:]):
+        if any(_dot(u0, dirs[i]) < 0 for i in ns):
             # trace line along u0; offset = normal component of the summable part
-            w = 1j * u0
-            c = 0.0
-            for i in range(len(rays)):
-                if summable[i]:
-                    c += _dot(w, dirs[i]) * float(totals[i].value)
+            w = u0 * (QC(Fraction(0), Fraction(1)) if exact else 1j)
+            c = sum((_dot(w, u) * t for u, t in zip(dirs, totals) if t is not None),
+                    Fraction(0) if exact else 0.0)
             return TraceSetClass("Line", direction=u0, offset=c)
         return TraceSetClass("Empty")
     for j in ns:
         for sgn in (1, -1):
-            ok_all = True
-            strict = False
-            for i in ns:
-                s = sgn * _cross(dirs[j], dirs[i])
-                if s > tol:
-                    ok_all = False
-                    break
-                if s < -tol:
-                    strict = True
-            if ok_all and strict:
+            signs = [sgn * _cross(dirs[j], dirs[i]) for i in ns]
+            # every non-summable ray on one closed side, one strictly inside
+            if all(x <= tol for x in signs) and any(x < -tol for x in signs):
                 return TraceSetClass("Empty")
     return TraceSetClass("Plane")
 
 
-def _mul_dir(u, x):
-    if isinstance(u, QC):
-        return complex(u) * float(x)
-    return u * float(x)
-
-
 def _cross(a, b):
-    ca, cb = complex(a), complex(b)
-    return (ca.conjugate() * cb).imag
+    return (a.conjugate() * b).imag
 
 
 def _dot(a, b):
-    ca, cb = complex(a), complex(b)
-    return (ca.conjugate() * cb).real
+    return (a.conjugate() * b).real
 
 
 # ---------------------------------------------------------------------------

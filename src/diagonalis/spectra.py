@@ -1,10 +1,12 @@
 """Dense-matrix kernels and spectral models of operators.
 
-The Hermitian eigensolver is a cyclic-by-row Jacobi iteration and the SVD is
-obtained from the Gram matrix; both are self-contained so every constructor
-in this package can be verified without trusting an external eigensolver.
-Matrices here are small (n <= 64), where Jacobi is simple, provably
-convergent and accurate.
+LAPACK (through ``numpy.linalg``) builds realizations: the Thompson and
+unitary constructions call ``np.linalg.svd`` and ``np.linalg.eigh``
+directly.  The self-contained kernels here verify them: the Hermitian
+eigensolver is a cyclic-by-row Jacobi iteration and singular values come
+from the Gram matrix, so a realization is checked independently of the
+library that built it.  Matrices here are small (n <= 64), where Jacobi is
+simple, provably convergent and accurate.
 
 A point of the numerical range W(M) is attained by adaptive support
 directions, and rejected only when a support direction certifies that it
@@ -177,36 +179,6 @@ def singular_values(m: DenseMatrix):
     gram = DenseMatrix(m.data.conj().T @ m.data)
     vals = hermitian_eigenvalues(gram)
     return np.sqrt(np.clip(vals, 0.0, None))
-
-
-def svd_via_gram(m: DenseMatrix, rank_tol=1e-12):
-    """(U, s, V) with M = U diag(s) V*; all factors from the Gram route."""
-    n = m.n
-    vals, v = hermitian_eigensystem(DenseMatrix(m.data.conj().T @ m.data))
-    s = np.sqrt(np.clip(vals, 0.0, None))
-    scale = max(s[0] if n else 0.0, 1.0)
-    u = np.zeros((n, n), dtype=complex)
-    cols = []
-    for i in range(n):
-        if s[i] > rank_tol * scale:
-            u[:, i] = (m.data @ v[:, i]) / s[i]
-            cols.append(i)
-    # complete the range basis for the (near) null directions
-    for i in range(n):
-        if i in cols:
-            continue
-        w = np.zeros(n, dtype=complex)
-        for basis in list(np.eye(n, dtype=complex)):
-            cand = basis.copy()
-            for j in range(n):
-                if np.any(u[:, j]):
-                    cand = cand - u[:, j] * np.vdot(u[:, j], cand)
-            nrm = np.linalg.norm(cand)
-            if nrm > 1e-8:
-                w = cand / nrm
-                break
-        u[:, i] = w
-    return u, s, v
 
 
 # ---------------------------------------------------------------------------

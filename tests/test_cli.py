@@ -75,10 +75,17 @@ class TestDecide:
         code, body = invoke(capsys, "decide", "three-point", "--spec", spec, "--d", d)
         assert code == 0 and body["verdict"] == "Yes"
 
+    @pytest.mark.usefixtures("no_exact_float")
     def test_ffh(self, capsys):
+        # with --exact a unit [re, im] direction is a QC: classified exactly
+        rays = json.dumps([[["3/5", "4/5"], json.loads(GEO_HALF)]])
+        code, body = invoke(capsys, "decide", "ffh-trace", "--exact", "--rays", rays)
+        assert code == 0 and body == {"kind": "Point", "value": ["3/5", "4/5"]}
+
+    def test_ffh_angle(self, capsys):
         rays = json.dumps([[0.0, json.loads(GEO_HALF)]])
         code, body = invoke(capsys, "decide", "ffh-trace", "--rays", rays)
-        assert code == 0 and body["kind"] == "Point"
+        assert code == 0 and body == {"kind": "Point", "value": [1.0, 0.0]}
 
 
 class TestConstruct:

@@ -1,6 +1,7 @@
 import cmath
 import hashlib
 import math
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -337,6 +338,53 @@ class TestThompson:
         with pytest.raises(PreconditionError):
             construct_thompson([2, 1], [2, 0])
 
+    def test_seeded_instances_realized(self):
+        # 64 instances, n = 3..6, each size real and complex, every one a
+        # Realization whose singular values and diagonal numpy confirms
+        for k in range(64):
+            real = (k // 4) % 2 == 0
+            s, d = thompson_instance(3 + k % 4, real, k)
+            out = construct_thompson(list(s), list(d))
+            assert isinstance(out, Realization), k
+            m = out.matrix.data
+            bound = 1e-9 * max(1.0, s[0])
+            assert np.max(np.abs(np.linalg.svd(m, compute_uv=False) - s)) <= bound, k
+            assert np.max(np.abs(np.diagonal(m) - d)) <= bound, k
+            if real:
+                assert out.matrix.real, k
+                assert np.all(m.imag == 0.0), k
+
+    def test_slow_alternating_projection_instance(self):
+        # an n = 4 real instance whose projections converge slowly: 12.6 s
+        # with a Gram-route SVD per sweep, well under 2 s with LAPACK
+        s = [1.5586819923310666, 1.273577210755462, 1.143793981404423, 1.0906653411610343]
+        d = [0.904624441270325, 0.7372543476402742, -0.604542193244722, 0.7162318144238194]
+        start = time.perf_counter()
+        out = construct_thompson(s, d)
+        elapsed = time.perf_counter() - start
+        assert isinstance(out, Realization)
+        assert out.residuals["singular"] <= 1e-9 * s[0]
+        assert out.residuals["diagonal"] <= 1e-9 * s[0]
+        assert out.matrix.real and np.all(out.matrix.data.imag == 0.0)
+        assert elapsed < 2.0, elapsed
+
+
+def _haar(g, n, real):
+    z = g.standard_normal((n, n))
+    if not real:
+        z = z + 1j * g.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    ph = np.diagonal(r)
+    return q * (ph / np.abs(ph))
+
+
+def thompson_instance(n, real, seed):
+    """s sorted from U(0.2, 2) and d the diagonal of Haar diag(s) Haar*."""
+    g = np.random.default_rng([seed, 8])
+    s = np.sort(g.uniform(0.2, 2.0, n))[::-1]
+    d = np.diagonal(_haar(g, n, real) @ np.diag(s) @ _haar(g, n, real).conj().T)
+    return s, (d.real if real else d)
+
 
 class TestUnitaryDiagonal:
     def test_zero_pair(self):
@@ -375,6 +423,33 @@ class TestUnitaryDiagonal:
             real = construct_unitary_with_diagonal(d)
             assert real.residuals["unitarity"] <= 1e-9
             assert real.residuals["diagonal"] <= 1e-9
+
+    @staticmethod
+    def real_edge_cases():
+        """Real d, n = 2..12: Haar-orthogonal diagonals (at n = 2 their moduli
+        differ in the last bits), repeated moduli, and moduli within 1e-13 of 1."""
+        for n in range(2, 13):
+            for k in range(4):
+                g = np.random.default_rng([n, k, 5])
+                yield np.diagonal(_haar(g, n, True)).tolist()
+                m = g.uniform(0.05, 0.95)
+                yield [m * sign for sign in g.choice([-1.0, 1.0], n)]
+                if n >= 3:
+                    near = [sign * (1.0 - delta) for sign, delta in
+                            zip(g.choice([-1.0, 1.0], 2), g.choice([0.0, 5e-14, 1e-13], 2))]
+                    yield np.diagonal(_haar(g, n - 2, True)).tolist() + near
+
+    def test_real_edge_cases_are_orthogonal(self):
+        count = 0
+        for d in self.real_edge_cases():
+            assert decide_horn_unitary(d).verdict == "Yes", d
+            out = construct_unitary_with_diagonal(d)
+            u = out.matrix.data
+            assert out.matrix.real and np.all(u.imag == 0.0), d
+            assert np.linalg.norm(u.T @ u - np.eye(len(d))) <= 1e-10, d
+            assert np.max(np.abs(np.diagonal(u) - d)) <= 1e-9, d
+            count += 1
+        assert count == 128
 
 
 class TestWilliams:

@@ -102,23 +102,58 @@ class TestWilliams:
              -0.7401515127551155 - 0.0340692273884651j]
         assert decide_williams_3x3(lam, d).verdict == "Yes"
 
-    def test_thin_triangles_never_no(self):
-        # 300 triangles of relative height 1e-4 to 1e-1 away from the origin,
-        # 40 Haar-sampled diagonals each: every one is a true diagonal
+    @staticmethod
+    def thin_triangle_verdicts(heights, tag, triangles, samples):
+        """Verdicts on Haar-sampled diagonals of triangles near 3+3i whose
+        height relative to their base is 10**uniform(*heights); every one is
+        a true diagonal."""
         verdicts = {"Yes": 0, "No": 0, "Unknown": 0}
-        for k in range(300):
-            g = np.random.default_rng([k, 13])
+        for k in range(triangles):
+            g = np.random.default_rng([k, tag])
             a, b = g.standard_normal(2) + 1j * g.standard_normal(2) + (3 + 3j)
-            c = a + g.uniform(-1, 2) * (b - a) + 1j * 10 ** g.uniform(-4, -1) * (b - a)
+            c = a + g.uniform(-1, 2) * (b - a) + 1j * 10 ** g.uniform(*heights) * (b - a)
             lam = np.array([a, b, c])
-            z = g.standard_normal((40, 3, 3)) + 1j * g.standard_normal((40, 3, 3))
+            z = g.standard_normal((samples, 3, 3)) + 1j * g.standard_normal((samples, 3, 3))
             q, r = np.linalg.qr(z)
             ph = np.diagonal(r, axis1=1, axis2=2)
             u = q * (ph / np.abs(ph))[:, None, :]
             for d in np.einsum("kij,j,kij->ki", u.conj(), lam, u):
                 verdicts[decide_williams_3x3(list(lam), list(d)).verdict] += 1
+        return verdicts
+
+    def test_thin_triangles_never_no(self):
+        # 300 triangles of relative height 1e-4 to 1e-1, 40 diagonals each;
+        # the flat test measured against 1 instead of the triangle's size
+        # left 120 of them Unknown
+        verdicts = self.thin_triangle_verdicts((-4, -1), 13, 300, 40)
         assert verdicts["No"] == 0
-        assert verdicts["Yes"] >= 0.95 * 12000
+        assert verdicts["Unknown"] == 0
+
+    def test_near_collinear_triangles_never_no(self):
+        verdicts = self.thin_triangle_verdicts((-9, -5), 17, 200, 20)
+        assert verdicts["No"] == 0
+        assert verdicts["Yes"] > 0
+
+    def test_small_triangle_far_from_origin_is_decided(self):
+        # |lam2 - lam1| = 0.033 and |lam3 - lam1| = 0.022 at distance 4 from 0:
+        # a cross product of 8.4e-7 is no rounding effect at that size
+        lam = [2.2928261368934977 + 3.373339351347737j,
+               2.3174608763187714 + 3.3959763027984478j,
+               2.276895518954039 + 3.358734617700112j]
+        d = [2.313628799731607 + 3.392455944224877j,
+             2.2855710733937924 + 3.3666896700652007j,
+             2.2879826590409094 + 3.3689046575562207j]
+        assert decide_williams_3x3(lam, d).verdict == "Yes"
+
+    def test_tiny_right_triangle_is_not_flat(self):
+        # legs of 1e-6 at distance 1 from 0; the three edge midpoints are no
+        # diagonal, and the collinear reduction could not tell
+        e = 1e-6
+        lam = [1, 1 + e, 1 + 1j * e]
+        d = [1 + e / 2, 1 + 1j * e / 2, 1 + e / 2 + 1j * e / 2]
+        out = decide_williams_3x3(lam, d)
+        assert out.verdict == "No"
+        assert out.certificate["clause"] == "edge case"
 
     @pytest.mark.usefixtures("no_exact_float")
     @pytest.mark.parametrize("lam, d, verdict", [
@@ -325,7 +360,68 @@ class TestArveson:
         assert dev == got
 
 
+def _unit(re, im):
+    return QC(F(re), F(im))
+
+
+ONE, I = _unit(1, 0), _unit(0, 1)
+ROTATIONS = [_unit(F(3, 5), F(4, 5)), _unit(F(5, 13), F(12, 13)), _unit(F(-8, 17), F(15, 17))]
+
+
+@pytest.mark.usefixtures("no_exact_float")
 class TestTraceSet:
+    # unit QC directions with exact magnitudes: classified exactly
+    def test_point(self):
+        out = classify_trace_set([(ONE, seq(Geometric(F(1, 2), F(1, 2))))])
+        assert out.kind == "Point"
+        assert out.value == ONE
+
+    def test_line(self):
+        out = classify_trace_set([(I, seq(ConstantRepeat(F(1), INF))),
+                                  (-I, seq(ConstantRepeat(F(1), INF)))])
+        assert out.kind == "Line"
+        assert out.direction == I and out.offset == 0
+
+    def test_plane(self):
+        rays = [(u, seq(ConstantRepeat(F(1), INF)))
+                for u in (ONE, _unit(F(-3, 5), F(4, 5)), _unit(F(-3, 5), F(-4, 5)))]
+        assert classify_trace_set(rays).kind == "Plane"
+
+    def test_empty(self):
+        out = classify_trace_set([(I, seq(ConstantRepeat(F(1), INF)))])
+        assert out.kind == "Empty"
+
+    def test_global_rotation_invariance(self):
+        for r in ROTATIONS:
+            line = classify_trace_set([(r * I, seq(ConstantRepeat(F(1), INF))),
+                                       (-(r * I), seq(ConstantRepeat(F(1), INF)))])
+            assert line.kind == "Line" and line.direction == r * I
+            plane = classify_trace_set(
+                [(r * u, seq(ConstantRepeat(F(1), INF)))
+                 for u in (ONE, _unit(F(-3, 5), F(4, 5)), _unit(F(-3, 5), F(-4, 5)))])
+            assert plane.kind == "Plane"
+            pt = classify_trace_set([(r, seq(Geometric(F(1, 2), F(1, 2))))])
+            assert pt.kind == "Point" and pt.value == r
+
+    def test_mixed_summable_rays_ignored(self):
+        rays = [(ONE, seq(ConstantRepeat(F(1), INF))),
+                (-ONE, seq(ConstantRepeat(F(1), INF))),
+                (_unit(F(3, 5), F(4, 5)), seq(Geometric(F(1), F(1, 3))))]
+        out = classify_trace_set(rays)
+        # the summable ray adds 3/2 (3 + 4i)/5, whose normal part is 6/5
+        assert out.kind == "Line" and out.direction == ONE and out.offset == F(6, 5)
+
+    def test_exact_collinearity_is_not_rounded(self):
+        # u is 2e-13 rad above 1: within the float path's 1e-12, 1, u and -1
+        # are collinear (a Line); exactly, u lies strictly on one side
+        t = F(1, 10**13)
+        u = _unit((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t))
+        rays = [(v, seq(ConstantRepeat(F(1), INF))) for v in (ONE, u, -ONE)]
+        assert classify_trace_set(rays).kind == "Empty"
+
+
+class TestTraceSetFloat:
+    # angles give float directions: the float path and its fixed 1e-12
     def test_point(self):
         out = classify_trace_set([(0.0, seq(Geometric(F(1, 2), F(1, 2))))])
         assert out.kind == "Point"
@@ -358,6 +454,11 @@ class TestTraceSet:
             pt = classify_trace_set([(alpha, seq(Geometric(F(1, 2), F(1, 2))))])
             assert pt.kind == "Point"
             assert abs(pt.value - cmath.exp(1j * alpha)) <= 1e-12
+
+    def test_near_collinear_within_tolerance_is_a_line(self):
+        # the float counterpart of TestTraceSet's exact collinearity case
+        rays = [(v, seq(ConstantRepeat(F(1), INF))) for v in (0.0, 2e-13, math.pi)]
+        assert classify_trace_set(rays).kind == "Line"
 
     def test_mixed_summable_rays_ignored(self):
         rays = [(0.0, seq(ConstantRepeat(F(1), INF))),
