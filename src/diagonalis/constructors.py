@@ -613,7 +613,9 @@ def construct_unitary_with_diagonal(d, tol=1e-9) -> Realization:
     whose planes span the range of a rank-2K projection with prescribed
     diagonal.  The planes are ``np.linalg.eigh`` eigenvectors of its 2K
     largest eigenvalues; any orthonormal basis of the range gives the same
-    diagonal, which the direct residual check confirms.  The result is
+    diagonal, which the direct residual check confirms.  Where Horn's
+    condition holds only within ``decide_horn_unitary``'s float tolerance,
+    the largest deficit is lowered until it holds.  The result is
     deterministic.
     """
     dec = decide_horn_unitary(d, "unitary")
@@ -625,13 +627,20 @@ def construct_unitary_with_diagonal(d, tol=1e-9) -> Realization:
     moduli = [abs(v) for v in d_c]
     phases = [v / m if m > 1e-300 else 1.0 for v, m in zip(d_c, moduli)]
     rest = [i for i in range(n) if moduli[i] < 1.0 - 1e-13]
+    deltas = [1.0 - moduli[i] for i in rest]
+    if rest:
+        # Horn's 2 max <= sum may hold only within the decider's tolerance: lower
+        # the largest deficit to the others' sum (a lone one becomes a phase)
+        top = deltas.index(max(deltas))
+        deltas[top] = min(deltas[top], sum(deltas) - deltas[top])
+        if not deltas[top]:
+            del rest[top], deltas[top]
     u = np.zeros((n, n), dtype=complex)
     for i in range(n):
         if i not in rest:
             u[i, i] = phases[i]
     if rest:
         m = len(rest)
-        deltas = [1.0 - moduli[i] for i in rest]
         delta_total = sum(deltas)
         dmax = max(deltas)
         k = max(1, math.ceil(delta_total / 4.0 - 1e-12))
@@ -640,7 +649,8 @@ def construct_unitary_with_diagonal(d, tol=1e-9) -> Realization:
         if 2 * k > m or delta_total / (2 * k) < dmax - 1e-12:
             raise ConvergenceError("no admissible rotation count")
         c = 1.0 - delta_total / (2 * k)
-        mu = [x / (1.0 - c) for x in deltas]
+        # not x / (1 - c), which cancels when the deficits are tiny
+        mu = [2 * k * x / delta_total for x in deltas]
         proj = construct_projection_with_diagonal(mu, tol=min(1e-10, tol))
         # orthonormal basis of the range: eigh lists eigenvalues ascending
         q = np.linalg.eigh(proj.matrix.data.real)[1][:, m - 2 * k:]

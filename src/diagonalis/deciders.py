@@ -39,8 +39,8 @@ from .scalars import (
 )
 from . import ratlinalg
 from .majorization import (
+    _sorted_scan,
     approx_p_majorize,
-    majorize_finite,
     majorize_l1,
     majorize_spec,
     p_majorize,
@@ -166,7 +166,7 @@ def _inside(cmp, bounds, a, b):
     the closed-form sums that follow need the exact interval.
     """
     lo, _, hi, _ = bounds
-    return _all3([cmp.le(a, lo), cmp.le(hi, b)]) and (a <= lo and hi <= b or None)
+    return _all3([cmp.le(a, lo), cmp.le(hi, b)]) and (bool(a <= lo and hi <= b) or None)
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +183,8 @@ def _prefix_sums(xs):
 
 
 def decide_schur_horn(lam, d) -> Decision:
-    """Finite selfadjoint case: d is a diagonal iff it is majorized."""
-    v = majorize_finite(d, lam)
-    ds = sorted(d, reverse=True)
-    ls = sorted(lam, reverse=True)
+    """Finite selfadjoint case: d is a diagonal iff it is majorized (one sort per side)."""
+    v, ds, ls = _sorted_scan(d, lam)
     cert = {
         "partial_sums_d": _prefix_sums(ds),
         "partial_sums_lambda": _prefix_sums(ls),
@@ -954,7 +952,7 @@ def check_fan_criterion(d: OrderedSequenceSpec) -> Decision:
 def _norm_is_zero(v, mode):
     mag = scalar_abs(v)
     if mode == "exact":
-        return mag == 0
+        return bool(mag == 0)
     if mag <= INTEGRALITY_TOL:
         return True
     if mag <= INTEGRALITY_BUFFER:

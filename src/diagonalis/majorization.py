@@ -45,7 +45,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
+from numbers import Integral, Rational
+from operator import itemgetter
 
 from .scalars import INF, Cmp, PreconditionError, fraction_str, unit_scale
 from .seqspec import (
@@ -109,7 +110,17 @@ def _mode(*specs) -> str:
 
 
 def majorize_finite(d, lam) -> MajorizationVerdict:
-    """Classical majorization of two equal-length real tuples."""
+    """Classical majorization of two equal-length real tuples.
+
+    Exact input is sorted and scanned on Python ints x·L, L the lcm of all
+    denominators; a witness is typed as sums from 0 times the largest d.
+    """
+    return _sorted_scan(d, lam)[0]
+
+
+def _sorted_scan(d, lam):
+    """(verdict, ds, ls), with ds and ls the input values in the order of
+    ``sorted(values, reverse=True)``: d and lam are sorted once."""
     d = list(d)
     lam = list(lam)
     if len(d) != len(lam):
@@ -119,18 +130,24 @@ def majorize_finite(d, lam) -> MajorizationVerdict:
     exact = all(isinstance(x, Rational) for x in d + lam)
     mode = "exact" if exact else "float"
     cmp = Cmp(exact)
-    ds = sorted(d, reverse=True)
-    ls = sorted(lam, reverse=True)
-    # majorization is homogeneous: decide it on unit-scale data and report
-    # the witness in the data's own scale
-    unit = unit_scale(ds + ls, exact)
-    if unit != 1:
-        ds = [x / unit for x in ds]
-        ls = [x / unit for x in ls]
-    sd = sl = ds[0] * 0
+    if exact:
+        unit = math.lcm(*{int(x.denominator) for x in d + lam})
+        # keys x·unit as Python ints (numpy ints would wrap); a stable sort
+        # on them orders the entries as sorted(values, reverse=True) does
+        (kd, ds), (kl, ls) = (zip(*sorted([(int(x.numerator) * (unit // int(x.denominator)), x)
+                                           for x in xs], key=itemgetter(0), reverse=True))
+                              for xs in (d, lam))
+    else:
+        ds = sorted(d, reverse=True)
+        ls = sorted(lam, reverse=True)
+        # majorization is homogeneous: decide it on unit-scale data and
+        # report the witness in the data's own scale
+        unit = unit_scale(ds + ls, exact)
+        kd, kl = ([x / unit for x in xs] if unit != 1 else xs for xs in (ds, ls))
+    sd = sl = kd[0] * 0
     uncertain = False
     detail = ""
-    for m, (x, y) in enumerate(zip(ds, ls), start=1):
+    for m, (x, y) in enumerate(zip(kd, kl), start=1):
         sd += x
         sl += y
         c = cmp.le(sd, sl)
@@ -142,13 +159,16 @@ def majorize_finite(d, lam) -> MajorizationVerdict:
         e = cmp.eq(sd, sl)
         if e is None or e and uncertain:
             return MajorizationVerdict("Unknown", "float", horizon=len(ds),
-                                       detail="comparison inside float tolerance")
+                                       detail="comparison inside float tolerance"), ds, ls
         if e:
-            return MajorizationVerdict("Holds", mode)
+            return MajorizationVerdict("Holds", mode), ds, ls
         detail = "total sums differ"
-    if unit != 1:
+    if exact:  # typed as sums from 0 * ds[0]: an int prefix stays an int
+        sd, sl = (t // unit if all(isinstance(x, Integral) for x in xs) else Fraction(t, unit)
+                  for t, xs in ((sd, ds[:m]), (sl, (ds[0], *ls[:m]))))
+    elif unit != 1:
         sd, sl = sd * unit, sl * unit
-    return MajorizationVerdict("Fails", mode, witness=(m, sd, sl), detail=detail)
+    return MajorizationVerdict("Fails", mode, witness=(m, sd, sl), detail=detail), ds, ls
 
 
 # ---------------------------------------------------------------------------

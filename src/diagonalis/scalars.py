@@ -281,7 +281,7 @@ class Cmp:
     comparison landing in the buffer could flip the verdict, which callers
     surface as Unknown rather than guessing (mirroring the integrality
     buffer used for Diophantine checks).  The deciders take every
-    comparison a verdict rests on from here.
+    comparison a verdict rests on from here, as bools, never numpy bools.
     """
 
     REL_TOL = 1e-10
@@ -296,7 +296,7 @@ class Cmp:
     def le(self, a, b):
         """a <= b, three-valued."""
         if self.exact:
-            return a <= b
+            return bool(a <= b)
         d = a - b
         tol = self._tol(a, b)
         if d <= tol:
@@ -307,7 +307,7 @@ class Cmp:
 
     def eq(self, a, b):
         if self.exact:
-            return a == b
+            return bool(a == b)
         d = abs(a - b)
         tol = self._tol(a, b)
         if d <= tol:

@@ -451,6 +451,37 @@ class TestUnitaryDiagonal:
             count += 1
         assert count == 128
 
+    @pytest.mark.parametrize("d", [
+        [1, 0.9999999999998, -1],  # a lone deficit of 2e-13
+        [0.7, -0.7 - 1e-11],  # 2 max(deficit) exceeds their sum by 1e-11
+        [0.8, 0.7j, 0.5 - 3e-11],  # the same by 3e-11 with three deficits
+    ])
+    def test_horn_within_tolerance(self, d):
+        # Horn's condition holds only within the decider's tolerance here
+        assert decide_horn_unitary(d).verdict == "Yes"
+        out = construct_unitary_with_diagonal(d)
+        assert out.residuals["unitarity"] <= 1e-10
+        assert out.residuals["diagonal"] <= 1e-9
+
+    def test_near_unit_entries_construct(self):
+        """diag(unit phases) + a Haar block, the unit entries pulled inward by
+        1e-15 to 1e-11: every d the decider accepts is constructed."""
+        accepted = 0
+        for seed in range(300):
+            g = np.random.default_rng([seed, 15])
+            k, m, real = int(g.integers(1, 5)), int(g.integers(0, 6)), bool(g.integers(2))
+            phases = g.choice([-1.0, 1.0], k) if real else np.exp(2j * np.pi * g.uniform(size=k))
+            near = phases * (1.0 - 10.0 ** g.uniform(-15, -11, k))
+            d = near.tolist() + np.diagonal(_haar(g, m, real)).tolist()
+            if decide_horn_unitary(d).verdict != "Yes":
+                continue
+            accepted += 1
+            out = construct_unitary_with_diagonal(d)
+            u = out.matrix.data
+            assert np.linalg.norm(u.conj().T @ u - np.eye(len(d))) <= 1e-10, seed
+            assert np.max(np.abs(np.diagonal(u) - d)) <= 1e-9, seed
+        assert accepted == 300
+
 
 class TestWilliams:
     def test_centroid_circle(self):

@@ -58,6 +58,13 @@ class TestSchurHorn:
         assert d.verdict == "No"
         assert d.certificate["witness"]["index"] == 1
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_numpy_ints(self, dtype):
+        dec = decide_schur_horn(list(np.array([2, 2], dtype)), list(np.array([3, 1], dtype)))
+        assert dec.verdict == "No" and dec.mode == "exact"
+        assert dec.certificate["witness"] == {"index": 1, "lhs": 3, "rhs": 2}
+        assert decide_schur_horn(list(np.array([3, 1], dtype)), [2, 2]).verdict == "Yes"
+
     @pytest.mark.parametrize("seed", range(4))
     def test_exact_decisions_at_1e30(self, seed):
         r = np.random.default_rng([seed, 60])
@@ -84,6 +91,7 @@ def slice_sums(xs):
     return [reduce(operator.add, xs[: k + 1], 0) for k in range(len(xs))]
 
 
+@pytest.mark.usefixtures("no_exact_float")
 class TestSchurHornCertificate:
     _rng = np.random.default_rng(77)
     CASES = [
@@ -99,7 +107,30 @@ class TestSchurHornCertificate:
         (list(_rng.standard_normal(40)), list(_rng.standard_normal(40))),
         ([F(int(a), 7) for a in _rng.integers(-50, 50, 60)],
          [F(int(a), 9) for a in _rng.integers(-50, 50, 60)]),
+        # mixed int/Fraction: an int prefix stays an int, [3, 1/2] -> [3, 7/2]
+        ([3, F(1, 2)], [F(2), F(3, 2)]),
+        ([F(1, 2), 3, 0], [1, 1, F(3, 2)]),
+        ([3, F(3), 1, F(-1, 3)], [F(3), 3, F(1, 3), 0]),
+        ([2, F(-1, 2), F(1, 2)], [0, 1, 1]),
     ]
+
+    def test_mixed_prefix_types(self):
+        cert = decide_schur_horn([3, F(1, 2)], [F(2), F(3, 2)]).certificate
+        assert cert["partial_sums_lambda"] == [3, F(7, 2)]
+        assert [type(v) for v in cert["partial_sums_lambda"]] == [int, F]
+        assert [type(v) for v in cert["partial_sums_d"]] == [F, F]
+
+    @pytest.mark.parametrize("lam, d, witness", [
+        ([2, 2], [3, 1], (1, 3, 2)),
+        ([F(2), 2], [3, 1], (1, 3, F(2))),
+        ([1, 2], [1, 1], (2, 2, 3)),
+    ])
+    def test_witness_types(self, lam, d, witness):
+        dec = decide_schur_horn(lam, d)
+        w = dec.certificate["witness"]
+        assert dec.verdict == "No"
+        assert (w["index"], w["lhs"], w["rhs"]) == witness
+        assert (type(w["lhs"]), type(w["rhs"])) == tuple(map(type, witness[1:]))
 
     @pytest.mark.parametrize("lam, d", CASES)
     def test_partial_sums_match_slice_sums(self, lam, d):
@@ -110,7 +141,8 @@ class TestSchurHornCertificate:
             assert got == want
             assert [type(v) for v in got] == [type(v) for v in want]
             # a -0.0 head folds to +0.0, as it does in sum()
-            assert [math.copysign(1, v) for v in got] == [math.copysign(1, v) for v in want]
+            signs = [math.copysign(1, v) if isinstance(v, float) else v for v in want]
+            assert [math.copysign(1, v) if isinstance(v, float) else v for v in got] == signs
 
 
 class TestGohbergMarkus:

@@ -1,14 +1,18 @@
 import math
 import time
+from collections import Counter
 from fractions import Fraction as F
 from itertools import accumulate, count, repeat
 from operator import mul
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diagonalis.deciders import decide_schur_horn
+from diagonalis.oracle import rational_majorization_oracle
 from diagonalis.scalars import INF, Cmp, PreconditionError
 from diagonalis import majorization
 from diagonalis.majorization import (
@@ -81,6 +85,73 @@ class TestMajorizeFinite:
 
     def test_unequal_totals_fail(self):
         assert majorize_finite([F(1)], [F(2)]).verdict == "Fails"
+
+    # Witnesses as the Fraction scan reports them: both running sums start
+    # from ``0 * (largest d)`` and add the sorted entries, so an int prefix
+    # stays an int and a Fraction anywhere before it makes a Fraction.
+    PINNED = [
+        (([3, 1], [2, 2]), (1, 3, 2), (int, int), {"lhs": 3, "rhs": 2}, ""),
+        (([3, 1], [F(2), 2]), (1, 3, F(2)), (int, F), {"lhs": 3, "rhs": "2"}, ""),
+        (([3, 1], [2, F(2)]), (1, 3, 2), (int, int), {"lhs": 3, "rhs": 2}, ""),
+        (([F(3), 1], [2, 2]), (1, F(3), F(2)), (F, F), {"lhs": "3", "rhs": "2"}, ""),
+        (([3, F(3)], [2, 2]), (1, 3, 2), (int, int), {"lhs": 3, "rhs": 2}, ""),
+        (([F(3), 3], [2, 2]), (1, F(3), F(2)), (F, F), {"lhs": "3", "rhs": "2"}, ""),
+        (([1, F(5, 2)], [2, 2]), (1, F(5, 2), F(2)), (F, F),
+         {"lhs": "5/2", "rhs": "2"}, ""),
+        (([3, F(1, 2)], [3, F(1, 4)]), (2, F(7, 2), F(13, 4)), (F, F),
+         {"lhs": "7/2", "rhs": "13/4"}, ""),
+        (([1, 1], [1, 2]), (2, 2, 3), (int, int), {"lhs": 2, "rhs": 3},
+         "total sums differ"),
+        (([F(1, 3), F(1, 3), 0], [F(1, 2), F(1, 2), 0]), (3, F(2, 3), F(1)), (F, F),
+         {"lhs": "2/3", "rhs": "1"}, "total sums differ"),
+        (([-1, -2], [F(-3, 2), F(1, 2)]), (2, -3, F(-1)), (int, F),
+         {"lhs": -3, "rhs": "-1"}, "total sums differ"),
+        (([1, -2], [F(1, 2), F(-3, 2)]), (1, 1, F(1, 2)), (int, F),
+         {"lhs": 1, "rhs": "1/2"}, ""),
+    ]
+
+    @pytest.mark.parametrize("args, witness, types, js, detail", PINNED)
+    def test_pinned_witness(self, args, witness, types, js, detail):
+        v = majorize_finite(*args)
+        assert (v.verdict, v.mode, v.detail) == ("Fails", "exact", detail)
+        assert v.witness == witness
+        assert tuple(type(x) for x in v.witness[1:]) == types
+        assert type(v.witness[0]) is int
+        assert v.as_json() == {"verdict": "Fails", "mode": "exact", **(
+            {"detail": detail} if detail else {}),
+            "witness": {"index": witness[0], **js}}
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_numpy_ints_decide_exactly(self, dtype):
+        v = majorize_finite([dtype(3), dtype(1)], [2, 2])
+        assert (v.verdict, v.mode, v.witness) == ("Fails", "exact", (1, 3, 2))
+        assert majorize_finite(list(np.array([2, 2], dtype)), [3, 1]).holds
+        v = majorize_finite(list(np.array([1, 1], dtype)), list(np.array([1, 2], dtype)))
+        assert v.verdict == "Fails" and v.detail == "total sums differ"
+
+    def test_numpy_sums_past_int64(self):
+        # as int64 the second partial sum of d wraps to -2**63 and d's total
+        # equals lam's, so a wrapping scan would answer Holds
+        b = 2**62
+        d = list(np.array([b, b, 0], np.int64))
+        lam = list(np.array([b, b - 1, 1], np.int64))
+        v = majorize_finite(d, lam)
+        assert v.verdict == "Fails" and v.witness == (2, 2 * b, 2 * b - 1)
+        assert [type(x) for x in v.witness[1:]] == [int, int]
+        assert majorize_finite(lam, d).holds
+        # a scaled key past int64 as well: the lcm is 3, and b * 3 > 2**63
+        v = majorize_finite([np.int64(b), F(1, 3)], [np.int64(b), F(1, 3)])
+        assert v.holds
+        v = majorize_finite([np.int64(b), F(2, 3)], [np.int64(b), F(1, 3)])
+        assert v.verdict == "Fails" and v.witness == (2, b + F(2, 3), b + F(1, 3))
+
+    def test_pinned_float_witness(self):
+        v = majorize_finite([3.0, 1], [2, 2])
+        assert v.mode == "float" and v.witness == (1, 3.0, 2.0)
+        assert [type(x) for x in v.witness[1:]] == [float, float]
+        v = majorize_finite([3, 1], [2.0, 2])
+        assert v.mode == "float" and v.witness == (1, 3.0, 2.0)
+        assert [type(x) for x in v.witness[1:]] == [float, float]
 
 
 @pytest.mark.usefixtures("no_exact_float")
@@ -696,3 +767,98 @@ def test_finite_antisymmetry_and_rearrangement(values, perm):
     both = majorize_finite(d, lam).holds and majorize_finite(lam, d).holds
     if both:
         assert sorted(d, reverse=True) == sorted(lam, reverse=True)
+
+
+# ---------------------------------------------------------------------------
+# exact finite majorization on integer keys, against the Fraction scan
+
+
+def fraction_scan(d, lam):
+    """Reference for exact ``majorize_finite``: the plain scan on the values,
+    as (verdict, witness, detail), both running sums started from
+    ``0 * (largest d)``, which fixes the witness's values and types."""
+    ds = sorted(d, reverse=True)
+    ls = sorted(lam, reverse=True)
+    sd = sl = ds[0] * 0
+    for m, (x, y) in enumerate(zip(ds, ls), start=1):
+        sd += x
+        sl += y
+        if sd > sl:
+            return "Fails", (m, sd, sl), ""
+    if sd == sl:
+        return "Holds", None, ""
+    return "Fails", (m, sd, sl), "total sums differ"
+
+
+def corpus_pair(seed):
+    """One seeded exact pair: n in 1..60, denominators up to 10**18, ties,
+    equal totals and int entries mixed with Fractions."""
+    g = np.random.default_rng([seed, 15])
+    n = int(g.integers(1, 61))
+    top = (1, 8, 10**3, 10**9, 10**18)[int(g.integers(5))]
+
+    def entries(k):
+        den = g.integers(1, top + 1, size=k)
+        num = g.integers(-8 * den, 8 * den + 1)
+        return [int(x) if x.denominator == 1 and coin else x for x, coin in
+                zip(map(F, num.tolist(), den.tolist()), g.integers(2, size=k))]
+
+    kind = seed % 4
+    if kind == 1:  # ties: few distinct values, 3 and F(3) side by side
+        pool = entries(3)
+        pool += [F(x) for x in pool]
+        return ([pool[i] for i in g.integers(len(pool), size=n).tolist()],
+                [pool[i] for i in g.integers(len(pool), size=n).tolist()])
+    lam = entries(n)
+    if kind == 0:
+        return entries(n), lam
+    # equal totals: an average of two permutations of lam is majorized by it
+    d = [F(x + lam[i], 2) for x, i in zip(lam, g.permutation(n).tolist())]
+    d = [int(x) if x.denominator == 1 and coin else x for x, coin in zip(d, g.integers(2, size=n))]
+    if kind == 3 and n > 1:  # moving mass between two entries keeps the total
+        i, j = g.choice(n, 2, replace=False).tolist()
+        eps = F(int(g.integers(1, 4)), int(g.integers(1, top + 1)))
+        d[i] += eps
+        d[j] -= eps
+    return d, lam
+
+
+@pytest.mark.usefixtures("no_exact_float")
+class TestFiniteIntegerScale:
+    def test_corpus_matches_oracle_and_fraction_scan(self):
+        verdicts = Counter()
+        for seed in range(5000):
+            d, lam = corpus_pair(seed)
+            v = majorize_finite(d, lam)
+            verdict, witness, detail = fraction_scan(d, lam)
+            assert v.verdict == verdict == rational_majorization_oracle(d, lam), seed
+            assert (v.mode, v.witness, v.detail) == ("exact", witness, detail), seed
+            if witness is not None:
+                assert [type(x) for x in v.witness] == [type(x) for x in witness], seed
+            verdicts[verdict, detail] += 1
+        assert min(verdicts.values()) > 300, verdicts
+
+    @staticmethod
+    def prime_pair(fails):
+        """n = 1000 entries over the first 1000 primes as denominators: the
+        lcm has about 3500 digits."""
+        primes = [p for p in range(2, 7920) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+        assert len(primes) == 1000
+        g = np.random.default_rng(1009)
+        lam = [F(int(g.integers(-10 * p, 10 * p)), p) for p in primes]
+        perm = g.permutation(1000)
+        d = [(lam[i] + lam[int(perm[i])]) / 2 for i in range(1000)]
+        if fails:
+            d[0] += F(1, 7919)
+        return lam, d
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_prime_denominators_are_not_slower(self, fails):
+        lam, d = self.prime_pair(fails)
+        t0 = time.perf_counter()
+        dec = decide_schur_horn(lam, d)
+        v = majorize_finite(d, lam)
+        secs = time.perf_counter() - t0
+        assert dec.verdict == ("No" if fails else "Yes")
+        assert (v.verdict, v.witness, v.detail) == fraction_scan(d, lam)
+        assert secs < 1.0
