@@ -14,27 +14,12 @@ import functools
 import json
 import sys
 import traceback
+from importlib import import_module
 
-import numpy as np
-
-from . import constructors, deciders, jsonio, oracle
-from .majorization import (
-    HORIZON_DEFAULT,
-    approx_p_majorize,
-    majorize_finite,
-    majorize_l1,
-    p_majorize,
-    parse_plevel,
-    weak_majorize,
-)
-from .scalars import INF, QC, DiagonalisError, InputError
+from . import jsonio
+from .majorization import HORIZON_DEFAULT, parse_plevel
+from .scalars import INF, QC, DiagonalisError, InputError, PreconditionError
 from .seqspec import OrderedSequenceSpec
-from .spectra import (
-    DiagonalizableSpec,
-    hermitian_eigenvalues,
-    numerical_range_hull,
-    singular_values,
-)
 
 EXIT_YES, EXIT_NO, EXIT_UNKNOWN, EXIT_ERROR = 0, 1, 2, 3
 
@@ -84,8 +69,19 @@ def _decode(decoder, raw, **kwargs):
         raise InputError(str(exc)) from exc
 
 
-def _arg(args, name, decoder, attr=None, **kwargs):
-    raw = _load(getattr(args, attr or name))
+# Argument decoders: each reads option ``--name`` from the parsed arguments.
+
+def _given(args, name):
+    return getattr(args, name.replace("-", "_"))
+
+
+def _default(value):
+    """A decoder giving ``--name`` as parsed, or ``value`` when it is absent."""
+    return lambda args, name: value if _given(args, name) is None else _given(args, name)
+
+
+def _arg(args, name, decoder, **kwargs):
+    raw = _load(_given(args, name))
     if raw is None:
         raise InputError(f"--{name} is required")
     return _decode(decoder, raw, **kwargs)
@@ -99,43 +95,53 @@ def _check_order(spec, what, ordered=False):
     return spec
 
 
-def _seq(args, name, attr=None, ordered=False):
-    return _check_order(_arg(args, name, jsonio.decode_sequence, attr), f"--{name}", ordered)
+def _seq(args, name, ordered=False):
+    return _check_order(_arg(args, name, jsonio.decode_sequence), f"--{name}", ordered)
 
 
-def _scalars(args, name, attr=None):
-    return _arg(args, name, jsonio.decode_scalar_list, attr, exact=args.exact)
+def _scalars(args, name):
+    return _arg(args, name, jsonio.decode_scalar_list, exact=args.exact)
 
 
-def _reals(args, name, attr=None):
+def _reals(args, name):
     """A scalar list for an argument that takes real values only."""
-    values = _scalars(args, name, attr)
+    values = _scalars(args, name)
     if any(isinstance(v, (complex, QC)) for v in values):
         raise InputError(f"--{name} takes real values, not [re, im] pairs")
     return values
 
 
-def _operator(args):
-    spec = _arg(args, "spec", jsonio.decode_operator)
-    if isinstance(spec, DiagonalizableSpec):
-        _check_order(spec.eigs, "--spec eigs")
+def _operator(args, name):
+    spec = _arg(args, name, jsonio.decode_operator)
+    if getattr(spec, "eigs", None) is not None:  # a diagonalizable spec
+        _check_order(spec.eigs, f"--{name} eigs")
     return spec
 
 
-def _matrix(args, name="matrix"):
+def _matrix(args, name):
     return _arg(args, name, jsonio.decode_matrix)
 
 
-def _kernel_dim(args):
-    if args.kernel_dim is None:
-        raise InputError("--kernel-dim is required")
-    return INF if args.kernel_dim == "inf" else _decode(int, args.kernel_dim)
+def _kernel_dim(args, name):
+    dim = _given(args, name)
+    if dim is None:
+        raise InputError(f"--{name} is required")
+    return INF if dim == "inf" else _decode(int, dim)
 
 
-def _rays(raw, exact):
-    return [(jsonio.decode_scalar(phase, exact=exact),
-             _check_order(jsonio.decode_sequence(mag), "--rays"))
-            for phase, mag in raw]
+def _float(args, name):
+    return _decode(float, _given(args, name))
+
+
+def _plevel(args, name):
+    p = _given(args, name)
+    return _decode(parse_plevel, 0 if p is None else p)
+
+
+def _rays(args, name):
+    return _arg(args, name, lambda raw: [
+        (jsonio.decode_scalar(phase, exact=args.exact),
+         _check_order(jsonio.decode_sequence(mag), f"--{name}")) for phase, mag in raw])
 
 
 def _floats(raw):
@@ -146,175 +152,172 @@ def _complexes(raw):
     return [complex(jsonio.decode_scalar(x, exact=False)) for x in raw]
 
 
+def _answer(out):
+    """Body and exit code of a decider's, majorization's or constructor's result."""
+    if isinstance(out, list):  # convex_decomposition's (weight, permutation) pairs
+        return {"decomposition": [{"weight": jsonio.encode_scalar(w), "permutation": list(p)}
+                                  for w, p in out]}, EXIT_YES
+    body = out.as_json()
+    if hasattr(out, "verdict"):
+        return body, _VERDICT_EXIT[out.verdict]
+    return body, EXIT_UNKNOWN if body.get("not_found") else EXIT_YES
+
+
+# The one list of theorem tags and construction targets.  An entry is
+# (module, function, arguments): each argument is an (option, decoder) pair,
+# decoded in order and passed positionally.  The module is imported only when
+# its entry runs, so a request whose arguments are all sequence specs or
+# scalar lists never imports numpy.  "majorization" has one entry per --kind.
+_SEQS = (("d", _seq), ("lambda", _seq))
+DECIDE = {
+    "schur-horn": ("deciders", "decide_schur_horn", (("lambda", _reals), ("d", _reals))),
+    "majorization": {
+        "finite": ("majorization", "majorize_finite", (("d", _reals), ("lambda", _reals))),
+        "weak": ("majorization", "weak_majorize", (*_SEQS, ("horizon", _given))),
+        "l1": ("majorization", "majorize_l1", (*_SEQS, ("horizon", _given))),
+        "p": ("majorization", "p_majorize", (*_SEQS, ("p", _plevel), ("horizon", _given))),
+        "approx-p": ("majorization", "approx_p_majorize",
+                     (*_SEQS, ("p", _plevel), ("horizon", _given))),
+    },
+    "gohberg-markus": ("deciders", "decide_gohberg_markus", (("lambda", _seq), ("d", _seq))),
+    "kw": ("deciders", "decide_kw", (("s", _seq), ("kernel-dim", _kernel_dim), ("d", _seq))),
+    "kadison": ("deciders", "decide_kadison", (("d", _seq),)),
+    "bownik-jasper": ("deciders", "decide_bownik_jasper", (("points", _reals), ("d", _seq))),
+    "neumann": ("deciders", "decide_neumann_closure", (("spec", _operator), ("d", _seq))),
+    "blaschke": ("deciders", "check_blaschke",
+                 (("spec", _operator), ("d", _seq), ("mode", _default("selfadjoint")))),
+    "three-point": ("deciders", "decide_three_point", (("spec", _operator), ("d", _seq))),
+    "williams": ("deciders", "decide_williams_3x3", (("lambda", _scalars), ("d", _scalars))),
+    "arveson": ("deciders", "check_arveson",
+                (("vertices", _scalars), ("d", _seq), ("coeff-bound", _given))),
+    "horn-unitary": ("deciders", "decide_horn_unitary",
+                     (("d", _scalars), ("variant", _default("unitary")))),
+    "jlw-unitary": ("deciders", "decide_jlw_unitary", (("d", _seq),)),
+    "thompson": ("deciders", "decide_thompson", (("s", _reals), ("d", _scalars))),
+    "thompson-compact": ("deciders", "decide_thompson_compact", (("s", _seq), ("d", _seq))),
+    "mt-p-summable": ("deciders", "check_mt_p_summable",
+                      (("spec", _operator), ("d", _seq), ("p", _float))),
+    "fan": ("deciders", "check_fan_criterion", (("d", functools.partial(_seq, ordered=True)),)),
+    "ffh-trace": ("deciders", "classify_trace_set", (("rays", _rays),)),
+}
+CONSTRUCT = {
+    "schur-horn": ("constructors", "construct_schur_horn",
+                   (("lambda", _reals), ("d", _reals), ("tol", _given))),
+    "convex-decomposition": ("constructors", "convex_decomposition",
+                             (("lambda", _reals), ("d", _reals))),
+    "projection": ("constructors", "construct_projection_with_diagonal",
+                   (("d", _reals), ("tol", _given))),
+    "kadison-block": ("constructors", "construct_kadison_block", (("d", _seq), ("tol", _given))),
+    "zero-diagonal": ("constructors", "construct_zero_diagonal_basis",
+                      (("matrix", _matrix), ("tol", _given))),
+    "thompson": ("constructors", "construct_thompson",
+                 (("s", _reals), ("d", _scalars), ("tol", _given), ("budget", _default(200)),
+                  ("seed", _given))),
+    "unitary": ("constructors", "construct_unitary_with_diagonal",
+                (("d", _scalars), ("tol", _given))),
+    "williams": ("constructors", "construct_williams",
+                 (("lambda", _scalars), ("d", _scalars),
+                  ("tol", lambda args, name: max(args.tol, 1e-8)), ("budget", _default(4096)))),
+}
+
+
+def _entry(table, key, what):
+    if key not in table:
+        raise InputError(f"unknown {what} {key!r}")
+    return table[key]
+
+
+@functools.cache
+def _module(name):
+    """A library module, imported when the first request needs it."""
+    return import_module(f".{name}", __package__)
+
+
+def _run(entry, args) -> int:
+    module, function, arguments = entry
+    values = [decode(args, option) for option, decode in arguments]
+    return _emit(*_answer(getattr(_module(module), function)(*values)))
+
+
 def cmd_decide(args) -> int:
-    tag = args.theorem
-    if tag == "majorization":
-        kind = args.kind or "finite"
-        if kind == "finite":
-            v = majorize_finite(_reals(args, "d"), _reals(args, "lambda", "lam"))
-        elif kind == "weak":
-            v = weak_majorize(_seq(args, "d"), _seq(args, "lambda", "lam"),
-                              horizon=args.horizon)
-        elif kind == "l1":
-            v = majorize_l1(_seq(args, "d"), _seq(args, "lambda", "lam"),
-                            horizon=args.horizon)
-        elif kind in ("p", "approx-p"):
-            p = _decode(parse_plevel, args.p if args.p is not None else 0)
-            fn = p_majorize if kind == "p" else approx_p_majorize
-            v = fn(_seq(args, "d"), _seq(args, "lambda", "lam"), p,
-                   horizon=args.horizon)
-        else:
-            raise InputError(f"unknown majorization kind {kind!r}")
-        return _emit(v.as_json(), _VERDICT_EXIT[v.verdict])
-    if tag == "schur-horn":
-        dec = deciders.decide_schur_horn(_reals(args, "lambda", "lam"),
-                                         _reals(args, "d"))
-    elif tag == "gohberg-markus":
-        dec = deciders.decide_gohberg_markus(_seq(args, "lambda", "lam"), _seq(args, "d"))
-    elif tag == "kw":
-        dec = deciders.decide_kw(_seq(args, "s"), _kernel_dim(args), _seq(args, "d"))
-    elif tag == "kadison":
-        dec = deciders.decide_kadison(_seq(args, "d"))
-    elif tag == "bownik-jasper":
-        dec = deciders.decide_bownik_jasper(_reals(args, "points"), _seq(args, "d"))
-    elif tag == "neumann":
-        dec = deciders.decide_neumann_closure(_operator(args), _seq(args, "d"))
-    elif tag == "blaschke":
-        dec = deciders.check_blaschke(_operator(args), _seq(args, "d"),
-                                      mode=args.mode or "selfadjoint")
-    elif tag == "three-point":
-        dec = deciders.decide_three_point(_operator(args), _seq(args, "d"))
-    elif tag == "williams":
-        dec = deciders.decide_williams_3x3(_scalars(args, "lambda", "lam"),
-                                           _scalars(args, "d"))
-    elif tag == "arveson":
-        dec = deciders.check_arveson(_scalars(args, "vertices"), _seq(args, "d"),
-                                     coeff_bound=args.coeff_bound)
-    elif tag == "horn-unitary":
-        dec = deciders.decide_horn_unitary(_scalars(args, "d"),
-                                           args.variant or "unitary")
-    elif tag == "jlw-unitary":
-        dec = deciders.decide_jlw_unitary(_seq(args, "d"))
-    elif tag == "thompson":
-        dec = deciders.decide_thompson(_reals(args, "s"), _scalars(args, "d"))
-    elif tag == "thompson-compact":
-        dec = deciders.decide_thompson_compact(_seq(args, "s"), _seq(args, "d"))
-    elif tag == "mt-p-summable":
-        dec = deciders.check_mt_p_summable(_operator(args), _seq(args, "d"),
-                                           _decode(float, args.p))
-    elif tag == "fan":
-        dec = deciders.check_fan_criterion(_seq(args, "d", ordered=True))
-    elif tag == "ffh-trace":
-        cls = deciders.classify_trace_set(_arg(args, "rays", _rays, exact=args.exact))
-        return _emit(cls.as_json(), EXIT_YES)
-    else:
-        raise InputError(f"unknown theorem tag {tag!r}")
-    return _emit(dec.as_json(), _VERDICT_EXIT[dec.verdict])
+    entry = _entry(DECIDE, args.theorem, "theorem tag")
+    if isinstance(entry, dict):
+        entry = _entry(entry, args.kind or "finite", "majorization kind")
+    return _run(entry, args)
 
 
 def cmd_construct(args) -> int:
-    target = args.target
-    if target == "schur-horn":
-        out = constructors.construct_schur_horn(_reals(args, "lambda", "lam"),
-                                                _reals(args, "d"), tol=args.tol)
-    elif target == "convex-decomposition":
-        parts = constructors.convex_decomposition(_reals(args, "lambda", "lam"),
-                                                  _reals(args, "d"))
-        body = [{"weight": jsonio.encode_scalar(w), "permutation": list(p)}
-                for w, p in parts]
-        return _emit({"decomposition": body}, EXIT_YES)
-    elif target == "projection":
-        out = constructors.construct_projection_with_diagonal(_reals(args, "d"),
-                                                              tol=args.tol)
-    elif target == "kadison-block":
-        desc = constructors.construct_kadison_block(_seq(args, "d"), tol=args.tol)
-        return _emit(desc.as_json(), EXIT_YES)
-    elif target == "zero-diagonal":
-        out = constructors.construct_zero_diagonal_basis(_matrix(args), tol=args.tol)
-    elif target == "thompson":
-        out = constructors.construct_thompson(_reals(args, "s"), _scalars(args, "d"),
-                                              tol=args.tol, seed=args.seed,
-                                              budget=200 if args.budget is None else args.budget)
-    elif target == "unitary":
-        out = constructors.construct_unitary_with_diagonal(_scalars(args, "d"),
-                                                           tol=args.tol)
-    elif target == "williams":
-        out = constructors.construct_williams(_scalars(args, "lambda", "lam"),
-                                              _scalars(args, "d"), tol=max(args.tol, 1e-8),
-                                              budget=4096 if args.budget is None else args.budget)
-    else:
-        raise InputError(f"unknown construct target {target!r}")
-    if isinstance(out, constructors.NotFound):
-        return _emit(out.as_json(), EXIT_UNKNOWN)
-    return _emit(out.as_json(), EXIT_YES)
+    return _run(_entry(CONSTRUCT, args.target, "construct target"), args)
+
+
+def _verify_matrix(args) -> int:
+    import numpy as np
+
+    from .spectra import hermitian_eigenvalues, singular_values
+    m = _matrix(args, "matrix")
+    if m.n == 0:
+        raise PreconditionError("matrix must have at least one row")
+    report = {}
+    ok = True
+    scale = max(m.norm(), 1.0)
+    for option, key, decoder, compute in (
+            ("eigenvalues", "eigenvalue_residual", _floats, hermitian_eigenvalues),
+            ("singular-values", "singular_residual", _floats, singular_values),
+            ("diagonal", "diagonal_residual", _complexes, lambda m: m.diag())):
+        if not _given(args, option):
+            continue
+        claimed = _arg(args, option, decoder)
+        if len(claimed) != m.n:
+            raise InputError(f"--{option} has {len(claimed)} values for an n = {m.n} matrix")
+        res = float(np.max(np.abs(compute(m) - np.array(claimed))))
+        report[key] = res
+        ok = ok and res <= args.tol * scale
+    report["ok"] = ok
+    return _emit(report, EXIT_YES if ok else EXIT_NO)
 
 
 def cmd_verify(args) -> int:
+    from . import deciders
     what = args.what
     if what == "matrix":
-        m = _matrix(args)
-        report = {}
-        ok = True
-        scale = max(m.norm(), 1.0)
-        if args.eigenvalues:
-            claimed = _arg(args, "eigenvalues", _floats)
-            got = hermitian_eigenvalues(m)
-            res = float(np.max(np.abs(got - np.array(claimed))))
-            report["eigenvalue_residual"] = res
-            ok = ok and res <= args.tol * scale
-        if args.singular_values:
-            claimed = _arg(args, "singular_values", _floats)
-            got = singular_values(m)
-            res = float(np.max(np.abs(got - np.array(claimed))))
-            report["singular_residual"] = res
-            ok = ok and res <= args.tol * scale
-        if args.diagonal:
-            claimed = _arg(args, "diagonal", _complexes)
-            res = float(np.max(np.abs(m.diag() - np.array(claimed))))
-            report["diagonal_residual"] = res
-            ok = ok and res <= args.tol * scale
-        report["ok"] = ok
-        return _emit(report, EXIT_YES if ok else EXIT_NO)
+        return _verify_matrix(args)
     if what == "kadison-codimension":
-        rep = deciders.verify_kadison_codimension_identity(_matrix(args))
-        return _emit(rep.as_json(), EXIT_YES if rep.ok else EXIT_NO)
-    if what == "normal-codimension":
-        rep = deciders.verify_normal_codimension_identity(
-            _matrix(args, "n_matrix"), _matrix(args, "n_prime"))
-        return _emit(rep.as_json(), EXIT_YES if rep.ok else EXIT_NO)
-    if what == "essential-codimension":
-        val = deciders.essential_codimension_finite(_matrix(args, "p_matrix"),
-                                                    _matrix(args, "q_matrix"))
+        rep = deciders.verify_kadison_codimension_identity(_matrix(args, "matrix"))
+    elif what == "normal-codimension":
+        rep = deciders.verify_normal_codimension_identity(_matrix(args, "n-matrix"),
+                                                          _matrix(args, "n-prime"))
+    elif what == "essential-codimension":
+        val = deciders.essential_codimension_finite(_matrix(args, "p-matrix"),
+                                                    _matrix(args, "q-matrix"))
         return _emit({"essential_codimension": val}, EXIT_YES)
-    raise InputError(f"unknown verify target {what!r}")
+    else:
+        raise InputError(f"unknown verify target {what!r}")
+    return _emit(rep.as_json(), EXIT_YES if rep.ok else EXIT_NO)
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle
     what = args.what
     if what == "sample":
-        t = _matrix(args)
-        outs = oracle.sample_diagonals(t, trials=args.trials, seed=args.seed)
+        outs = oracle.sample_diagonals(_matrix(args, "matrix"), trials=args.trials,
+                                       seed=args.seed)
         body = [[[float(v.real), float(v.imag)] for v in d] for d in outs]
         return _emit({"diagonals": body}, EXIT_YES)
     if what == "search":
-        t = _matrix(args)
-        d = _arg(args, "d", _complexes)
+        t = _matrix(args, "matrix")
+        # plain numbers reach the search as they are: it rejects a non-finite d itself
+        d = _arg(args, "d", lambda raw: [complex(x if isinstance(x, float) else
+                                                 jsonio.decode_scalar(x)) for x in raw])
         budget = 100_000 if args.budget is None else args.budget
         out = oracle.search_membership(t, d, tol=args.tol, budget=budget, seed=args.seed)
-        if isinstance(out, oracle.Found):
-            return _emit(out.as_json(), EXIT_YES)
-        return _emit(out.as_json(), EXIT_UNKNOWN)
-    if what == "rational-majorization":
-        verdict = oracle.rational_majorization_oracle(
-            _reals(args, "d"), _reals(args, "lambda", "lam"))
-        return _emit({"verdict": verdict},
-                     EXIT_YES if verdict == "Holds" else EXIT_NO)
-    raise InputError(f"unknown oracle mode {what!r}")
+        return _emit(out.as_json(), EXIT_YES if isinstance(out, oracle.Found) else EXIT_UNKNOWN)
+    verdict = oracle.rational_majorization_oracle(_reals(args, "d"), _reals(args, "lambda"))
+    return _emit({"verdict": verdict}, EXIT_YES if verdict == "Holds" else EXIT_NO)
 
 
 def cmd_range(args) -> int:
-    m = _matrix(args)
-    pts = numerical_range_hull(m, grid=args.grid)
+    from .spectra import numerical_range_hull
+    pts = numerical_range_hull(_matrix(args, "matrix"), grid=args.grid)
     return _emit({"hull": [[p.real, p.imag] for p in pts]}, EXIT_YES)
 
 
@@ -337,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--horizon", type=int, default=HORIZON_DEFAULT)
         p.add_argument("--coeff-bound", type=int, default=64)
         p.add_argument("--d", help="sequence spec or scalar list (JSON or file)")
-        p.add_argument("--lambda", dest="lam", help="scalar list or sequence spec")
+        p.add_argument("--lambda", metavar="LAM", help="scalar list or sequence spec")
         p.add_argument("--s", help="singular value list or spec")
         p.add_argument("--spec", help="operator spec (JSON or file)")
         p.add_argument("--points", help="increasing spectrum points, JSON list")
@@ -364,13 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="re-check matrices against claimed data")
     pv.add_argument("what")
     common(pv)
-    pv.add_argument("--eigenvalues")
-    pv.add_argument("--singular-values", dest="singular_values")
-    pv.add_argument("--diagonal")
-    pv.add_argument("--n-matrix", dest="n_matrix")
-    pv.add_argument("--n-prime", dest="n_prime")
-    pv.add_argument("--p-matrix", dest="p_matrix")
-    pv.add_argument("--q-matrix", dest="q_matrix")
+    for option in ("--eigenvalues", "--singular-values", "--diagonal", "--n-matrix",
+                   "--n-prime", "--p-matrix", "--q-matrix"):
+        pv.add_argument(option)
     pv.set_defaults(fn=cmd_verify)
 
     po = sub.add_parser("oracle", help="brute-force sampling and search")
@@ -400,8 +399,6 @@ def run(argv) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0,) else 0
-    if not hasattr(args, "matrix"):
-        args.matrix = None
     try:
         return args.fn(args)
     except Exception as exc:  # the process boundary: every fault exits 3 with its type

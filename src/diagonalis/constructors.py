@@ -452,6 +452,8 @@ def construct_zero_diagonal_basis(t: DenseMatrix, tol=1e-9) -> Realization:
     recurse on the orthogonal compression, whose trace stays zero.
     """
     n = t.n
+    if n == 0:
+        raise PreconditionError("matrix must have at least one row")
     scale = max(t.norm(), 1.0)
     if abs(complex(np.trace(t.data))) > max(tol, 1e-9) * scale:
         raise PreconditionError("matrix must have (numerically) zero trace")

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import accumulate
 
-import numpy as np
-
 from .scalars import (
     EPS_MAT,
     INF,
@@ -34,6 +32,7 @@ from .scalars import (
     integrality,
     is_exact_scalar,
     is_real_scalar,
+    python_scalars,
     scalar_abs,
     unit_scale,
 )
@@ -72,13 +71,10 @@ from .seqspec import (
     _peel_head_by_gap,
     _z,
 )
-from .spectra import (
-    DenseMatrix,
-    eigen_multiset,
-    essential_points,
-    essential_summary,
-    hermitian_eigensystem,
-)
+
+# The operator-spec deciders and the finite identity checks import numpy and
+# ``spectra`` where they run: deciding from sequence specs and scalar lists
+# loads neither.
 
 BJ_SEARCH_CAP = 1_000_000
 ARVESON_COEFF_BOUND_DEFAULT = 64
@@ -119,10 +115,8 @@ def _jsonable(x):
         return x.as_json()
     if x is INF:
         return "inf"
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.floating):
-        return float(x)
+    if hasattr(x, "dtype"):  # a numpy scalar; see scalars.python_scalars
+        return x.item()
     return x
 
 
@@ -184,7 +178,7 @@ def _prefix_sums(xs):
 
 def decide_schur_horn(lam, d) -> Decision:
     """Finite selfadjoint case: d is a diagonal iff it is majorized (one sort per side)."""
-    v, ds, ls = _sorted_scan(d, lam)
+    v, ds, ls = _sorted_scan(python_scalars(d), python_scalars(lam))
     cert = {
         "partial_sums_d": _prefix_sums(ds),
         "partial_sums_lambda": _prefix_sums(ls),
@@ -301,7 +295,7 @@ def decide_bownik_jasper(points, d: SequenceSpec) -> Decision:
 
     ``points`` is the full increasing list 0 = lam_0 < ... < lam_{n+1} = B.
     """
-    pts = list(points)
+    pts = python_scalars(points)
     if len(pts) < 2 or pts[0] != 0:
         raise PreconditionError("points must start at 0 and end at B > 0")
     if any(y <= x for x, y in zip(pts, pts[1:])):
@@ -421,6 +415,7 @@ def decide_bownik_jasper(points, d: SequenceSpec) -> Decision:
 
 def decide_neumann_closure(spec, d: SequenceSpec) -> Decision:
     """Membership of d in the sup-norm closure of the diagonal set."""
+    from .spectra import eigen_multiset, essential_summary
     summary = essential_summary(spec)
     lo, hi = summary.w_e
     if d.field != "real":
@@ -481,6 +476,7 @@ def _interior_distance(z, hull):
 
 def check_blaschke(spec, d: SequenceSpec, mode="selfadjoint") -> Decision:
     """Divergent boundary-distance sum: a sufficient diagonal condition."""
+    from .spectra import essential_points, essential_summary
     dmode = _spec_mode(d)
     if mode == "selfadjoint":
         summary = essential_summary(spec)
@@ -529,6 +525,7 @@ def check_blaschke(spec, d: SequenceSpec, mode="selfadjoint") -> Decision:
 
 def decide_three_point(spec, d: SequenceSpec) -> Decision:
     """Characterization when W(T) sits inside W_e(T) and |ess spectrum| >= 3."""
+    from .spectra import eigen_multiset, essential_summary
     summary = essential_summary(spec)
     if len(summary.ess_points) < 3:
         raise PreconditionError("need at least three essential-spectrum points")
@@ -625,8 +622,8 @@ def decide_williams_3x3(lam, d) -> Decision:
     (Williams, J. London Math. Soc. 3, 1971), and d2 is admissible when it
     lies on the center's side of it.
     """
-    lam = list(lam)
-    d = list(d)
+    lam = python_scalars(lam)
+    d = python_scalars(d)
     if len(lam) != 3 or len(d) != 3:
         raise PreconditionError("need three eigenvalues and three diagonal entries")
     exact = all(map(is_exact_scalar, lam + d))
@@ -703,7 +700,7 @@ def _williams_collinear(cmp, lam, d, mode):
 
 def check_arveson(vertices, d: SequenceSpec, coeff_bound=ARVESON_COEFF_BOUND_DEFAULT) -> Decision:
     """Deviation-sum lattice membership for finite-spectrum normal operators."""
-    verts = list(vertices)
+    verts = python_scalars(vertices)
     if len(verts) < 2:
         raise PreconditionError("need at least two vertices")
     exact = all(map(is_exact_scalar, verts)) and d.exact
@@ -766,7 +763,7 @@ def _expand_finite(s):
 
 def decide_horn_unitary(d, variant="unitary") -> Decision:
     """Finite unitary / orthogonal / rotation diagonals."""
-    d = list(d)
+    d = python_scalars(d)
     if not d:
         raise PreconditionError("empty input")
     if variant not in ("unitary", "orthogonal", "rotation"):
@@ -819,8 +816,8 @@ def decide_jlw_unitary(d: SequenceSpec) -> Decision:
 
 def decide_thompson(s, d) -> Decision:
     """Finite matrices with prescribed singular values and diagonal."""
-    s = list(s)
-    d = list(d)
+    s = python_scalars(s)
+    d = python_scalars(d)
     if len(s) != len(d):
         raise PreconditionError("length mismatch")
     if any(s[i] < s[i + 1] for i in range(len(s) - 1)):
@@ -865,6 +862,7 @@ def decide_thompson_compact(s: SequenceSpec, d: SequenceSpec) -> Decision:
 
 def check_mt_p_summable(spec, d: SequenceSpec, p) -> Decision:
     """p-summable boundary-distance: diagonal after a Schatten-p perturbation."""
+    from .spectra import essential_points, essential_summary
     if not (p > 1):
         raise PreconditionError("requires p > 1")
     mode = _spec_mode(d)
@@ -1054,7 +1052,9 @@ def _dot(a, b):
 # essential codimension (finite analogues)
 
 
-def essential_codimension_finite(p: DenseMatrix, q: DenseMatrix) -> int:
+def essential_codimension_finite(p, q) -> int:
+    """trace P - trace Q for two finite projections (DenseMatrix)."""
+    import numpy as np
     if not p.is_projection() or not q.is_projection():
         raise PreconditionError("inputs must be projections at tolerance")
     tp = float(np.trace(p.data).real)
@@ -1079,8 +1079,9 @@ class IdentityReport:
                 "detail": _jsonable(self.detail)}
 
 
-def verify_kadison_codimension_identity(p: DenseMatrix) -> IdentityReport:
+def verify_kadison_codimension_identity(p) -> IdentityReport:
     """Finite check that a - b equals trace P - trace Q."""
+    import numpy as np
     if not p.is_projection():
         raise PreconditionError("input must be a projection at tolerance")
     d = np.real(p.diag())
@@ -1095,8 +1096,11 @@ def verify_kadison_codimension_identity(p: DenseMatrix) -> IdentityReport:
                           {"a": a, "b": b, "trace_P": tp, "trace_Q": tq})
 
 
-def _normal_eigensystem(n: DenseMatrix, cluster_tol=1e-8):
+def _normal_eigensystem(n, cluster_tol=1e-8):
     """Eigen decomposition of a normal matrix via its commuting parts."""
+    import numpy as np
+
+    from .spectra import DenseMatrix, hermitian_eigensystem
     if not n.is_normal():
         raise PreconditionError("matrix is not normal at tolerance")
     h = DenseMatrix((n.data + n.data.conj().T) / 2.0)
@@ -1130,9 +1134,9 @@ def _cluster(sorted_vals, tol):
     return groups
 
 
-def verify_normal_codimension_identity(n: DenseMatrix, n_prime: DenseMatrix,
-                                       cluster_tol=1e-8) -> IdentityReport:
+def verify_normal_codimension_identity(n, n_prime, cluster_tol=1e-8) -> IdentityReport:
     """Finite check of the spectral-projection trace identity."""
+    import numpy as np
     if n.n != n_prime.n:
         raise PreconditionError("size mismatch")
     offdiag = n_prime.data - np.diag(np.diagonal(n_prime.data))
@@ -1161,7 +1165,7 @@ def verify_normal_codimension_identity(n: DenseMatrix, n_prime: DenseMatrix,
     lhs = complex(np.trace(n.data) - np.trace(n_prime.data))
     rhs = sum((counts[j] - q_counts[j]) * centers[j] for j in range(len(centers)))
     res = abs(lhs - rhs)
-    ok = res <= max(1e-8 * scale, 1e-12)
+    ok = bool(res <= max(1e-8 * scale, 1e-12))
     return IdentityReport(lhs, rhs, res, ok,
                           {"clusters": [_jsonable(c) for c in centers],
                            "P_ranks": counts, "Q_ranks": q_counts})

@@ -18,11 +18,10 @@ Wire formats:
 from __future__ import annotations
 
 import json
+import math
 import re
 from decimal import Decimal
 from fractions import Fraction
-
-import numpy as np
 
 from .scalars import INF, QC, InputError, fraction_str
 from .seqspec import (
@@ -34,12 +33,9 @@ from .seqspec import (
     TelescopingHarmonic,
     stream_params,
 )
-from .spectra import (
-    DenseMatrix,
-    DiagonalizableSpec,
-    FiniteSpectrumSpec,
-    MatrixSpec,
-)
+
+# Matrices and operator specs are decoded with numpy and ``spectra``, which
+# are imported where they are used: sequence specs and scalars need neither.
 
 
 # "p/q" as ``fraction_str`` prints it, also past the int-to-str digit limit
@@ -66,6 +62,8 @@ def decode_scalar(obj, exact=False, field="real"):
             raise InputError(f"bad rational scalar {obj!r}") from exc
     if isinstance(obj, bool):
         raise InputError("booleans are not scalars")
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise InputError(f"scalars must be finite, got {obj!r}")
     if isinstance(obj, (int, float)):
         if exact:
             if isinstance(obj, int):
@@ -90,7 +88,7 @@ def encode_scalar(x):
         return fraction_str(x)
     if isinstance(x, complex):
         return [x.real, x.imag]
-    if isinstance(x, (np.floating, np.integer)):
+    if hasattr(x, "dtype"):  # a numpy scalar, recognised without importing numpy
         return float(x)
     return x
 
@@ -189,7 +187,10 @@ def encode_sequence(spec):
             "streams": [encode_stream(s) for s in spec.streams]}
 
 
-def decode_matrix(obj) -> DenseMatrix:
+def decode_matrix(obj):
+    import numpy as np
+
+    from .spectra import DenseMatrix
     if not isinstance(obj, dict):
         raise InputError("matrix must be an object")
     n = _json_int(obj["n"], "n")
@@ -203,7 +204,7 @@ def decode_matrix(obj) -> DenseMatrix:
     return DenseMatrix(data, real=_json_bool(obj.get("real", False), "real"))
 
 
-def encode_matrix(m: DenseMatrix):
+def encode_matrix(m):
     entries = []
     for row in m.data:
         for v in row:
@@ -212,6 +213,7 @@ def encode_matrix(m: DenseMatrix):
 
 
 def decode_operator(obj):
+    from .spectra import DiagonalizableSpec, FiniteSpectrumSpec, MatrixSpec
     if not isinstance(obj, dict):
         raise InputError("operator spec must be an object")
     variant = obj.get("variant")
@@ -232,6 +234,7 @@ def decode_operator(obj):
 
 
 def encode_operator(spec):
+    from .spectra import DiagonalizableSpec, FiniteSpectrumSpec, MatrixSpec
     if isinstance(spec, MatrixSpec):
         return {"variant": "matrix", "matrix": encode_matrix(spec.matrix)}
     if isinstance(spec, FiniteSpectrumSpec):

@@ -260,6 +260,16 @@ class XSum:
         return {"pinf": "XSum(+inf)", "ninf": "XSum(-inf)", "div": "XSum(divergent)"}[self.kind]
 
 
+def python_scalars(xs):
+    """The entries of ``xs`` as a list of Python scalars.
+
+    A numpy scalar (anything with a ``dtype``) becomes its ``item()``: an
+    int, float, complex or bool, so sums cannot wrap and comparisons give
+    bools.  numpy itself is never imported; other entries pass unchanged.
+    """
+    return [x.item() if hasattr(x, "dtype") else x for x in xs]
+
+
 def sign_of(x):
     if x > 0:
         return 1

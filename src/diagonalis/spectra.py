@@ -195,6 +195,10 @@ def numerical_range_support(m: DenseMatrix, theta: float):
 
 def numerical_range_hull(m: DenseMatrix, grid: int):
     """Boundary sample of W(M): points <Mx,x> for ``grid`` support directions."""
+    if grid <= 0:
+        raise PreconditionError("grid must be a positive integer")
+    if m.n == 0:
+        raise PreconditionError("matrix must have at least one row")
     pts = []
     for k in range(grid):
         _, x = numerical_range_support(m, 2.0 * math.pi * k / grid)

@@ -391,6 +391,68 @@ class TestInputBoundary:
         assert jsonio.decode_sequence(spec).field == "complex"
 
 
+class TestNonFiniteNumbers:
+    _FLOAT_SPEC = ('{"field":"real","exact":false,"streams":'
+                   '[{"kind":"finite","values":[%s]}]}')
+
+    @pytest.mark.parametrize("argv", [
+        ["decide", "schur-horn", "--lambda", "[1e400]", "--d", "[1]"],
+        ["decide", "schur-horn", "--lambda", "[NaN, 1]", "--d", "[1, 0]"],
+        ["decide", "horn-unitary", "--d", "[NaN]"],
+        ["decide", "horn-unitary", "--d", "[[0, -Infinity]]"],
+        ["decide", "kadison", "--d", _FLOAT_SPEC % "1e999"],
+        ["verify", "kadison-codimension",
+         "--matrix", '{"n":1,"real":true,"entries":[[Infinity,0]]}'],
+    ])
+    def test_is_an_input_error(self, capsys, argv):
+        code, body = invoke(capsys, *argv)
+        assert code == 3 and body["type"] == "InputError"
+
+    @pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan")])
+    def test_decode_scalar_rejects(self, x):
+        from diagonalis import jsonio
+        from diagonalis.scalars import InputError
+        with pytest.raises(InputError):
+            jsonio.decode_scalar(x)
+        with pytest.raises(InputError):
+            jsonio.decode_scalar([0.0, x])
+
+
+class TestDenseBoundary:
+    _MATRIX = json.dumps({"n": 2, "real": True,
+                          "entries": [[0.5, 0], [0.5, 0], [0.5, 0], [0.5, 0]]})
+
+    @pytest.mark.parametrize("argv", [["construct", "zero-diagonal"],
+                                      ["verify", "matrix", "--eigenvalues", "[]"],
+                                      ["range"]])
+    def test_empty_matrix(self, capsys, argv):
+        code = run([*argv, "--matrix", '{"n":0,"real":true,"entries":[]}'])
+        captured = capsys.readouterr()
+        assert code == 3 and json.loads(captured.out)["type"] == "PreconditionError"
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("claim", [["--eigenvalues", "[1]"],
+                                       ["--singular-values", "[1,0,0]"],
+                                       ["--diagonal", "[0.5]"]])
+    def test_claimed_list_of_wrong_length(self, capsys, claim):
+        code, body = invoke(capsys, "verify", "matrix", "--matrix", self._MATRIX, *claim)
+        assert code == 3 and body["type"] == "InputError"
+
+    @pytest.mark.parametrize("grid", ["-3", "0"])
+    def test_range_needs_a_positive_grid(self, capsys, grid):
+        code, body = invoke(capsys, "range", "--matrix", self._MATRIX, "--grid", grid)
+        assert code == 3 and body["type"] == "PreconditionError"
+
+    def test_normal_codimension_report_prints(self, capsys):
+        # its ok flag was a numpy bool, which the JSON encoder refused
+        n = json.dumps({"n": 2, "real": False, "entries": [[1, 0], [0, 0], [0, 0], [0, 1]]})
+        n_prime = json.dumps({"n": 2, "real": False, "entries": [[0, 1], [0, 0], [0, 0], [1, 0]]})
+        code, body = invoke(capsys, "verify", "normal-codimension",
+                            "--n-matrix", n, "--n-prime", n_prime)
+        assert code == 0 and body["ok"] is True
+        assert body["detail"]["P_ranks"] == body["detail"]["Q_ranks"] == [1, 1]
+
+
 class TestLongRationals:
     def test_schur_horn_reads_rationals_past_digit_limit(self, capsys):
         tiny = "1/1" + "0" * 5000

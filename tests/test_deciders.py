@@ -6,7 +6,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from diagonalis.scalars import INF, PreconditionError, XSum
+from diagonalis.scalars import INF, PreconditionError, XSum, python_scalars
 from diagonalis.deciders import (
     Decision,
     check_blaschke,
@@ -23,6 +23,7 @@ from diagonalis.deciders import (
     decide_thompson,
     decide_thompson_compact,
     decide_three_point,
+    decide_williams_3x3,
     kadison_invariants,
 )
 from diagonalis.seqspec import (
@@ -65,6 +66,37 @@ class TestSchurHorn:
         assert dec.certificate["witness"] == {"index": 1, "lhs": 3, "rhs": 2}
         assert decide_schur_horn(list(np.array([3, 1], dtype)), [2, 2]).verdict == "Yes"
 
+    def test_numpy_int64_certificates_near_two_to_the_62(self):
+        # summed as int64 these certificates wrapped to -2**63
+        b = 2 ** 62
+        big = [np.int64(b), np.int64(b - 1), np.int64(1)]
+        even = [np.int64(b), np.int64(b), np.int64(0)]
+        no = decide_schur_horn(big, even)
+        assert no.verdict == "No" and no.mode == "exact"
+        assert no.certificate["partial_sums_d"] == [b, 2 * b, 2 * b]
+        assert no.certificate["witness"] == {"index": 2, "lhs": 2 * b, "rhs": 2 * b - 1}
+        yes = decide_schur_horn(even, big)
+        assert yes.verdict == "Yes"
+        assert yes.certificate["partial_sums_lambda"] == [b, 2 * b, 2 * b]
+        assert yes.certificate["partial_sums_d"] == [b, 2 * b - 1, 2 * b]
+        for dec in (no, yes):
+            for key in ("partial_sums_d", "partial_sums_lambda"):
+                assert all(type(v) is int for v in dec.certificate[key])
+
+    def test_numpy_floats_give_python_float_certificates(self):
+        dec = decide_schur_horn(list(np.array([3.0, 1.0, 0.0])), list(np.array([2.0, 1.0, 1.0])))
+        assert dec.verdict == "Yes"
+        assert dec.certificate["partial_sums_d"] == [2.0, 3.0, 4.0]
+        assert all(type(v) is float for key in ("partial_sums_d", "partial_sums_lambda")
+                   for v in dec.certificate[key])
+
+    def test_python_input_passes_unchanged(self):
+        lam = [F(3), 1, 0.0]
+        assert python_scalars(lam) == lam
+        assert [type(v) for v in python_scalars(lam)] == [F, int, float]
+        assert python_scalars([np.int32(3), np.float32(0.5), np.complex64(1j), np.bool_(True)]) \
+            == [3, 0.5, 1j, True]
+
     @pytest.mark.parametrize("seed", range(4))
     def test_exact_decisions_at_1e30(self, seed):
         r = np.random.default_rng([seed, 60])
@@ -84,10 +116,23 @@ class TestSchurHorn:
         assert decide_schur_horn(lam, d).verdict == "No"
 
 
+@pytest.mark.parametrize("decide, args", [
+    (decide_schur_horn, ([3, 1, 0], [2, 1, 1])),
+    (decide_thompson, ([3, 2, 1], [2, 2, 2])),
+    (decide_thompson, ([3.0, 2.0, 1.0], [2.5, -1.5, 0.5])),
+    (decide_horn_unitary, ([0.5, 0.5, 0.0],)),
+    (decide_williams_3x3, ([0j, 1 + 0j, 1j], [0.3 + 0.3j, 0.4 + 0.3j, 0.3 + 0.4j])),
+])
+def test_numpy_input_decides_as_python_input(decide, args):
+    # the same decision, certificate types included (a numpy scalar's repr differs)
+    assert repr(decide(*[list(np.array(a)) for a in args])) == repr(decide(*args))
+
+
 def slice_sums(xs):
     """The certificate's definition: the k-th entry folds the top k+1 values
-    left to right from 0 (what ``sum`` does on floats before Python 3.12)."""
-    xs = sorted(xs, reverse=True)
+    left to right from 0 (what ``sum`` does on floats before Python 3.12).
+    A numpy entry counts as the Python scalar it holds."""
+    xs = sorted((x.item() if isinstance(x, np.generic) else x for x in xs), reverse=True)
     return [reduce(operator.add, xs[: k + 1], 0) for k in range(len(xs))]
 
 
