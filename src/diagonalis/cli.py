@@ -211,8 +211,7 @@ CONSTRUCT = {
     "zero-diagonal": ("constructors", "construct_zero_diagonal_basis",
                       (("matrix", _matrix), ("tol", _given))),
     "thompson": ("constructors", "construct_thompson",
-                 (("s", _reals), ("d", _scalars), ("tol", _given), ("budget", _default(200)),
-                  ("seed", _given))),
+                 (("s", _reals), ("d", _scalars), ("tol", _given))),
     "unitary": ("constructors", "construct_unitary_with_diagonal",
                 (("d", _scalars), ("tol", _given))),
     "williams": ("constructors", "construct_williams",

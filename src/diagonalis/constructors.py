@@ -11,6 +11,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from numbers import Rational
 
 import numpy as np
@@ -40,9 +41,7 @@ from .spectra import (
     DenseMatrix,
     _attain_2x2,
     _interp_on_span,
-    haar_unitary,
     hermitian_eigenvalues,
-    singular_values,
 )
 
 
@@ -96,12 +95,11 @@ def _t_transform_chain(lam, d, exact):
     for t_val in d_sorted[:-1]:
         above = [i for i in active if work[i] >= t_val]
         below = [i for i in active if work[i] <= t_val]
-        if not above or not below:
-            # tolerate float dust at the extremes
-            if not above:
-                above = [max(active, key=lambda i: work[i])]
-            if not below:
-                below = [min(active, key=lambda i: work[i])]
+        # tolerate float dust at the extremes
+        if not above:
+            above = [max(active, key=lambda i: work[i])]
+        if not below:
+            below = [min(active, key=lambda i: work[i])]
         i = min(above, key=lambda k: (work[k], k))
         j = max((k for k in below if k != i), key=lambda k: (work[k], -k), default=None)
         # equal ends cannot mix: float dust outside their value is left to
@@ -111,7 +109,8 @@ def _t_transform_chain(lam, d, exact):
             active.remove(i)
             steps.append((i, i, num(1), t_val))
             continue
-        t = (t_val - work[j]) / (work[i] - work[j])
+        # float dust can put the target just outside [work[j], work[i]]
+        t = min(max((t_val - work[j]) / (work[i] - work[j]), 0), 1)
         steps.append((i, j, t, t_val))
         work[j] = work[i] + work[j] - t_val
         work[i] = t_val
@@ -132,8 +131,8 @@ def construct_schur_horn(lam, d, tol=1e-9) -> Realization:
     for (i, j, t, target) in steps:
         if i == j:
             continue
-        c = math.sqrt(min(1.0, max(0.0, t)))
-        s = math.sqrt(min(1.0, max(0.0, 1.0 - t)))
+        c = math.sqrt(t)
+        s = math.sqrt(1.0 - t)
         g = np.eye(n)
         g[i, i] = c
         g[j, i] = s
@@ -239,7 +238,7 @@ def convex_decomposition(lam, d, tol=1e-10):
     the weights sum to D, and every row r satisfies
     sum_k w_k lam_hat[pi_k(r)] = d_r D L, where L is the lcm of lam's
     denominators and lam_hat = L lam.  No exact value is converted to float.
-    Float input is extracted with a 1e-12 cutoff and checked against tol.
+    Float input is extracted with a 1e-15 cutoff and checked against tol.
     """
     dec = decide_schur_horn(lam, d)
     if dec.verdict != "Yes":
@@ -253,7 +252,7 @@ def convex_decomposition(lam, d, tol=1e-10):
     else:
         unit = 1.0
         remaining = [row[:] for row in full]
-    eps = 0 if exact else 1e-12
+    eps = 0 if exact else 1e-15
     weight_left = unit
     out = []
     cap = (n - 1) ** 2 + 1
@@ -313,9 +312,11 @@ def construct_projection_with_diagonal(d, tol=1e-9) -> Realization:
             raise PreconditionError("entries must lie in [0, 1]")
     if not 0 <= r <= n:
         raise PreconditionError("integer sum out of range")
-    lam = [1] * r + [0] * (n - r)
-    real = construct_schur_horn(lam, vals, tol=tol)
-    p = real.matrix.data.real
+    # at rank 0 the Schur-Horn decider would see only d's float dust as scale
+    shift = int(r == 0)
+    real = construct_schur_horn([1 + shift] * r + [shift] * (n - r),
+                                [v + shift for v in vals], tol=tol)
+    p = real.matrix.data.real - shift * np.eye(n)
     idem = float(np.linalg.norm(p @ p - p))
     if idem > tol * max(1.0, n):
         raise ConvergenceError(f"projection defect {idem:.2e}")
@@ -506,101 +507,95 @@ def construct_zero_diagonal_basis(t: DenseMatrix, tol=1e-9) -> Realization:
 # ---------------------------------------------------------------------------
 # Thompson realizations
 
-# alternating-projection sweeps per restart; up to ten times as many while
-# the diagonal residual is already below 1e-3 of the scale
-_THOMPSON_SWEEPS = 500
+
+def _thompson_holds(pool, targets):
+    """Thompson's inequalities for descending singular values and moduli."""
+    sums = list(zip(accumulate(targets), accumulate(pool)))
+    return all(t <= p for t, p in sums) and \
+        2 * pool[-1] + sums[-1][0] <= sums[-1][1] + 2 * targets[-1]
 
 
-def construct_thompson(s, d, tol=1e-9, budget=200, seed=0):
-    """Matrix with singular values s and diagonal d.
+def _thompson_chain(s, t):
+    """Exact plan of 2x2 steps from diag(s) to diagonal t, both descending.
 
-    Dimensions 1 and 2 are closed-form; larger sizes use alternating
-    projections with seeded restarts and report NotFound when the budget
-    runs out (never claiming nonexistence).  Each sweep sets the diagonal
-    and then the singular values through ``np.linalg.svd`` of the working
-    array, which stays float64 for real data; a candidate is accepted only
-    after the self-contained Jacobi ``singular_values`` confirms it.
+    Step j turns the block diag(A, B) of two pool values (first s, at
+    positions 0..n-1) into one with diagonal (t[j], b), which exists iff
+    t[j] + b <= A + B and |t[j] - b| <= A - B.  b replaces B in the pool,
+    chosen so that Thompson's inequalities still hold for the pool and the
+    targets left.  Returns the steps (pa, pb, A, B, t[j], b) and the
+    position of each target."""
+    pool = [(x, i) for i, x in enumerate(s)]
+    steps = []
+    for j, a in enumerate(t[:-1]):
+        rest = t[j + 1:]
+        k = min(sum(v >= a for v, _ in pool), len(pool) - 1) - 1
+        (big, pa), (small, pb) = pool[k], pool[k + 1]
+        others = pool[:k] + pool[k + 2:]
+        lo = max(0, a - big + small)
+        hi = min(a + big - small, big + small - a)
+        # the last inequality bounds b by cap once b is the smallest pool value
+        cap = sum(v for v, _ in others) - sum(rest) + 2 * rest[-1]
+        for b in (hi, max(lo, min(hi, cap))):
+            reduced = sorted(others + [(b, pb)], key=lambda e: -e[0])
+            if _thompson_holds([v for v, _ in reduced], rest):
+                break
+        else:
+            raise ConvergenceError(f"no 2x2 step freezes target {j}")
+        steps.append((pa, pb, big, small, a, b))
+        pool = reduced
+    return steps, [step[0] for step in steps] + [pool[0][1]]
+
+
+def construct_thompson(s, d, tol=1e-9):
+    """Matrix with singular values s and diagonal d, by a chain of 2x2 steps.
+
+    ``_thompson_chain`` plans on the sorted moduli of d, and each step turns
+    two rows and two columns; the rows then take the phases of d, so real d
+    gives a real matrix.  No LAPACK call builds it, so ``np.linalg.svd``
+    checks it (the Gram route of ``spectra`` blurs a zero singular value).
     """
-    if budget < 0:
-        raise PreconditionError("budget must be nonnegative")
-    dec = decide_thompson(s, d)
-    if dec.verdict != "Yes":
+    if decide_thompson(s, d).verdict != "Yes":
         raise PreconditionError("Thompson inequalities reject (s, d)")
     s_f = [float(x) for x in s]
     d_c = [complex(x) for x in d]
-    n = len(s_f)
-    realness = all(abs(v.imag) == 0.0 for v in d_c)
-    scale = max(s_f[0] if s_f else 0.0, 1.0)
-    if n == 1:
-        m = np.array([[d_c[0]]])
-        return _verified_thompson(m, s_f, d_c, tol, scale, "closed-form", realness)
-    if n == 2:
-        rr = s_f[0] ** 2 + s_f[1] ** 2 - abs(d_c[0]) ** 2 - abs(d_c[1]) ** 2
-        rr = max(rr, 0.0)
-        prod = d_c[0] * d_c[1]
-        target = s_f[0] * s_f[1]
-        w_mag = abs(prod) - target
-        if abs(prod) > 1e-300:
-            w = w_mag * prod / abs(prod)
-        else:
-            w = -target + 0j  # any phase works when the diagonal product vanishes
-            if realness:
-                w = -target
-        disc = rr * rr - 4.0 * abs(w) ** 2
-        disc = max(disc, 0.0)
-        x2 = (rr + math.sqrt(disc)) / 2.0
-        x = math.sqrt(max(x2, 0.0))
-        y = w / x if x > 1e-300 else 0.0
-        m = np.array([[d_c[0], x], [y, d_c[1]]])
-        return _verified_thompson(m, s_f, d_c, tol, scale, "closed-form", realness)
-    if max(s_f) - min(s_f) <= 1e-12 * scale and min(s_f) > 0:
-        # constant singular spectrum: scaled unitary, closed form
-        c = s_f[0]
-        real = construct_unitary_with_diagonal([v / c for v in d_c], tol=tol)
-        m = c * real.matrix.data
-        return _verified_thompson(m, s_f, d_c, tol, scale, "scaled-unitary", realness)
-    rng = np.random.default_rng(seed)
-    best = math.inf
-    target_d = np.array(d_c) if not realness else np.array([v.real for v in d_c])
-    for restart in range(budget):
-        u = haar_unitary(n, seed=rng.integers(0, 2**63 - 1)).data
-        v = haar_unitary(n, seed=rng.integers(0, 2**63 - 1)).data
-        if realness:
-            u, _ = np.linalg.qr(u.real)
-            v, _ = np.linalg.qr(v.real)
-        m = u @ np.diag(s_f) @ v.conj().T
-        prev = math.inf
-        sweep = 0
-        while sweep < _THOMPSON_SWEEPS or (sweep < 10 * _THOMPSON_SWEEPS and prev < 1e-3 * scale):
-            sweep += 1
-            np.fill_diagonal(m, target_d)
-            u2, _, vh2 = np.linalg.svd(m)
-            m = (u2 * s_f) @ vh2
-            res = float(np.max(np.abs(np.diagonal(m) - target_d)))
-            if res <= 0.5 * tol * scale:
-                np.fill_diagonal(m, target_d)
-                try:
-                    return _verified_thompson(m, s_f, d_c, tol, scale,
-                                              "alternating-projection", realness)
-                except ConvergenceError:
-                    break
-            if res >= prev * 0.999999 and sweep >= _THOMPSON_SWEEPS:
-                break
-            prev = res
-            best = min(best, res)
-    return NotFound(budget, best)
+    order_d = sorted(range(len(d_c)), key=lambda p: (-abs(d_c[p]), p))
+    s_q = [Fraction(x) for x in s_f]
+    t = [Fraction(abs(d_c[p])) for p in order_d]
+    # moduli that pass only within tolerance: scale them onto the partial-sum
+    # faces, then pull them toward their mean onto the last face
+    over = max(((lhs - rhs) / lhs for lhs, rhs in zip(accumulate(t), accumulate(s_q))
+                if lhs > rhs), default=0)
+    t = [x * (1 - over) for x in t]
+    excess = sum(t) - 2 * t[-1] - sum(s_q) + 2 * s_q[-1]
+    if excess > 0 and len(t) > 1:
+        mean = sum(t) / len(t)
+        t = [x + excess * (mean - x) / (2 * (mean - t[-1])) for x in t]
+    steps, fixed = _thompson_chain(s_q, t)
+    m = np.diag(s_f)
+    for pa, pb, big, small, a, b in steps:
+        # rows turn by theta, columns by phi; theta - phi fixes a + b, theta + phi a - b
+        minus = math.acos(float((a + b) / (big + small))) if big else 0.0
+        plus = math.acos(float((a - b) / (big - small))) if big != small else 0.0
+        c, sn = math.cos((plus + minus) / 2), math.sin((plus + minus) / 2)
+        m[[pa, pb]] = [[c, -sn], [sn, c]] @ m[[pa, pb]]
+        c, sn = math.cos((plus - minus) / 2), math.sin((plus - minus) / 2)
+        m[:, [pa, pb]] = m[:, [pa, pb]] @ [[c, sn], [-sn, c]]
+    # route frozen positions back to the input order of d, then add the phases
+    sigma = [pos for _, pos in sorted(zip(order_d, fixed))]
+    realness = all(v.imag == 0.0 for v in d_c)
+    phases = np.array([v / abs(v) if v else 1.0 for v in d_c])
+    m = (phases.real if realness else phases)[:, None] * m[np.ix_(sigma, sigma)]
+    return _verified_thompson(m, s_f, d_c, tol, realness)
 
 
-def _verified_thompson(m, s_f, d_c, tol, scale, tag, realness):
-    got = singular_values(DenseMatrix(m))
-    sv_res = float(np.max(np.abs(got - np.array(sorted(s_f, reverse=True)))))
-    diag_res = float(np.max(np.abs(np.diagonal(m) - np.array(d_c))))
-    if sv_res > tol * scale or diag_res > tol * scale:
+def _verified_thompson(m, s_f, d_c, tol, realness):
+    sv_res = float(np.max(np.abs(np.linalg.svd(m, compute_uv=False) - s_f)))
+    diag_res = float(np.max(np.abs(np.diagonal(m) - d_c)))
+    if max(sv_res, diag_res) > tol * max(s_f[0], 1.0):
         raise ConvergenceError(f"thompson verification failed: sv {sv_res:.2e}, "
                                f"diag {diag_res:.2e}")
-    real_out = realness and bool(np.all(np.abs(m.imag) <= 1e-14 * scale))
-    return Realization(DenseMatrix(m, real=real_out),
-                       {"singular": sv_res, "diagonal": diag_res}, tag)
+    return Realization(DenseMatrix(m, real=realness),
+                       {"singular": sv_res, "diagonal": diag_res}, "rotation-chain")
 
 
 # ---------------------------------------------------------------------------

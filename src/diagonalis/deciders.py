@@ -820,6 +820,8 @@ def decide_thompson(s, d) -> Decision:
     d = python_scalars(d)
     if len(s) != len(d):
         raise PreconditionError("length mismatch")
+    if not s:
+        raise PreconditionError("empty input")
     if any(s[i] < s[i + 1] for i in range(len(s) - 1)):
         raise PreconditionError("singular values must be nonincreasing")
     if any(x < 0 for x in s):

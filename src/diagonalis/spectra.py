@@ -1,12 +1,11 @@
 """Dense-matrix kernels and spectral models of operators.
 
-LAPACK (through ``numpy.linalg``) builds realizations: the Thompson and
-unitary constructions call ``np.linalg.svd`` and ``np.linalg.eigh``
-directly.  The self-contained kernels here verify them: the Hermitian
-eigensolver is a cyclic-by-row Jacobi iteration and singular values come
-from the Gram matrix, so a realization is checked independently of the
-library that built it.  Matrices here are small (n <= 64), where Jacobi is
-simple, provably convergent and accurate.
+LAPACK (through ``numpy.linalg``) builds realizations: the unitary
+construction calls ``np.linalg.eigh`` directly.  The self-contained kernels
+here verify them: the Hermitian eigensolver is a cyclic-by-row Jacobi
+iteration and singular values come from the Gram matrix, so a realization
+is checked independently of the library that built it.  Matrices here are
+small (n <= 64), where Jacobi is simple, provably convergent and accurate.
 
 A point of the numerical range W(M) is attained by adaptive support
 directions, and rejected only when a support direction certifies that it
@@ -258,6 +257,10 @@ def _attain_2x2(b: np.ndarray, z: complex, tol: float):
         c = math.sqrt((1.0 + u) / 2.0)
         s = math.sqrt((1.0 - u) / 2.0)
         cross = w - u * dd
+        if disc > 0 and abs(dd) <= abs(off):
+            # 1 -+ u cancels near u = +-1: inside W(b), unless b is nearly
+            # normal, the smaller of c and s follows from c s |off| = |cross|
+            c, s = (c, abs(cross) / (c * abs(off))) if u > 0 else (abs(cross) / (s * abs(off)), s)
         if c * s * abs(off) > 1e-300:
             phase = cross / (c * s * off)
             mag = abs(phase)

@@ -123,12 +123,6 @@ class TestZeroBudget:
         assert code == 2
         assert body == {"found": False, "budget": 0, "best_residual": None}
 
-    def test_thompson_restarts_nothing(self, capsys):
-        code, body = invoke(capsys, "construct", "thompson", "--s", "[3,2,1]",
-                            "--d", "[2,2,2]", "--budget", "0")
-        assert code == 2
-        assert body == {"not_found": True, "budget": 0, "best_residual": None}
-
     def test_williams_tries_no_grid_point(self, capsys, monkeypatch):
         def no_grid_point(*args, **kwargs):
             raise AssertionError("a grid point was tried")
@@ -139,7 +133,8 @@ class TestZeroBudget:
 
     @pytest.mark.parametrize("argv", [
         ["construct", "williams", *WILLIAMS_ARGS, "--budget", "-5"],
-        ["construct", "thompson", "--s", "[3,2,1]", "--d", "[2,2,2]", "--budget", "-5"],
+        ["oracle", "search", "--matrix", '{"n":1,"real":true,"entries":[[1,0]]}',
+         "--d", "[1]", "--budget", "-5"],
         ["oracle", "sample", "--matrix", '{"n":1,"real":true,"entries":[[1,0]]}',
          "--trials", "-1"],
     ])
@@ -429,6 +424,14 @@ class TestDenseBoundary:
         code = run([*argv, "--matrix", '{"n":0,"real":true,"entries":[]}'])
         captured = capsys.readouterr()
         assert code == 3 and json.loads(captured.out)["type"] == "PreconditionError"
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("request_", ["decide", "construct"])
+    def test_empty_thompson_input(self, capsys, request_):
+        code = run([request_, "thompson", "--s", "[]", "--d", "[]"])
+        captured = capsys.readouterr()
+        assert code == 3 and json.loads(captured.out) == {
+            "error": "empty input", "type": "PreconditionError"}
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("claim", [["--eigenvalues", "[1]"],

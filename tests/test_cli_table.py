@@ -245,12 +245,16 @@ GOLDEN = {
     "construct-projection-1": "65cb8ccc604e35c9",
     "construct-kadison-block-0": "93151dc40caaa6cd",
     "construct-zero-diagonal-0": "12c6d1911420a106",
-    "construct-thompson-0": "505da7996f8800b7",
-    "construct-thompson-1": "d8912e1d554ba14f",
+    # re-recorded: the 2x2 rotation chain replaced the alternating-projection
+    # search, and -1 (a boundary instance) now builds instead of NotFound
+    "construct-thompson-0": "b4fb35a10f7bdff3",
+    "construct-thompson-1": "53e0264b0548ee97",
     "construct-unitary-0": "a8c15f72ebaa954a",
     "construct-unitary-1": "ef52263a986f5c4c",
-    "construct-williams-0": "1a85e014db3d7a15",
-    "construct-williams-1": "1a85e014db3d7a15",
+    # re-recorded: the 2x2 attainment takes the smaller of its two cosines
+    # from the cross term; the matrix moves in its last bits
+    "construct-williams-0": "16e36f4b840097c9",
+    "construct-williams-1": "16e36f4b840097c9",
     "verify-0": "4338d4961efc13cc",
     "verify-1": "11d8af94ce7ec42a",
     "verify-2": "618a5961932770e5",
