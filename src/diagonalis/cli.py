@@ -1,10 +1,12 @@
 """Command-line front end.
 
 JSON-only machine output on stdout, human-readable logs on stderr.  Exit
-codes: 0 = Yes (including YesModuloKernel / SufficientConditionHolds),
-1 = No (including NecessaryConditionFails), 2 = Unknown / ConditionFails /
-NotFound, 3 = error.  All randomness sits behind an explicit --seed, and
-identical inputs with the same seed give byte-identical output.
+codes: 0 = Yes (including YesModuloKernel / SufficientConditionHolds) or a
+built realization, 1 = No (including NecessaryConditionFails), 2 = Unknown /
+ConditionFails / an oracle search that found nothing, 3 = error.  Only
+the oracle reads --budget and --seed: every constructor builds in finitely
+many steps, without randomness.  Identical inputs with the same seed give
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -157,10 +159,7 @@ def _answer(out):
     if isinstance(out, list):  # convex_decomposition's (weight, permutation) pairs
         return {"decomposition": [{"weight": jsonio.encode_scalar(w), "permutation": list(p)}
                                   for w, p in out]}, EXIT_YES
-    body = out.as_json()
-    if hasattr(out, "verdict"):
-        return body, _VERDICT_EXIT[out.verdict]
-    return body, EXIT_UNKNOWN if body.get("not_found") else EXIT_YES
+    return out.as_json(), _VERDICT_EXIT[out.verdict] if hasattr(out, "verdict") else EXIT_YES
 
 
 # The one list of theorem tags and construction targets.  An entry is
@@ -215,8 +214,7 @@ CONSTRUCT = {
     "unitary": ("constructors", "construct_unitary_with_diagonal",
                 (("d", _scalars), ("tol", _given))),
     "williams": ("constructors", "construct_williams",
-                 (("lambda", _scalars), ("d", _scalars),
-                  ("tol", lambda args, name: max(args.tol, 1e-8)), ("budget", _default(4096)))),
+                 (("lambda", _scalars), ("d", _scalars), ("tol", _given))),
 }
 
 
@@ -252,7 +250,7 @@ def cmd_construct(args) -> int:
 def _verify_matrix(args) -> int:
     import numpy as np
 
-    from .spectra import hermitian_eigenvalues, singular_values
+    from .spectra import hermitian_eigenvalues
     m = _matrix(args, "matrix")
     if m.n == 0:
         raise PreconditionError("matrix must have at least one row")
@@ -261,7 +259,9 @@ def _verify_matrix(args) -> int:
     scale = max(m.norm(), 1.0)
     for option, key, decoder, compute in (
             ("eigenvalues", "eigenvalue_residual", _floats, hermitian_eigenvalues),
-            ("singular-values", "singular_residual", _floats, singular_values),
+            # LAPACK: the Gram route of spectra.singular_values blurs a zero singular value
+            ("singular-values", "singular_residual", _floats,
+             lambda m: np.linalg.svd(m.data, compute_uv=False)),
             ("diagonal", "diagonal_residual", _complexes, lambda m: m.diag())):
         if not _given(args, option):
             continue

@@ -1,13 +1,13 @@
 """Explicit finite realizations with built-in verification.
 
-Every constructor re-checks its output (eigenvalues, singular values,
-diagonal, unitarity) before returning; a candidate that fails verification
-is an error or an honest ``NotFound``, never a silent return.
+Every constructor builds its realization in closed form or by a finite
+chain of steps, and re-checks it (eigenvalues, singular values, diagonal,
+unitarity) before returning; one that fails verification raises
+``ConvergenceError``, never returns silently.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,6 +64,11 @@ class Realization:
 
 @dataclass(frozen=True)
 class NotFound:
+    """A search that spent its budget without a realization.
+
+    No constructor returns it: none of them searches.
+    """
+
     budget: int
     best_residual: float
 
@@ -546,18 +551,13 @@ def _thompson_chain(s, t):
     return steps, [step[0] for step in steps] + [pool[0][1]]
 
 
-def construct_thompson(s, d, tol=1e-9):
-    """Matrix with singular values s and diagonal d, by a chain of 2x2 steps.
+def _rotation_chain(s_f, d_c):
+    """Matrix with singular values s_f (descending) and diagonal d_c.
 
     ``_thompson_chain`` plans on the sorted moduli of d, and each step turns
     two rows and two columns; the rows then take the phases of d, so real d
-    gives a real matrix.  No LAPACK call builds it, so ``np.linalg.svd``
-    checks it (the Gram route of ``spectra`` blurs a zero singular value).
+    gives a real matrix.  Returns the matrix and whether d is real.
     """
-    if decide_thompson(s, d).verdict != "Yes":
-        raise PreconditionError("Thompson inequalities reject (s, d)")
-    s_f = [float(x) for x in s]
-    d_c = [complex(x) for x in d]
     order_d = sorted(range(len(d_c)), key=lambda p: (-abs(d_c[p]), p))
     s_q = [Fraction(x) for x in s_f]
     t = [Fraction(abs(d_c[p])) for p in order_d]
@@ -584,11 +584,20 @@ def construct_thompson(s, d, tol=1e-9):
     sigma = [pos for _, pos in sorted(zip(order_d, fixed))]
     realness = all(v.imag == 0.0 for v in d_c)
     phases = np.array([v / abs(v) if v else 1.0 for v in d_c])
-    m = (phases.real if realness else phases)[:, None] * m[np.ix_(sigma, sigma)]
-    return _verified_thompson(m, s_f, d_c, tol, realness)
+    return (phases.real if realness else phases)[:, None] * m[np.ix_(sigma, sigma)], realness
 
 
-def _verified_thompson(m, s_f, d_c, tol, realness):
+def construct_thompson(s, d, tol=1e-9):
+    """Matrix with singular values s and diagonal d, by a chain of 2x2 steps.
+
+    No LAPACK call builds it, so ``np.linalg.svd`` checks it (the Gram route
+    of ``spectra`` blurs a zero singular value).
+    """
+    if decide_thompson(s, d).verdict != "Yes":
+        raise PreconditionError("Thompson inequalities reject (s, d)")
+    s_f = [float(x) for x in s]
+    d_c = [complex(x) for x in d]
+    m, realness = _rotation_chain(s_f, d_c)
     sv_res = float(np.max(np.abs(np.linalg.svd(m, compute_uv=False) - s_f)))
     diag_res = float(np.max(np.abs(np.diagonal(m) - d_c)))
     if max(sv_res, diag_res) > tol * max(s_f[0], 1.0):
@@ -605,85 +614,41 @@ def _verified_thompson(m, s_f, d_c, tol, realness):
 def construct_unitary_with_diagonal(d, tol=1e-9) -> Realization:
     """Unitary with prescribed diagonal; orthogonal when d is real.
 
-    Structure: entries of modulus one become fixed phases; the rest absorb
-    their moduli deficit through K coplanar rotations by a common angle,
-    whose planes span the range of a rank-2K projection with prescribed
-    diagonal.  The planes are ``np.linalg.eigh`` eigenvectors of its 2K
-    largest eigenvalues; any orthonormal basis of the range gives the same
-    diagonal, which the direct residual check confirms.  Where Horn's
-    condition holds only within ``decide_horn_unitary``'s float tolerance,
-    the largest deficit is lowered until it holds.  The result is
-    deterministic.
+    Horn's condition on d is Thompson's inequalities for singular values
+    s = (1, ..., 1) (R. C. Thompson, SIAM J. Appl. Math. 32, 1977), and a
+    matrix whose singular values are all 1 is unitary: the Thompson rotation
+    chain builds it.
     """
-    dec = decide_horn_unitary(d, "unitary")
-    if dec.verdict != "Yes":
+    if decide_horn_unitary(d, "unitary").verdict != "Yes":
         raise PreconditionError("Horn condition rejects d")
     d_c = [complex(x) for x in d]
     n = len(d_c)
-    realness = all(v.imag == 0.0 for v in d_c)
-    moduli = [abs(v) for v in d_c]
-    phases = [v / m if m > 1e-300 else 1.0 for v, m in zip(d_c, moduli)]
-    rest = [i for i in range(n) if moduli[i] < 1.0 - 1e-13]
-    deltas = [1.0 - moduli[i] for i in rest]
-    if rest:
-        # Horn's 2 max <= sum may hold only within the decider's tolerance: lower
-        # the largest deficit to the others' sum (a lone one becomes a phase)
-        top = deltas.index(max(deltas))
-        deltas[top] = min(deltas[top], sum(deltas) - deltas[top])
-        if not deltas[top]:
-            del rest[top], deltas[top]
-    u = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        if i not in rest:
-            u[i, i] = phases[i]
-    if rest:
-        m = len(rest)
-        delta_total = sum(deltas)
-        dmax = max(deltas)
-        k = max(1, math.ceil(delta_total / 4.0 - 1e-12))
-        while delta_total / (2 * k) < dmax - 1e-12 and k > 1:
-            k -= 1
-        if 2 * k > m or delta_total / (2 * k) < dmax - 1e-12:
-            raise ConvergenceError("no admissible rotation count")
-        c = 1.0 - delta_total / (2 * k)
-        # not x / (1 - c), which cancels when the deficits are tiny
-        mu = [2 * k * x / delta_total for x in deltas]
-        proj = construct_projection_with_diagonal(mu, tol=min(1e-10, tol))
-        # orthonormal basis of the range: eigh lists eigenvalues ascending
-        q = np.linalg.eigh(proj.matrix.data.real)[1][:, m - 2 * k:]
-        s_ang = math.sqrt(max(0.0, 1.0 - c * c))
-        r = np.eye(m)
-        for t in range(k):
-            v1 = q[:, 2 * t]
-            v2 = q[:, 2 * t + 1]
-            r = r + (c - 1.0) * (np.outer(v1, v1) + np.outer(v2, v2)) \
-                + s_ang * (np.outer(v1, v2) - np.outer(v2, v1))
-        block = np.diag([phases[i] for i in rest]) @ r
-        u[np.ix_(rest, rest)] = block
+    u, realness = _rotation_chain([1.0] * n, d_c)
     unit_res = float(np.linalg.norm(u.conj().T @ u - np.eye(n)))
     diag_res = float(np.max(np.abs(np.diagonal(u) - np.array(d_c))))
     if unit_res > max(tol, 1e-10) or diag_res > tol:
         raise ConvergenceError(f"unitary verification failed: unit {unit_res:.2e}, "
                                f"diag {diag_res:.2e}")
-    real_out = realness and bool(np.all(np.abs(u.imag) <= 1e-14))
-    return Realization(DenseMatrix(u.real if real_out else u, real=real_out),
-                       {"unitarity": unit_res, "diagonal": diag_res},
-                       "plane-rotations")
+    return Realization(DenseMatrix(u, real=realness),
+                       {"unitarity": unit_res, "diagonal": diag_res}, "rotation-chain")
 
 
 # ---------------------------------------------------------------------------
 # Williams realizations
 
 
-def construct_williams(lam, d, tol=1e-8, budget=4096):
-    """3x3 normal matrix realization of a Williams-admissible diagonal.
+def construct_williams(lam, d, tol=1e-9):
+    """3x3 normal matrix with eigenvalues lam and diagonal d.
 
-    Off the collinear case, a phase sweep tries the points of a square grid
-    of max(8, sqrt(budget / 4)) points a side, none at budget 0, and reports
-    NotFound when none finishes (never claiming nonexistence).
+    Off the collinear case, B with B_ij the barycentric coordinate of d_i
+    in the triangle lam is the one doubly stochastic matrix with B lam = d,
+    and Williams's conditions say it is unistochastic (Au-Yeung & Poon,
+    Linear Algebra Appl. 27, 1979): a unitary U with |U_ij|^2 = B_ij gives
+    U diag(lam) U* the diagonal d.  Row 1 of U is sqrt(B_1j).  Row 2 is
+    sqrt(B_2j) times the phases of a triangle with sides sqrt(B_1j B_2j),
+    which makes it orthogonal to row 1.  Row 3 is the conjugate cross
+    product of the two.  ``basis`` is U*.
     """
-    if budget < 0:
-        raise PreconditionError("budget must be nonnegative")
     dec = decide_williams_3x3(lam, d)
     if dec.verdict != "Yes":
         raise PreconditionError("Williams conditions reject (lam, d)")
@@ -692,51 +657,35 @@ def construct_williams(lam, d, tol=1e-8, budget=4096):
     scale = max(max(abs(v) for v in lam_c), 1.0)
     if dec.certificate.get("clause") == "collinear reduction":
         return _williams_collinear_construct(lam_c, d_c, tol, scale)
-    nmat = np.diag(lam_c)
-    a = np.array([[lam_c[0].real, lam_c[1].real, lam_c[2].real],
-                  [lam_c[0].imag, lam_c[1].imag, lam_c[2].imag],
-                  [1.0, 1.0, 1.0]])
-    w = np.linalg.solve(a, np.array([d_c[0].real, d_c[0].imag, 1.0]))
-    w = np.clip(w, 0.0, None)
-    w = w / w.sum()
-    roots = np.sqrt(w)
-    grid = max(8, int(math.sqrt(budget / 4))) if budget else 0
-    best = None
-    for ia in range(grid):
-        alpha = 2.0 * math.pi * ia / grid
-        for ib in range(grid):
-            beta = 2.0 * math.pi * ib / grid
-            x = np.array([roots[0], roots[1] * cmath.exp(1j * alpha),
-                          roots[2] * cmath.exp(1j * beta)])
-            res = _try_finish_williams(nmat, x, d_c, tol, scale)
-            if isinstance(res, Realization):
-                return res
-            if best is None or res < best:
-                best = res
-    return NotFound(budget, float("inf") if best is None else best)
-
-
-def _try_finish_williams(nmat, x, d_c, tol, scale):
-    q = _householder_first_column(x)
-    comp = q.conj().T @ nmat @ q
-    b = comp[1:, 1:]
-    try:
-        y2 = _attain_2x2(b, d_c[1], tol)
-    except (PreconditionError, ConvergenceError):
-        mid = (b[0, 0] + b[1, 1]) / 2.0
-        return abs(d_c[1] - mid)
-    y = q[:, 1:] @ y2
-    y_perp = q[:, 1:] @ np.array([-np.conj(y2[1]), np.conj(y2[0])])
-    u = np.column_stack([x, y, y_perp])
-    diag = np.diagonal(u.conj().T @ nmat @ u)
-    res = float(np.max(np.abs(diag - np.array(d_c))))
-    if res <= tol * scale:
-        unit = float(np.linalg.norm(u.conj().T @ u - np.eye(3)))
-        if unit <= 1e-9:
-            return Realization(DenseMatrix(u.conj().T @ nmat @ u),
-                               {"diagonal": res, "unitarity": unit},
-                               "phase-sweep", basis=DenseMatrix(u))
-    return res
+    b = np.linalg.solve([[v.real for v in lam_c], [v.imag for v in lam_c], [1.0] * 3],
+                        [[v.real for v in d_c], [v.imag for v in d_c], [1.0] * 3]).T
+    b = np.clip(b, 0.0, None)
+    # the two shorter sides meet at the angle the law of cosines gives and
+    # the longest closes the triangle: a short closing side would come out
+    # of a cancellation between two long ones
+    sides = np.sqrt(b[0] * b[1])
+    k = int(np.argmax(sides))
+    i, j = (k + 1) % 3, (k + 2) % 3
+    prod = 2.0 * sides[i] * sides[j]
+    cos = (sides[k] ** 2 - sides[i] ** 2 - sides[j] ** 2) / prod if prod else 1.0
+    cos = min(1.0, max(-1.0, cos))
+    z = np.zeros(3, dtype=complex)
+    z[i] = sides[i]
+    z[j] = sides[j] * complex(cos, math.sqrt(1.0 - cos * cos))
+    z[k] = -(z[i] + z[j])
+    row1 = np.sqrt(b[0] / b[0].sum())
+    row2 = np.sqrt(b[1]) * np.exp(1j * np.angle(z))
+    row2 = row2 - np.vdot(row1, row2) * row1
+    row2 = row2 / np.linalg.norm(row2)
+    u = np.array([row1, row2, np.cross(row1, row2).conj()])
+    m = u @ np.diag(lam_c) @ u.conj().T
+    diag_res = float(np.max(np.abs(np.diagonal(m) - np.array(d_c))))
+    unit_res = float(np.linalg.norm(u.conj().T @ u - np.eye(3)))
+    if diag_res > tol * scale or unit_res > 1e-9:
+        raise ConvergenceError(f"williams verification failed: unit {unit_res:.2e}, "
+                               f"diag {diag_res:.2e}")
+    return Realization(DenseMatrix(m), {"diagonal": diag_res, "unitarity": unit_res},
+                       "unistochastic", basis=DenseMatrix(u.conj().T))
 
 
 def _williams_collinear_construct(lam_c, d_c, tol, scale):

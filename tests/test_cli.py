@@ -123,20 +123,20 @@ class TestZeroBudget:
         assert code == 2
         assert body == {"found": False, "budget": 0, "best_residual": None}
 
-    def test_williams_tries_no_grid_point(self, capsys, monkeypatch):
-        def no_grid_point(*args, **kwargs):
-            raise AssertionError("a grid point was tried")
-        monkeypatch.setattr("diagonalis.constructors._try_finish_williams", no_grid_point)
-        code, body = invoke(capsys, "construct", "williams", *WILLIAMS_ARGS, "--budget", "0")
-        assert code == 2
-        assert body == {"not_found": True, "budget": 0, "best_residual": None}
+    def test_williams_ignores_budget(self, capsys):
+        # the closed form spends no budget, so --budget is parsed and not read
+        outs = set()
+        for budget in (["--budget", "0"], ["--budget", "-5"], []):
+            assert run(["construct", "williams", *WILLIAMS_ARGS, *budget]) == 0
+            outs.add(capsys.readouterr().out)
+        assert len(outs) == 1
 
     @pytest.mark.parametrize("argv", [
-        ["construct", "williams", *WILLIAMS_ARGS, "--budget", "-5"],
         ["oracle", "search", "--matrix", '{"n":1,"real":true,"entries":[[1,0]]}',
          "--d", "[1]", "--budget", "-5"],
         ["oracle", "sample", "--matrix", '{"n":1,"real":true,"entries":[[1,0]]}',
          "--trials", "-1"],
+        ["decide", "kw", "--s", GEO_HALF, "--kernel-dim", "-1", "--d", GEO_HALF],
     ])
     def test_negative_count_is_precondition_error(self, capsys, argv):
         code, body = invoke(capsys, *argv)
@@ -156,6 +156,15 @@ class TestVerifyOracleRange:
                             "--eigenvalues", "[1,0]", "--diagonal", "[0.5,0.5]",
                             "--tol", "1e-8")
         assert code == 0 and body["ok"]
+
+    def test_verify_rank_deficient_thompson_realization(self, capsys):
+        # the Gram route read a zero singular value of this matrix as 9e-9
+        code, body = invoke(capsys, "construct", "thompson", "--s", "[1,1,0]",
+                            "--d", "[0.438,-0.172,-0.09]")
+        assert code == 0
+        code, body = invoke(capsys, "verify", "matrix", "--matrix", json.dumps(body["matrix"]),
+                            "--singular-values", "[1,1,0]")
+        assert code == 0 and body["ok"] and body["singular_residual"] <= 1e-15
 
     def test_verify_kadison_codimension(self, capsys):
         mat = json.dumps({"n": 2, "real": True,

@@ -249,13 +249,15 @@ GOLDEN = {
     # search, and -1 (a boundary instance) now builds instead of NotFound
     "construct-thompson-0": "b4fb35a10f7bdff3",
     "construct-thompson-1": "53e0264b0548ee97",
-    "construct-unitary-0": "a8c15f72ebaa954a",
-    "construct-unitary-1": "ef52263a986f5c4c",
-    # re-recorded: the 2x2 attainment takes the smaller of its two cosines
-    # from the cross term; the matrix moves in its last bits
-    "construct-williams-0": "16e36f4b840097c9",
-    "construct-williams-1": "16e36f4b840097c9",
-    "verify-0": "4338d4961efc13cc",
+    # re-recorded: the Thompson chain at s = (1, ..., 1) builds the unitary,
+    # and the 3x3 Williams matrix is built in closed form (no phase grid)
+    "construct-unitary-0": "404831b9f8c5860c",
+    "construct-unitary-1": "1221baab48455976",
+    "construct-williams-0": "a34f76549ce59ab4",
+    "construct-williams-1": "a34f76549ce59ab4",
+    # re-recorded: singular values come from LAPACK, whose residual here is
+    # 0.0 where the Gram route read 1.1e-16
+    "verify-0": "250b7452a3e150ba",
     "verify-1": "11d8af94ce7ec42a",
     "verify-2": "618a5961932770e5",
     # re-recorded: this request used to fail with a TypeError (a numpy bool
@@ -301,6 +303,14 @@ class TestTable:
         for entry in [*cli.DECIDE.values(), *cli.CONSTRUCT.values()]:
             for module, function, _ in _entries(entry):
                 assert callable(getattr(import_module(f"diagonalis.{module}"), function))
+
+    def test_no_constructor_takes_a_budget_or_seed(self):
+        from importlib import import_module
+        from inspect import signature
+        for module, function, arguments in cli.CONSTRUCT.values():
+            params = signature(getattr(import_module(f"diagonalis.{module}"), function)).parameters
+            assert not {"budget", "seed"} & {*params, *(option for option, _ in arguments)}, \
+                function
 
     def test_only_operator_spec_tags_load_numpy(self):
         assert sorted(set(cli.DECIDE) - set(NUMPY_FREE)) == \

@@ -539,6 +539,34 @@ class TestUnitaryDiagonal:
             assert np.max(np.abs(np.diagonal(u) - d)) <= 1e-9, seed
         assert accepted == 300
 
+    def test_horn_is_thompson_at_unit_singular_values(self):
+        # the construction rests on this identity: Horn's condition on d is
+        # Thompson's inequalities for s = (1, ..., 1)
+        r = random.Random(1977)
+        verdicts = Counter()
+        for k in range(1200):
+            n = r.randint(1, 8)
+            den = r.choice([1, 2, 3, 7, 60])
+            kind = k % 3
+            if kind == 0:  # interior, moduli up to 1 + 1/den
+                moduli = [F(r.randint(0, den + 1), den) for _ in range(n)]
+            elif kind == 1:
+                # Horn's face: the largest deficit is the sum of the others,
+                # moved by -1/den^2, 0 or 1/den^2
+                deficits = [F(r.randint(0, den), den * max(1, n - 1)) for _ in range(n - 1)]
+                deficits.append(sum(deficits) + F(r.randint(-1, 1), den * den))
+                moduli = [1 - x for x in deficits]
+            else:  # unit moduli beside interior ones
+                moduli = [F(1) if r.random() < 0.5 else F(r.randint(0, den), den)
+                          for _ in range(n)]
+            d = [x * r.choice([-1, 1]) for x in moduli]
+            horn = decide_horn_unitary(d)
+            thompson = decide_thompson([1] * n, d)
+            assert horn.verdict == thompson.verdict, d
+            assert horn.mode == thompson.mode == "exact", d
+            verdicts[horn.verdict] += 1
+        assert verdicts["Yes"] >= 300 and verdicts["No"] >= 300, verdicts
+
 
 class TestWilliams:
     def test_centroid_circle(self):
@@ -576,3 +604,6 @@ class TestWilliams:
             real = construct_williams(lam, d)
             assert isinstance(real, Realization), k
             assert real.residuals["diagonal"] <= 1e-8
+            basis = real.basis.data
+            assert np.linalg.norm(basis.conj().T @ basis - np.eye(3)) <= 1e-12, k
+            assert np.max(np.abs(basis.conj().T @ n @ basis - real.matrix.data)) <= 1e-12, k
