@@ -40,7 +40,7 @@ from .seqspec import (
 from .spectra import (
     DenseMatrix,
     _attain_2x2,
-    _interp_on_span,
+    _ray_crossing,
     hermitian_eigenvalues,
 )
 
@@ -138,12 +138,8 @@ def construct_schur_horn(lam, d, tol=1e-9) -> Realization:
             continue
         c = math.sqrt(t)
         s = math.sqrt(1.0 - t)
-        g = np.eye(n)
-        g[i, i] = c
-        g[j, i] = s
-        g[i, j] = -s
-        g[j, j] = c
-        a = g.T @ a @ g
+        a[:, [i, j]] = a[:, [i, j]] @ [[c, -s], [s, c]]
+        a[[i, j]] = [[c, s], [-s, c]] @ a[[i, j]]
     # route sorted positions back to the input order of d
     order_d = sorted(range(n), key=lambda p: (-float(d[p]), p))
     sigma = [0] * n
@@ -388,74 +384,25 @@ def construct_kadison_block(d: SequenceSpec, tol=1e-9) -> KadisonBlockDescriptio
 # zero-diagonal bases
 
 
-def _zero_combination(points, eps):
-    """Indices and weights of 1-3 points whose hull contains 0."""
-    n = len(points)
-    for i in range(n):
-        if abs(points[i]) <= eps:
-            return (i,), (1.0,)
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = points[i], points[j]
-            ab = b - a
-            denom = abs(ab) ** 2
-            if denom < eps * eps:
-                continue
-            t = (-a * ab.conjugate()).real / denom
-            cross = (ab.conjugate() * (-a)).imag / abs(ab)
-            if -1e-12 <= t <= 1 + 1e-12 and abs(cross) <= eps:
-                t = min(1.0, max(0.0, t))
-                return (i, j), (1.0 - t, t)
-    best = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                m = np.array([
-                    [points[i].real, points[j].real, points[k].real],
-                    [points[i].imag, points[j].imag, points[k].imag],
-                    [1.0, 1.0, 1.0],
-                ])
-                try:
-                    alpha = np.linalg.solve(m, np.array([0.0, 0.0, 1.0]))
-                except np.linalg.LinAlgError:
-                    continue
-                worst = float(np.min(alpha))
-                if best is None or worst > best[0]:
-                    best = (worst, (i, j, k), alpha)
-    if best is None or best[0] < -1e-7:
-        return None, None
-    _, idx, alpha = best
-    alpha = np.clip(alpha, 0.0, None)
-    alpha = alpha / alpha.sum()
-    return idx, tuple(float(x) for x in alpha)
-
-
-def _householder_first_column(x):
-    """Unitary with first column x."""
-    n = x.shape[0]
-    e = np.zeros(n, dtype=complex)
-    e[0] = 1.0
-    u = x.copy()
-    alpha = u[0]
-    phase = alpha / abs(alpha) if abs(alpha) > 1e-300 else 1.0
-    v = u + phase * np.linalg.norm(u) * e
-    nv = np.linalg.norm(v)
-    if nv < 1e-300:
-        q = np.eye(n, dtype=complex)
-    else:
-        v = v / nv
-        q = np.eye(n, dtype=complex) - 2.0 * np.outer(v, v.conj())
-        q = q * (-phase.conjugate())
-    # first column of q is now x up to rounding
-    return q
+def _turn(a, u, p, q, z, tol):
+    """Turn rows and columns p, q of a, and columns p, q of u, so that a[p, p] = z."""
+    idx = [p, q]
+    y = _attain_2x2(a[np.ix_(idx, idx)], z, tol)
+    g = np.array([[y[0], -y[1].conjugate()], [y[1], y[0].conjugate()]])
+    a[:, idx] = a[:, idx] @ g
+    a[idx] = g.conj().T @ a[idx]
+    u[:, idx] = u[:, idx] @ g
 
 
 def construct_zero_diagonal_basis(t: DenseMatrix, tol=1e-9) -> Realization:
     """Unitary basis in which a trace-zero matrix has an all-zero diagonal.
 
-    Deflation: pick a unit vector attaining zero (its existence follows from
-    the zero mean of the diagonal entries), fix it as a basis column, and
-    recurse on the orthogonal compression, whose trace stays zero.
+    A chain of 2x2 turns (P. A. Fillmore, Amer. Math. Monthly 76, 1969).
+    The diagonal entries average to 0, so the chord between the entries
+    nearest by angle on either side of the ray from 0 away from the largest
+    entry f meets that ray at some c.  One turn sets the first of them, p,
+    to c; a second turns (p, f) so that p lands on 0, which lies on [c, f].
+    p then leaves the chain, and each step zeroes one entry.
     """
     n = t.n
     if n == 0:
@@ -463,50 +410,36 @@ def construct_zero_diagonal_basis(t: DenseMatrix, tol=1e-9) -> Realization:
     scale = max(t.norm(), 1.0)
     if abs(complex(np.trace(t.data))) > max(tol, 1e-9) * scale:
         raise PreconditionError("matrix must have (numerically) zero trace")
-    v_total = np.eye(n, dtype=complex)
     a = t.data.copy()
-    for size in range(n, 1, -1):
-        block = v_total[:, n - size:]
-        comp = block.conj().T @ t.data @ block
-        diag = np.diagonal(comp)
-        idx, weights = _zero_combination(list(diag), 1e-12 * scale)
-        if idx is None:
-            raise ConvergenceError("no zero combination among diagonal entries")
-        if len(idx) == 1:
-            y = np.zeros(size, dtype=complex)
-            y[idx[0]] = 1.0
-        elif len(idx) == 2:
-            i, j = idx
-            b = np.array([[comp[i, i], comp[i, j]], [comp[j, i], comp[j, j]]])
-            y2 = _attain_2x2(b, 0.0, tol)
-            y = np.zeros(size, dtype=complex)
-            y[i] = y2[0]
-            y[j] = y2[1]
-        else:
-            i, j, k = idx
-            wi, wj, wk = weights
-            if wi + wj < 1e-14:
-                stage_target = complex(diag[k])
-            else:
-                stage_target = (wi * diag[i] + wj * diag[j]) / (wi + wj)
-            b = np.array([[comp[i, i], comp[i, j]], [comp[j, i], comp[j, j]]])
-            y2 = _attain_2x2(b, stage_target, max(tol, 1e-12))
-            y1 = np.zeros(size, dtype=complex)
-            y1[i] = y2[0]
-            y1[j] = y2[1]
-            ek = np.zeros(size, dtype=complex)
-            ek[k] = 1.0
-            y = _interp_on_span(comp, y1, ek, 0.0, tol)
-        q = _householder_first_column(y)
-        v_total[:, n - size:] = block @ q
-    u = DenseMatrix(v_total)
-    final = u.data.conj().T @ t.data @ u.data
+    u = np.eye(n, dtype=complex)
+    small = 1e-12 * scale
+    live = [i for i in range(n) if abs(a[i, i]) > small]
+    while len(live) > 1:
+        f = max(live, key=lambda i: abs(a[i, i]))
+        away = -a[f, f]
+        rest = [i for i in live if i != f]
+        # nearest by |angle|: an entry on the ray may read -1e-17 and must
+        # still count as on it, not as on f's side
+        angle = np.angle(a[rest, rest] * away.conjugate())
+        k = int(np.argmin(np.abs(angle)))
+        p = rest[k]
+        other = angle * angle[k] < 0
+        if other.any():
+            q = rest[int(np.argmin(np.where(other, np.abs(angle), np.inf)))]
+            c = _ray_crossing(a[p, p], a[q, q], away)
+            if c is not None:
+                _turn(a, u, p, q, c, tol)
+        # a[p, p] is now c, or already on the ray when every entry lies on
+        # one line through 0, so 0 lies on [a[p, p], a[f, f]]
+        _turn(a, u, p, f, 0.0, tol)
+        live = [i for i in live if i != p and abs(a[i, i]) > small]
+    final = u.conj().T @ t.data @ u
     diag_res = float(np.max(np.abs(np.diagonal(final))))
-    unit_res = float(np.linalg.norm(u.data.conj().T @ u.data - np.eye(n)))
+    unit_res = float(np.linalg.norm(u.conj().T @ u - np.eye(n)))
     if diag_res > tol * scale or unit_res > 1e-10:
         raise ConvergenceError(f"zero-diagonal verification failed: {diag_res:.2e}")
     return Realization(DenseMatrix(final), {"diagonal": diag_res, "unitarity": unit_res},
-                       "attain-deflation", basis=u)
+                       "rotation-chain", basis=DenseMatrix(u))
 
 
 # ---------------------------------------------------------------------------

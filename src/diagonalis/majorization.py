@@ -615,6 +615,8 @@ def _totals_differ(d, lam):
 def weak_majorize(d: SequenceSpec, lam: SequenceSpec,
                   horizon=HORIZON_DEFAULT) -> MajorizationVerdict:
     """Weak majorization d ⪻ λ for nonnegative null sequences."""
+    if horizon < 0:
+        raise PreconditionError("horizon must be nonnegative")
     mode = _mode(d, lam)
     cmp = Cmp(mode == "exact")
     sd = MergedDesc(d)

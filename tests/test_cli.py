@@ -137,6 +137,8 @@ class TestZeroBudget:
         ["oracle", "sample", "--matrix", '{"n":1,"real":true,"entries":[[1,0]]}',
          "--trials", "-1"],
         ["decide", "kw", "--s", GEO_HALF, "--kernel-dim", "-1", "--d", GEO_HALF],
+        ["decide", "majorization", "--kind", "weak", "--horizon", "-5",
+         "--d", GEO_HALF, "--lambda", GEO_HALF],
     ])
     def test_negative_count_is_precondition_error(self, capsys, argv):
         code, body = invoke(capsys, *argv)

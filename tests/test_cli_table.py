@@ -242,9 +242,13 @@ GOLDEN = {
     "construct-convex-decomposition-0": "8191a5d525fc9e0a",
     "construct-convex-decomposition-1": "2e38e0b407989be2",
     "construct-projection-0": "9f84c0e30484dde8",
-    "construct-projection-1": "65cb8ccc604e35c9",
+    # re-recorded: each Givens step turns two rows and two columns in place,
+    # which moves the last bit of two off-diagonal entries
+    "construct-projection-1": "d9a0ce67ceefe878",
     "construct-kadison-block-0": "93151dc40caaa6cd",
-    "construct-zero-diagonal-0": "12c6d1911420a106",
+    # re-recorded: the zero-diagonal basis is a chain of 2x2 turns (method
+    # rotation-chain), here one turn of diag(1, -1) by a quarter of pi
+    "construct-zero-diagonal-0": "92a5e405e755354b",
     # re-recorded: the 2x2 rotation chain replaced the alternating-projection
     # search, and -1 (a boundary instance) now builds instead of NotFound
     "construct-thompson-0": "b4fb35a10f7bdff3",

@@ -312,6 +312,40 @@ class TestZeroDiagonal:
         with pytest.raises(PreconditionError):
             construct_zero_diagonal_basis(DenseMatrix.diagonal([1, 1]))
 
+    def test_ginibre_forty_in_a_quarter_second(self):
+        # a search over pairs and triples of diagonal entries took 1.95 s here
+        g = np.random.default_rng(40)
+        a = g.standard_normal((40, 40)) + 1j * g.standard_normal((40, 40))
+        a -= np.trace(a) / 40 * np.eye(40)
+        start = time.perf_counter()
+        real = construct_zero_diagonal_basis(DenseMatrix(a))
+        elapsed = time.perf_counter() - start
+        assert real.residuals["diagonal"] <= 1e-9 * np.linalg.norm(a)
+        assert real.residuals["unitarity"] <= 1e-10
+        assert elapsed < 0.25, elapsed
+
+    def test_collinear_nilpotent_rank_one_and_scaled(self):
+        # entries on one complex line through 0 are where a choice of p by the
+        # sign of its angle alone puts p on the far side of the ray
+        g = np.random.default_rng(2020)
+        for k in range(320):
+            n = int(g.integers(2, 11))
+            z = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
+            if k % 4 < 2:  # one line through 0, with or without a small off-diagonal part
+                a = np.diag(g.standard_normal(n) * np.exp(1j * g.uniform(0, 2 * np.pi)))
+                a = a + 1e-3 * (k % 2) * z
+            elif k % 4 == 2:  # nilpotent, in a random basis
+                q, _ = np.linalg.qr(g.standard_normal((n, n)) + 1j * g.standard_normal((n, n)))
+                a = q @ np.triu(z, 1) @ q.conj().T
+            else:  # rank one
+                a = np.outer(z[0], z[1].conj())
+            a = (a - np.trace(a) / n * np.eye(n)) * 10.0 ** g.integers(-8, 9)
+            real = construct_zero_diagonal_basis(DenseMatrix(a))
+            u = real.basis.data
+            scale = max(1.0, np.linalg.norm(a))
+            assert np.max(np.abs(np.diagonal(u.conj().T @ a @ u))) <= 1e-9 * scale, k
+            assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 1e-10, k
+
 
 class TestThompson:
     def test_two_by_two(self):
