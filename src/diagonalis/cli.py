@@ -157,8 +157,8 @@ def _complexes(raw):
 def _answer(out):
     """Body and exit code of a decider's, majorization's or constructor's result."""
     if isinstance(out, list):  # convex_decomposition's (weight, permutation) pairs
-        return {"decomposition": [{"weight": jsonio.encode_scalar(w), "permutation": list(p)}
-                                  for w, p in out]}, EXIT_YES
+        return jsonio.encode({"decomposition": [{"weight": w, "permutation": p}
+                                                for w, p in out]}), EXIT_YES
     return out.as_json(), _VERDICT_EXIT[out.verdict] if hasattr(out, "verdict") else EXIT_YES
 
 
@@ -300,8 +300,7 @@ def cmd_oracle(args) -> int:
     if what == "sample":
         outs = oracle.sample_diagonals(_matrix(args, "matrix"), trials=args.trials,
                                        seed=args.seed)
-        body = [[[float(v.real), float(v.imag)] for v in d] for d in outs]
-        return _emit({"diagonals": body}, EXIT_YES)
+        return _emit(jsonio.encode({"diagonals": [d.tolist() for d in outs]}), EXIT_YES)
     if what == "search":
         t = _matrix(args, "matrix")
         # plain numbers reach the search as they are: it rejects a non-finite d itself
@@ -317,7 +316,7 @@ def cmd_oracle(args) -> int:
 def cmd_range(args) -> int:
     from .spectra import numerical_range_hull
     pts = numerical_range_hull(_matrix(args, "matrix"), grid=args.grid)
-    return _emit({"hull": [[p.real, p.imag] for p in pts]}, EXIT_YES)
+    return _emit(jsonio.encode({"hull": pts}), EXIT_YES)
 
 
 def cmd_schema(args) -> int:

@@ -17,7 +17,6 @@ from numbers import Rational
 import numpy as np
 
 from .scalars import (
-    INF,
     ConvergenceError,
     PreconditionError,
     UnsupportedError,
@@ -73,9 +72,9 @@ class NotFound:
     best_residual: float
 
     def as_json(self):
-        best = float(self.best_residual)
+        from .jsonio import finite_or_null
         return {"not_found": True, "budget": self.budget,
-                "best_residual": best if math.isfinite(best) else None}
+                "best_residual": finite_or_null(self.best_residual)}
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +139,8 @@ def construct_schur_horn(lam, d, tol=1e-9) -> Realization:
         s = math.sqrt(1.0 - t)
         a[:, [i, j]] = a[:, [i, j]] @ [[c, -s], [s, c]]
         a[[i, j]] = [[c, s], [-s, c]] @ a[[i, j]]
+    # the two products round each off-diagonal pair apart: keep the upper one
+    a = np.triu(a) + np.triu(a, 1).T
     # route sorted positions back to the input order of d
     order_d = sorted(range(n), key=lambda p: (-float(d[p]), p))
     sigma = [0] * n
@@ -337,13 +338,14 @@ class KadisonBlockDescription:
     integer_a_minus_b: int
 
     def as_json(self):
-        return {
+        from .jsonio import encode
+        return encode({
             "block": None if self.block is None else self.block.as_json(),
             "block_values": [float(v) for v in self.block_values],
-            "ones_count": "inf" if self.ones_count == INF else self.ones_count,
-            "zeros_count": "inf" if self.zeros_count == INF else self.zeros_count,
+            "ones_count": self.ones_count,
+            "zeros_count": self.zeros_count,
             "a_minus_b": self.integer_a_minus_b,
-        }
+        })
 
 
 def construct_kadison_block(d: SequenceSpec, tol=1e-9) -> KadisonBlockDescription:
@@ -623,7 +625,9 @@ def construct_williams(lam, d, tol=1e-9):
 
 def _williams_collinear_construct(lam_c, d_c, tol, scale):
     base = lam_c[0]
-    direction = lam_c[1] - lam_c[0]
+    # the line's direction as the decider takes it: toward the first point
+    # unequal to lam_0 (all equal: any direction, and the matrix is lam_0 I)
+    direction = next((v - base for v in lam_c[1:] + d_c if v != base), 1.0)
     denom = abs(direction) ** 2
     t_lam = [((v - base) * direction.conjugate()).real / denom for v in lam_c]
     t_d = [((v - base) * direction.conjugate()).real / denom for v in d_c]

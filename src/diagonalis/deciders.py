@@ -28,7 +28,6 @@ from .scalars import (
     XSum,
     abs2,
     as_qc,
-    fraction_str,
     integrality,
     is_exact_scalar,
     is_real_scalar,
@@ -37,6 +36,7 @@ from .scalars import (
     unit_scale,
 )
 from . import ratlinalg
+from .jsonio import encode
 from .majorization import (
     _sorted_scan,
     approx_p_majorize,
@@ -96,28 +96,8 @@ class Decision:
     CONDITION_FAILS = "ConditionFails"
 
     def as_json(self):
-        return {"verdict": self.verdict, "theorem": self.theorem_tag,
-                "certificate": _jsonable(self.certificate), "mode": self.mode}
-
-
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, Fraction):
-        return fraction_str(x)
-    if isinstance(x, QC):
-        return [fraction_str(x.re), fraction_str(x.im)]
-    if isinstance(x, complex):
-        return [x.real, x.imag]
-    if isinstance(x, XSum):
-        return x.as_json()
-    if x is INF:
-        return "inf"
-    if hasattr(x, "dtype"):  # a numpy scalar; see scalars.python_scalars
-        return x.item()
-    return x
+        return encode({"verdict": self.verdict, "theorem": self.theorem_tag,
+                       "certificate": self.certificate, "mode": self.mode})
 
 
 def _spec_mode(*specs):
@@ -441,9 +421,12 @@ def decide_neumann_closure(spec, d: SequenceSpec) -> Decision:
     return Decision(Decision.UNKNOWN, "neumann-closure", cert, mode)
 
 
-def _hull_edges(points):
-    """Convex hull vertices as complex numbers, ccw (edges join neighbours)."""
-    pts = sorted({complex(p) for p in points}, key=lambda w: (w.real, w.imag))
+def _hull_edges(points, mode="float"):
+    """Convex hull vertices, ccw (edges join neighbours): QC points in exact
+    mode when every point is exact, complex ones otherwise."""
+    exact = mode == "exact" and all(map(is_exact_scalar, points))
+    point = as_qc if exact else complex
+    pts = sorted({point(p) for p in points}, key=lambda w: (w.real, w.imag))
     if len(pts) <= 2:
         return pts
     hull = []
@@ -458,18 +441,24 @@ def _hull_edges(points):
 
 
 def _interior_distance(z, hull):
-    """Signed distance of z to the hull boundary (positive inside)."""
-    z = complex(z)
-    if len(hull) < 3:
-        return -abs(z - hull[0]) if len(hull) == 1 else None
+    """Signed distance of z to the boundary of a hull of three or more
+    vertices (positive inside).
+
+    On a QC hull the edge cross products are not divided by the edge
+    lengths: the sign is exact, the size is not a distance.
+    """
+    exact = isinstance(hull[0], QC)
+    z = as_qc(z) if exact else complex(z)
     best = None
     for i in range(len(hull)):
         a, b = hull[i], hull[(i + 1) % len(hull)]
         edge = b - a
-        nrm = abs(edge)
-        if nrm < 1e-300:
-            continue
-        sd = ((edge.conjugate() * (z - a)).imag) / nrm
+        sd = (edge.conjugate() * (z - a)).imag
+        if not exact:
+            nrm = abs(edge)
+            if nrm < 1e-300:
+                continue
+            sd /= nrm
         best = sd if best is None else min(best, sd)
     return best
 
@@ -497,15 +486,14 @@ def check_blaschke(spec, d: SequenceSpec, mode="selfadjoint") -> Decision:
         return Decision(Decision.CONDITION_FAILS, "blaschke-selfadjoint", cert, dmode)
     if mode != "general":
         raise PreconditionError("mode must be 'selfadjoint' or 'general'")
-    pts = essential_points(spec)
-    hull = _hull_edges(pts)
+    hull = _hull_edges(essential_points(spec), dmode)
     if len(hull) < 3:
         raise PreconditionError("essential numerical range has empty planar interior")
     diverges = False
     tol = 0.0 if dmode == "exact" else 1e-12
     for s in canonical_streams(d):
         if stream_is_infinite(s):
-            sd = _interior_distance(complex(stream_limit(s)), hull)
+            sd = _interior_distance(stream_limit(s), hull)
             if sd < -tol:
                 raise PreconditionError("stream limit escapes the essential numerical range")
             if sd > tol:
@@ -517,7 +505,7 @@ def check_blaschke(spec, d: SequenceSpec, mode="selfadjoint") -> Decision:
         outside = (sd < -1e-12) if dmode == "float" else (sd <= 0)
         if outside:
             raise PreconditionError("entry on or outside the boundary")
-    cert = {"hull": [ _jsonable(h) for h in hull ], "diverges": diverges}
+    cert = {"hull": hull, "diverges": diverges}
     if diverges:
         return Decision(Decision.SUFFICIENT, "blaschke-general", cert, dmode)
     return Decision(Decision.CONDITION_FAILS, "blaschke-general", cert, dmode)
@@ -878,16 +866,12 @@ def check_mt_p_summable(spec, d: SequenceSpec, p) -> Decision:
                 if lo < lim < hi:
                     interior_limit = True
     else:
-        pts = essential_points(spec)
-        hull = _hull_edges(pts)
-        if len(hull) < 3:
-            interior_limit = False
-        else:
+        hull = _hull_edges(essential_points(spec), mode)
+        if len(hull) >= 3:
+            tol = 0 if isinstance(hull[0], QC) else 1e-12
             for s in canonical_streams(d):
-                if stream_is_infinite(s):
-                    sd = _interior_distance(complex(stream_limit(s)), hull)
-                    if sd > 1e-12:
-                        interior_limit = True
+                if stream_is_infinite(s) and _interior_distance(stream_limit(s), hull) > tol:
+                    interior_limit = True
     cert = {"p": p, "summable": not interior_limit}
     if interior_limit:
         return Decision(Decision.CONDITION_FAILS, "mt-p-summable", cert, mode)
@@ -968,14 +952,7 @@ class TraceSetClass:
     offset: object = None     # Line: signed distance of the line from 0
 
     def as_json(self):
-        out = {"kind": self.kind}
-        if self.value is not None:
-            out["value"] = _jsonable(self.value)
-        if self.direction is not None:
-            out["direction"] = _jsonable(self.direction)
-        if self.offset is not None:
-            out["offset"] = _jsonable(self.offset)
-        return out
+        return encode({k: v for k, v in vars(self).items() if v is not None})
 
 
 def _ray_direction(phase):
@@ -1076,9 +1053,7 @@ class IdentityReport:
     detail: dict = dc_field(default_factory=dict)
 
     def as_json(self):
-        return {"lhs": _jsonable(self.lhs), "rhs": _jsonable(self.rhs),
-                "residual": self.residual, "ok": self.ok,
-                "detail": _jsonable(self.detail)}
+        return encode(vars(self))
 
 
 def verify_kadison_codimension_identity(p) -> IdentityReport:
@@ -1135,5 +1110,5 @@ def verify_normal_codimension_identity(n, n_prime, cluster_tol=1e-8) -> Identity
     res = abs(lhs - rhs)
     ok = bool(res <= max(1e-8 * scale, 1e-12))
     return IdentityReport(lhs, rhs, res, ok,
-                          {"clusters": [_jsonable(c) for c in centers],
+                          {"clusters": centers,
                            "P_ranks": counts, "Q_ranks": q_counts})

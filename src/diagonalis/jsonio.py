@@ -2,7 +2,10 @@
 
 Wire formats:
 
-* scalar: number; rational as ``"p/q"``; complex as ``[re, im]``
+* scalar: number; rational as ``"p/q"``; complex as ``[re, im]``; infinity
+  (a count, a p level) as ``"inf"``
+* extended sum: ``{"kind": "finite", "value": x}`` or ``{"kind": "+inf"|
+  "-inf"|"divergent"}``
 * sequence spec: ``{"field": "real"|"complex", "exact": bool, "streams":
   [{"kind": "finite", "values": [...]},
    {"kind": "geometric", "first": x, "ratio": r, "offset": o?},
@@ -13,6 +16,9 @@ Wire formats:
 * matrix: ``{"n": k, "real": bool, "entries": [[re, im], ...]}`` row-major
 * operator spec: tagged union ``{"variant": "matrix"|"finite_spectrum"|
   "diagonalizable", ...}``
+
+``encode`` is the one encoder of scalars: every result's ``as_json`` and the
+CLI's own bodies go through it.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 
-from .scalars import INF, QC, InputError, fraction_str
+from .scalars import INF, QC, InputError, XSum, fraction_str
 from .seqspec import (
     ConstantRepeat,
     FiniteList,
@@ -81,16 +87,41 @@ def decode_scalar(obj, exact=False, field="real"):
     raise InputError(f"cannot decode scalar from {obj!r}")
 
 
-def encode_scalar(x):
-    if isinstance(x, QC):
-        return [encode_scalar(x.re), encode_scalar(x.im)]
+# the wire names of XSum's infinite and divergent kinds
+_XSUM_KINDS = {"pinf": "+inf", "ninf": "-inf", "div": "divergent"}
+
+
+def encode(x):
+    """The wire form of ``x``, the one place that knows it.
+
+    Dicts and lists (tuples too) are encoded entry by entry; a Fraction is
+    ``"p/q"``, a complex or QC value an ``[re, im]`` pair, an ``XSum`` a
+    ``{"kind": ...}`` object, ``INF`` is ``"inf"`` and a numpy scalar is
+    encoded as the Python scalar it holds.  Anything else passes through.
+    """
+    if isinstance(x, dict):
+        return {k: encode(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [encode(v) for v in x]
     if isinstance(x, Fraction):
         return fraction_str(x)
-    if isinstance(x, complex):
-        return [x.real, x.imag]
+    if isinstance(x, (QC, complex)):
+        return [encode(x.real), encode(x.imag)]
+    if isinstance(x, XSum):
+        if x.finite:
+            return {"kind": "finite", "value": encode(x.value)}
+        return {"kind": _XSUM_KINDS[x.kind]}
+    if isinstance(x, float) and x == INF:
+        return "inf"
     if hasattr(x, "dtype"):  # a numpy scalar, recognised without importing numpy
-        return float(x)
+        return encode(x.item())
     return x
+
+
+def finite_or_null(x):
+    """A search's best residual: null when it is not finite (no restart ran)."""
+    x = float(x)
+    return x if math.isfinite(x) else None
 
 
 def _json_int(obj, what):
@@ -115,10 +146,6 @@ def _decode_count(obj):
     raise InputError(f"bad count {obj!r}")
 
 
-def _encode_count(c):
-    return "inf" if c == INF else int(c)
-
-
 def decode_stream(obj, exact):
     if not isinstance(obj, dict):
         raise InputError(f"stream must be an object, got {obj!r}")
@@ -140,22 +167,18 @@ def decode_stream(obj, exact):
 
 def encode_stream(s):
     if isinstance(s, FiniteList):
-        return {"kind": "finite", "values": [encode_scalar(v) for v in s.values]}
+        return encode({"kind": "finite", "values": s.values})
     if isinstance(s, ConstantRepeat):
-        return {"kind": "const", "value": encode_scalar(s.value),
-                "count": _encode_count(s.count)}
+        return encode({"kind": "const", "value": s.value, "count": s.count})
     if isinstance(s, Geometric):
-        out = {"kind": "geometric", "first": encode_scalar(s.first),
-               "ratio": encode_scalar(s.ratio)}
-        if not (s.offset == 0):
-            out["offset"] = encode_scalar(s.offset)
-        return out
-    if isinstance(s, TelescopingHarmonic) and s.n0 == 1:
-        out = {"kind": "telescoping", "scale": encode_scalar(s.scale)}
-        if not (s.offset == 0):
-            out["offset"] = encode_scalar(s.offset)
-        return out
-    raise InputError(f"stream {s!r} has no wire format")
+        out = {"kind": "geometric", "first": s.first, "ratio": s.ratio}
+    elif isinstance(s, TelescopingHarmonic) and s.n0 == 1:
+        out = {"kind": "telescoping", "scale": s.scale}
+    else:
+        raise InputError(f"stream {s!r} has no wire format")
+    if not (s.offset == 0):
+        out["offset"] = s.offset
+    return encode(out)
 
 
 def decode_sequence(obj):
@@ -180,7 +203,7 @@ def decode_sequence(obj):
 def encode_sequence(spec):
     if isinstance(spec, OrderedSequenceSpec):
         return {"ordered": True, "field": spec.field, "exact": spec.exact,
-                "prefix": [encode_scalar(v) for v in spec.prefix],
+                "prefix": encode(spec.prefix),
                 "tail": [{"stream": encode_stream(s), "weight": w}
                          for s, w in spec.tail]}
     return {"field": spec.field, "exact": spec.exact,
@@ -205,11 +228,8 @@ def decode_matrix(obj):
 
 
 def encode_matrix(m):
-    entries = []
-    for row in m.data:
-        for v in row:
-            entries.append([float(v.real), float(v.imag)])
-    return {"n": m.n, "real": m.real, "entries": entries}
+    return {"n": m.n, "real": m.real,
+            "entries": [[z.real, z.imag] for z in m.data.ravel().tolist()]}
 
 
 def decode_operator(obj):
@@ -239,10 +259,10 @@ def encode_operator(spec):
         return {"variant": "matrix", "matrix": encode_matrix(spec.matrix)}
     if isinstance(spec, FiniteSpectrumSpec):
         return {"variant": "finite_spectrum",
-                "points": [[encode_scalar(v), _encode_count(m)] for v, m in spec.points]}
+                "points": encode(spec.points)}
     if isinstance(spec, DiagonalizableSpec):
         return {"variant": "diagonalizable", "eigs": encode_sequence(spec.eigs),
-                "kernel_dim": _encode_count(spec.kernel_dim)}
+                "kernel_dim": encode(spec.kernel_dim)}
     raise InputError("operator spec has no wire format")
 
 

@@ -48,7 +48,8 @@ from fractions import Fraction
 from numbers import Integral, Rational
 from operator import itemgetter
 
-from .scalars import INF, Cmp, PreconditionError, fraction_str, unit_scale
+from .jsonio import encode
+from .scalars import INF, Cmp, PreconditionError, unit_scale
 from .seqspec import (
     DescendingMerge,
     SequenceSpec,
@@ -78,18 +79,12 @@ class MajorizationVerdict:
         out = {"verdict": self.verdict, "mode": self.mode}
         if self.witness is not None:
             m, lhs, rhs = self.witness
-            out["witness"] = {"index": m, "lhs": _num(lhs), "rhs": _num(rhs)}
+            out["witness"] = {"index": m, "lhs": lhs, "rhs": rhs}
         if self.horizon is not None:
             out["horizon"] = self.horizon
         if self.detail:
             out["detail"] = self.detail
-        return out
-
-
-def _num(x):
-    if isinstance(x, Fraction):
-        return fraction_str(x)
-    return x
+        return encode(out)
 
 
 def parse_plevel(p):

@@ -60,10 +60,9 @@ class SearchNotFound:
     best_residual: float
 
     def as_json(self):
-        # a search that ran no restart has an infinite best, which JSON cannot carry
-        best = self.best_residual
+        from .jsonio import finite_or_null
         return {"found": False, "budget": self.budget,
-                "best_residual": best if math.isfinite(best) else None}
+                "best_residual": finite_or_null(self.best_residual)}
 
 
 def sample_diagonals(t: DenseMatrix, trials: int, seed) -> list:

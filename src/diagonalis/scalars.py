@@ -248,12 +248,6 @@ class XSum:
     def __sub__(self, other: "XSum") -> "XSum":
         return self + (-other)
 
-    def as_json(self):
-        if self.kind == "fin":
-            from .jsonio import encode_scalar
-            return {"kind": "finite", "value": encode_scalar(self.value)}
-        return {"kind": {"pinf": "+inf", "ninf": "-inf", "div": "divergent"}[self.kind]}
-
     def __repr__(self):
         if self.kind == "fin":
             return f"XSum({self.value!r})"

@@ -1,11 +1,14 @@
 """Dense-matrix kernels and spectral models of operators.
 
-LAPACK (through ``numpy.linalg``) builds realizations: the unitary
-construction calls ``np.linalg.eigh`` directly.  The self-contained kernels
-here verify them: the Hermitian eigensolver is a cyclic-by-row Jacobi
-iteration and singular values come from the Gram matrix, so a realization
-is checked independently of the library that built it.  Matrices here are
-small (n <= 64), where Jacobi is simple, provably convergent and accurate.
+The finite constructors build in closed form (Givens, Thompson and 2x2
+turn chains) and check what they build: ``np.linalg.svd`` checks Thompson
+matrices, and the Hermitian eigensolver here, a cyclic-by-row Jacobi
+iteration, checks Schur-Horn matrices.  Jacobi also answers ``verify matrix
+--eigenvalues`` and gives the support directions of the numerical range.
+Matrices here are small (n <= 64), where Jacobi is simple, provably
+convergent and accurate.  ``singular_values`` takes the Gram route, which
+blurs a zero singular value to about 1e-8 of the largest; no library code
+calls it.
 
 A point of the numerical range W(M) is attained by adaptive support
 directions, and rejected only when a support direction certifies that it

@@ -266,7 +266,7 @@ class TestBigExactOutput:
         assert len(w["lhs"]) > 2 * 4300
 
     def test_every_exact_encoder_prints_big_values(self):
-        from diagonalis import deciders, jsonio
+        from diagonalis import jsonio
         from diagonalis.scalars import QC, fraction_str
         for x in (F(0), F(-7), F(3, 4), F(-22, 7), F(10 ** 40 + 1, 3)):
             assert fraction_str(x) == str(x)
@@ -274,10 +274,104 @@ class TestBigExactOutput:
         text = "-1" + "0" * 4999 + "1/3"
         assert fraction_str(huge) == text
         assert fraction_str(F(10 ** 5000)) == "1" + "0" * 5000
-        assert jsonio.encode_scalar(huge) == text
-        assert jsonio.encode_scalar(QC(huge, F(1, 2))) == [text, "1/2"]
-        assert deciders._jsonable({"x": [huge, QC(F(1, 2), huge)]}) == \
+        assert jsonio.encode(huge) == text
+        assert jsonio.encode(QC(huge, F(1, 2))) == [text, "1/2"]
+        assert jsonio.encode({"x": [huge, QC(F(1, 2), huge)]}) == \
             {"x": [text, ["1/2", text]]}
+
+
+class TestEncoderBranches:
+    """Wire forms that the golden table never prints: -inf and divergent
+    sums, infinite counts, exact complex values, numpy scalars and a search
+    that ran no restart."""
+
+    @staticmethod
+    def wire(obj):
+        from diagonalis import jsonio
+        return jsonio.dumps(obj).strip()
+
+    def test_extended_sums_in_a_certificate(self):
+        from diagonalis.deciders import Decision
+        from diagonalis.scalars import XSum
+        cert = {"sums": [XSum.fin(F(1, 2)), XSum.pinf(), XSum.ninf(), XSum.div(),
+                         XSum.fin(0.25)]}
+        assert self.wire(Decision("Unknown", "t", cert, "exact").as_json()["certificate"]) == (
+            '{"sums":[{"kind":"finite","value":"1/2"},{"kind":"+inf"},{"kind":"-inf"},'
+            '{"kind":"divergent"},{"kind":"finite","value":0.25}]}')
+
+    def test_infinite_counts(self):
+        from diagonalis import jsonio
+        from diagonalis.deciders import Decision
+        from diagonalis.scalars import INF
+        from diagonalis.seqspec import ConstantRepeat, FiniteList, SequenceSpec
+        spec = SequenceSpec((FiniteList([F(1, 3)]), ConstantRepeat(F(0), INF),
+                             ConstantRepeat(F(1), 2)), "real", True)
+        assert self.wire(jsonio.encode_sequence(spec)) == (
+            '{"exact":true,"field":"real","streams":[{"kind":"finite","values":["1/3"]},'
+            '{"count":"inf","kind":"const","value":"0"},{"count":2,"kind":"const","value":"1"}]}')
+        assert self.wire(Decision("Yes", "t", {"kernel_dim": INF}).as_json()) == (
+            '{"certificate":{"kernel_dim":"inf"},"mode":"exact","theorem":"t","verdict":"Yes"}')
+
+    def test_exact_complex_values(self):
+        from diagonalis.deciders import Decision, TraceSetClass, decide_williams_3x3
+        from diagonalis.majorization import MajorizationVerdict
+        from diagonalis.scalars import QC
+        z = QC(F(1, 3), F(-2, 5))
+        assert self.wire(Decision("No", "t", {"z": z, "zs": (z, F(3))}).as_json()) == (
+            '{"certificate":{"z":["1/3","-2/5"],"zs":[["1/3","-2/5"],"3"]},'
+            '"mode":"exact","theorem":"t","verdict":"No"}')
+        assert self.wire(TraceSetClass("Line", direction=z, offset=F(1, 7)).as_json()) == \
+            '{"direction":["1/3","-2/5"],"kind":"Line","offset":"1/7"}'
+        assert self.wire(TraceSetClass("Point", value=QC(F(0), F(1))).as_json()) == \
+            '{"kind":"Point","value":["0","1"]}'
+        v = MajorizationVerdict("Fails", "exact", witness=(4, F(7, 3), F(2)))
+        assert self.wire(v.as_json()) == \
+            '{"mode":"exact","verdict":"Fails","witness":{"index":4,"lhs":"7/3","rhs":"2"}}'
+        # the edge case of Williams's theorem reports its reflected point exactly
+        lam = [QC(F(0), F(0)), QC(F(1), F(0)), QC(F(0), F(1))]
+        d = [QC(F(1, 2), F(0)), QC(F(1, 4), F(1, 2)), QC(F(1, 4), F(1, 2))]
+        cert = json.loads(self.wire(decide_williams_3x3(lam, d).as_json()))["certificate"]
+        assert cert["clause"] == "edge case" and cert["reflected_d1"] == ["1/2", "0"]
+
+    def test_numpy_scalars(self):
+        import numpy as np
+
+        from diagonalis import jsonio
+        from diagonalis.deciders import Decision, IdentityReport
+        from diagonalis.majorization import MajorizationVerdict
+        from diagonalis.seqspec import FiniteList, SequenceSpec
+        cert = {"i": np.int64(3), "x": np.float64(0.25), "z": np.complex128(1 - 2j),
+                "xs": [np.float32(0.5), np.int32(-1)]}
+        assert self.wire(Decision("Yes", "t", cert, "float").as_json()["certificate"]) == \
+            '{"i":3,"x":0.25,"xs":[0.5,-1],"z":[1.0,-2.0]}'
+        spec = SequenceSpec((FiniteList([np.float64(0.25), np.complex128(0.5 + 1j)]),),
+                            "complex", False)
+        assert self.wire(jsonio.encode_sequence(spec)) == (
+            '{"exact":false,"field":"complex","streams":'
+            '[{"kind":"finite","values":[0.25,[0.5,1.0]]}]}')
+        v = MajorizationVerdict("Fails", "float", witness=(2, np.float64(1.5), 1.25))
+        assert self.wire(v.as_json()["witness"]) == '{"index":2,"lhs":1.5,"rhs":1.25}'
+        rep = IdentityReport(np.int64(1), np.int64(1), np.float64(0.0), True,
+                             {"rank": np.int64(2)})
+        assert self.wire(rep.as_json()) == \
+            '{"detail":{"rank":2},"lhs":1,"ok":true,"residual":0.0,"rhs":1}'
+
+    def test_search_without_restart_prints_null(self):
+        import math
+
+        import numpy as np
+
+        from diagonalis.constructors import NotFound
+        from diagonalis.oracle import SearchNotFound
+        for best in (math.inf, np.float64(math.inf), math.nan):
+            assert self.wire(SearchNotFound(0, best).as_json()) == \
+                '{"best_residual":null,"budget":0,"found":false}'
+            assert self.wire(NotFound(5, best).as_json()) == \
+                '{"best_residual":null,"budget":5,"not_found":true}'
+        assert self.wire(SearchNotFound(3, np.float64(0.125)).as_json()) == \
+            '{"best_residual":0.125,"budget":3,"found":false}'
+        assert self.wire(NotFound(3, 0.125).as_json()) == \
+            '{"best_residual":0.125,"budget":3,"not_found":true}'
 
 
 class TestRoundTrip:

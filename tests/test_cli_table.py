@@ -242,9 +242,9 @@ GOLDEN = {
     "construct-convex-decomposition-0": "8191a5d525fc9e0a",
     "construct-convex-decomposition-1": "2e38e0b407989be2",
     "construct-projection-0": "9f84c0e30484dde8",
-    # re-recorded: each Givens step turns two rows and two columns in place,
-    # which moves the last bit of two off-diagonal entries
-    "construct-projection-1": "d9a0ce67ceefe878",
+    # re-recorded: the Givens chain keeps its upper triangle and mirrors it,
+    # so entry (2, 1) now equals (1, 2), -0.33333333333333326, in the last bit
+    "construct-projection-1": "6d307dd83dbf976a",
     "construct-kadison-block-0": "93151dc40caaa6cd",
     # re-recorded: the zero-diagonal basis is a chain of 2x2 turns (method
     # rotation-chain), here one turn of diag(1, -1) by a quarter of pi

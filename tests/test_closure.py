@@ -18,9 +18,14 @@ import numpy as np
 import pytest
 
 from diagonalis import cli
-from diagonalis.constructors import KadisonBlockDescription, Realization, construct_thompson
-from diagonalis.deciders import decide_thompson
-from diagonalis.scalars import INF
+from diagonalis.constructors import (
+    KadisonBlockDescription,
+    Realization,
+    construct_thompson,
+    construct_williams,
+)
+from diagonalis.deciders import decide_thompson, decide_williams_3x3
+from diagonalis.scalars import INF, QC
 from diagonalis.seqspec import ConstantRepeat, FiniteList, OrderedSequenceSpec, seq
 from diagonalis.spectra import DenseMatrix
 
@@ -243,3 +248,34 @@ def test_thompson_boundary_instance_builds_fast(s, d):
     bound = 1e-9 * max(s[0], 1)
     assert np.max(np.abs(np.linalg.svd(m, compute_uv=False) - s)) <= bound
     assert np.max(np.abs(np.diagonal(m) - d)) <= bound
+
+
+# collinear Williams instances whose lam_0 repeats: the line's direction is
+# taken toward the first point unequal to lam_0, or is arbitrary when all are
+WILLIAMS_REPEATED = [
+    ([1, 1, 3], [1, 2, 2]),
+    ([2, 2, 2], [2, 2, 2]),
+    ([(1, 1), (1, 1), (3, 2)], [(2, F(3, 2)), (F(3, 2), F(5, 4)), (F(3, 2), F(5, 4))]),
+    ([(0, 1), (0, 1), (0, 1)], [(0, 1), (0, 1), (0, 1)]),
+]
+
+
+def _point(v, exact):
+    """A real v, or a complex one given as (re, im), as an exact or a float scalar."""
+    if isinstance(v, tuple):
+        return QC(F(v[0]), F(v[1])) if exact else complex(*v)
+    return F(v) if exact else float(v)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("lam,d", WILLIAMS_REPEATED)
+def test_williams_repeated_lam0_builds(lam, d, exact):
+    lam, d = [_point(v, exact) for v in lam], [_point(v, exact) for v in d]
+    dec = decide_williams_3x3(lam, d)
+    assert (dec.verdict, dec.certificate["clause"], dec.mode) == \
+        ("Yes", "collinear reduction", "exact" if exact else "float")
+    m = construct_williams(lam, d).matrix.data
+    lam_c, d_c = np.array([complex(v) for v in lam]), np.array([complex(v) for v in d])
+    assert np.max(np.abs(np.diagonal(m) - d_c)) <= 1e-12
+    assert np.max(np.abs(np.sort_complex(np.linalg.eigvals(m)) - np.sort_complex(lam_c))) <= 1e-12
+    assert np.max(np.abs(m @ m.conj().T - m.conj().T @ m)) <= 1e-12

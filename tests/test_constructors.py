@@ -78,6 +78,17 @@ class TestSchurHorn:
         with pytest.raises(PreconditionError):
             construct_schur_horn([1, 0], [1.2, -0.2])
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 10, 16, 25, 40])
+    def test_exactly_symmetric(self, n):
+        g = np.random.default_rng([n, 21])
+        lam = sorted(g.standard_normal(n), reverse=True)
+        q = np.linalg.qr(g.standard_normal((n, n)))[0]
+        d = list(np.diagonal(q @ np.diag(lam) @ q.T))
+        m = construct_schur_horn(lam, d).matrix.data
+        assert np.array_equal(m, m.T)
+        p = construct_projection_with_diagonal([F(int(g.integers(1, n)), n)] * n).matrix.data
+        assert np.array_equal(p, p.T)
+
 
 def recursive_matching(support):
     """Reference: Kuhn's augmenting paths, rows in order, columns ascending."""

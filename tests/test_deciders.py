@@ -6,7 +6,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from diagonalis.scalars import INF, PreconditionError, XSum, python_scalars
+from diagonalis.scalars import INF, QC, PreconditionError, XSum, python_scalars
 from diagonalis.deciders import (
     Decision,
     check_blaschke,
@@ -412,6 +412,34 @@ class TestBlaschkeGeneral:
         assert check_mt_p_summable(self.spec(), inside, 2).verdict == "ConditionFails"
         decaying = seq(Geometric(0.1 + 0.05j, 0.5j), field="complex", exact=False)
         assert check_mt_p_summable(self.spec(), decaying, 2).verdict == "SufficientConditionHolds"
+
+
+@pytest.mark.usefixtures("no_exact_float")
+class TestBlaschkeGeneralExact:
+    """The hull of 0, 1, i on QC points: each edge is decided by the sign of
+    an exact cross product."""
+
+    def spec(self):
+        return FiniteSpectrumSpec(tuple((QC(F(x), F(y)), INF) for x, y in ((0, 0), (1, 0), (0, 1))))
+
+    def test_interior_constant_diverges(self):
+        d = seq(ConstantRepeat(QC(F(1, 4), F(1, 4)), INF), field="complex")
+        out = check_blaschke(self.spec(), d, mode="general")
+        assert (out.verdict, out.mode) == ("SufficientConditionHolds", "exact")
+        assert out.as_json()["certificate"]["hull"] == [["0", "0"], ["1", "0"], ["0", "1"]]
+
+    @pytest.mark.parametrize("entry", [QC(F(1, 3), F(2, 3)), QC(F(1, 10), F(9, 10))])
+    def test_entry_on_an_edge_is_rejected(self, entry):
+        d = seq(FiniteList([entry]), ConstantRepeat(QC(F(1, 4), F(1, 4)), INF), field="complex")
+        with pytest.raises(PreconditionError):
+            check_blaschke(self.spec(), d, mode="general")
+
+    def test_mt_p_limit_just_inside_fails(self):
+        inside = seq(ConstantRepeat(QC(F(1, 2), F(1, 2) - F(1, 10 ** 14)), INF), field="complex")
+        out = check_mt_p_summable(self.spec(), inside, 2)
+        assert (out.verdict, out.mode) == ("ConditionFails", "exact")
+        on_edge = seq(ConstantRepeat(QC(F(1, 2), F(1, 2)), INF), field="complex")
+        assert check_mt_p_summable(self.spec(), on_edge, 2).verdict == "SufficientConditionHolds"
 
 
 def three_point_spec():
