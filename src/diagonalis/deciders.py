@@ -423,9 +423,8 @@ def decide_neumann_closure(spec, d: SequenceSpec) -> Decision:
 
 def _hull_edges(points, mode="float"):
     """Convex hull vertices, ccw (edges join neighbours): QC points in exact
-    mode when every point is exact, complex ones otherwise."""
-    exact = mode == "exact" and all(map(is_exact_scalar, points))
-    point = as_qc if exact else complex
+    mode (see _points_mode), complex ones otherwise."""
+    point = as_qc if mode == "exact" else complex
     pts = sorted({point(p) for p in points}, key=lambda w: (w.real, w.imag))
     if len(pts) <= 2:
         return pts
@@ -438,6 +437,11 @@ def _hull_edges(points, mode="float"):
             out.append(p)
         hull += out[:-1]
     return hull
+
+
+def _points_mode(points, d):
+    """Exact only when d and every essential-spectrum point are exact."""
+    return _spec_mode(d) if all(map(is_exact_scalar, points)) else "float"
 
 
 def _interior_distance(z, hull):
@@ -466,7 +470,8 @@ def _interior_distance(z, hull):
 def check_blaschke(spec, d: SequenceSpec, mode="selfadjoint") -> Decision:
     """Divergent boundary-distance sum: a sufficient diagonal condition."""
     from .spectra import essential_points, essential_summary
-    dmode = _spec_mode(d)
+    points = essential_points(spec)
+    dmode = _points_mode(points, d)
     if mode == "selfadjoint":
         summary = essential_summary(spec)
         lo, hi = summary.w_e
@@ -486,7 +491,7 @@ def check_blaschke(spec, d: SequenceSpec, mode="selfadjoint") -> Decision:
         return Decision(Decision.CONDITION_FAILS, "blaschke-selfadjoint", cert, dmode)
     if mode != "general":
         raise PreconditionError("mode must be 'selfadjoint' or 'general'")
-    hull = _hull_edges(essential_points(spec), dmode)
+    hull = _hull_edges(points, dmode)
     if len(hull) < 3:
         raise PreconditionError("essential numerical range has empty planar interior")
     diverges = False
@@ -855,7 +860,8 @@ def check_mt_p_summable(spec, d: SequenceSpec, p) -> Decision:
     from .spectra import essential_points, essential_summary
     if not (p > 1):
         raise PreconditionError("requires p > 1")
-    mode = _spec_mode(d)
+    points = essential_points(spec)
+    mode = _points_mode(points, d)
     interior_limit = False
     if d.field == "real":
         summary = essential_summary(spec)
@@ -866,7 +872,7 @@ def check_mt_p_summable(spec, d: SequenceSpec, p) -> Decision:
                 if lo < lim < hi:
                     interior_limit = True
     else:
-        hull = _hull_edges(essential_points(spec), mode)
+        hull = _hull_edges(points, mode)
         if len(hull) >= 3:
             tol = 0 if isinstance(hull[0], QC) else 1e-12
             for s in canonical_streams(d):

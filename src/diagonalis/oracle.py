@@ -13,13 +13,15 @@ Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds, ch. 8;
 Yamashita & Fukushima, Computing Suppl. 15, 2001).  The polish stops within
 0.9 tol scale of the target, at a rejection under the largest damping, at a
 gain of rounding size, or after 400 trials.  Every grid point of a sweep and
-every trial point of the polish is one evaluation of the budget.
-A SearchNotFound from the search is never treated as nonexistence, never
-read as No; only deciders say No.
+every trial point of the polish is one evaluation of the budget.  Restarts
+run as one (R, n, n) stack, swept and polished in lockstep, and are counted
+in restart order.  A SearchNotFound from the search is never treated as
+nonexistence, never read as No; only deciders say No.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,8 +31,13 @@ import numpy as np
 from .scalars import PreconditionError
 from .spectra import DenseMatrix, haar_unitaries, haar_unitary
 
-THETA_CANDIDATES = 16
-PHI_CANDIDATES = 16
+# The sweep grid: G = [[cos t, -conj(z)], [z, cos t]] for z = sin(t) exp(-i p),
+# 16 angles t in [0, pi/2) by 16 phases p in [0, 2 pi); point 0 is the identity.
+_COS = np.cos(np.linspace(0.0, math.pi / 2, 16, endpoint=False))[:, None]
+_SIN = np.sin(np.linspace(0.0, math.pi / 2, 16, endpoint=False))[:, None]
+_TURN = np.exp(-1j * np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False))
+_GRID = np.stack(np.broadcast_arrays(_COS, -(_SIN * _TURN).conj(), _SIN * _TURN, _COS), -1).reshape(-1, 4)
+STACK_MAX = 64     # restarts drawn, swept and polished as one stack
 # Levenberg-Marquardt polish: the damping mu is relative to scale^2, starts
 # at LM_MU_START, is multiplied by LM_MU_DOWN after an accepted trial and by
 # LM_MU_UP after a rejected one, and stays within [LM_MU_MIN, LM_MU_MAX].
@@ -77,49 +84,35 @@ def sample_diagonals(t: DenseMatrix, trials: int, seed) -> list:
     return list(np.diagonal(u @ t.data @ u.conj().transpose(0, 2, 1), axis1=1, axis2=2).copy())
 
 
-def _pair_rotation_candidates(b, ti, tj, thetas, phis):
-    """Objective of the (i, j) diagonal pair over a rotation grid.
-
-    Returns (score grid, d1 grid, d2 grid) for G(theta, phi) applied to the
-    2x2 compression b.
-    """
-    c = np.cos(thetas)[:, None]
-    s = np.sin(thetas)[:, None]
-    cross = (np.exp(-1j * phis)[None, :] * b[0, 1]
-             + np.exp(1j * phis)[None, :] * b[1, 0])
-    d1 = (c * c) * b[0, 0] + (s * s) * b[1, 1] + (c * s) * cross
-    d2 = (s * s) * b[0, 0] + (c * c) * b[1, 1] - (c * s) * cross
-    score = np.abs(d1 - ti) ** 2 + np.abs(d2 - tj) ** 2
-    return score
-
-
-def _apply_rotation(a, u, i, j, theta, phi):
-    c = math.cos(theta)
-    s = math.sin(theta) * np.exp(-1j * phi)
-    g = np.array([[c, -np.conj(s)], [s, c]])
-    cols = a[:, [i, j]] @ g
-    a[:, [i, j]] = cols
-    a[[i, j], :] = g.conj().T @ a[[i, j], :]
-    u[:, [i, j]] = u[:, [i, j]] @ g
+def _h(x):   # conjugate transpose of each member of a stack
+    return x.conj().transpose(0, 2, 1)
 
 
 def search_membership(t: DenseMatrix, d, tol=1e-8, budget=100_000, seed=0):
     """Search the unitary orbit of t for a matrix with diagonal d.
 
-    Minimizes |r(U)|^2 for r(U) = diag(U*TU) - d.  Each restart draws a Haar
-    unitary from ``seed``'s stream, makes two sweeps of pairwise rotations
-    over a 16 x 16 grid, and polishes by Riemannian Levenberg-Marquardt
-    (:func:`_lm_polish`).  A restart's polish ends when the largest residual
-    entry is at most 0.9 tol scale (scale = max(||T||_F, 1)), when a trial is
-    rejected at the largest damping, when an accepted trial lowers |r|^2 by
-    less than a relative LM_STALL, or after LM_STEPS trials.  ``budget``
-    counts evaluations: every grid point of a sweep and every trial point of
-    the polish is one, and no restart starts once it is spent.  A Found
-    result carries a witness unitary whose diagonal was recomputed and
-    checked against tol scale.  The search never proves nonexistence: a
-    SearchNotFound is never read as No.
+    Each restart draws a Haar unitary from ``seed``'s stream, makes two
+    sweeps of pairwise rotations (:func:`_sweeps`) and polishes by
+    Levenberg-Marquardt (:func:`_lm_polish`) until the largest residual entry
+    is at most 0.9 tol scale (scale = max(||T||_F, 1)), a trial is rejected at
+    the largest damping, an accepted one gains less than a relative LM_STALL,
+    or min(budget - spent, LM_STEPS) trials are spent.  ``budget`` counts
+    evaluations, one per sweep grid point and per polish trial.  A restart
+    starts while spent < budget, so its sweeps can take the count past
+    ``budget``: at n = 3 a budget of 5000 spends about 6200, and the fourth
+    restart gets no polish.
+
+    The starts of every restart that can still start, at most STACK_MAX, are
+    drawn in seed order, swept and polished as one stack, each member with
+    the trials it would have if no member before it took one.  Counted in
+    restart order, a member starts only while spent < budget, one that took
+    more trials than it had left is polished again from its swept state, and
+    the first hit returns its witness unitary, whose diagonal is recomputed
+    and checked against tol scale.  A SearchNotFound is never read as No.
     """
     n = t.n
+    if n == 0:
+        raise PreconditionError("matrix must have at least one row")
     target = np.array([complex(x) for x in d])
     if len(target) != n:
         raise PreconditionError("diagonal length mismatch")
@@ -130,102 +123,124 @@ def search_membership(t: DenseMatrix, d, tol=1e-8, budget=100_000, seed=0):
     if budget < 0:
         raise PreconditionError("budget must be nonnegative")
     scale = max(t.norm(), 1.0)
-    thetas = np.linspace(0.0, math.pi / 2, THETA_CANDIDATES, endpoint=False)
-    phis = np.linspace(0.0, 2.0 * math.pi, PHI_CANDIDATES, endpoint=False)
-    per_pair = THETA_CANDIDATES * PHI_CANDIDATES
+    sweep = len(_GRID) * n * (n - 1)   # both sweeps over every pair
     rng = np.random.default_rng(seed)
-    best = math.inf
-    spent = 0
-
+    best, spent = math.inf, 0
     while spent < budget:
-        u0 = haar_unitary(n, seed=rng.integers(0, 2**63 - 1)).data
-        a = u0.conj().T @ t.data @ u0
-        u = u0.copy()
-        # coarse coordinate sweeps
-        for _ in range(2):
-            for i in range(n - 1):
-                for j in range(i + 1, n):
-                    b = a[np.ix_([i, j], [i, j])]
-                    base = (abs(a[i, i] - target[i]) ** 2
-                            + abs(a[j, j] - target[j]) ** 2)
-                    score = _pair_rotation_candidates(b, target[i], target[j],
-                                                      thetas, phis)
-                    spent += per_pair
-                    k = int(np.argmin(score))
-                    if score.flat[k] < base - 1e-18 * scale ** 2:
-                        ti_, pi_ = np.unravel_index(k, score.shape)
-                        _apply_rotation(a, u, i, j, float(thetas[ti_]),
-                                        float(phis[pi_]))
-        a, u, trials = _lm_polish(a, u, target, scale, tol, budget - spent)
-        spent += trials
-        res = float(np.max(np.abs(np.diagonal(a) - target)))
-        best = min(best, res)
-        if res <= tol * scale:
-            w = DenseMatrix(u)
-            check = np.diagonal(w.data.conj().T @ t.data @ w.data)
-            verified = float(np.max(np.abs(check - target)))
-            if verified <= tol * scale:
-                return Found(w, verified)
+        count = min(-(-(budget - spent) // max(sweep, 1)), STACK_MAX)
+        u0 = np.stack([haar_unitary(n, seed=rng.integers(0, 2**63 - 1)).data
+                       for _ in range(count)])
+        a0, u0 = _sweeps(_h(u0) @ t.data @ u0, u0, target, scale)
+        caps = np.minimum(budget - spent - sweep * np.arange(1, count + 1), LM_STEPS)
+        a, u, trials, res, stopped = _lm_polish(a0, u0, target, scale, tol, caps)
+        for k in range(count):
+            if spent >= budget:
+                break
+            spent += sweep
+            cap = min(budget - spent, LM_STEPS)
+            if not stopped[k] or trials[k] > max(cap, 0):
+                once = _lm_polish(a0[k:k + 1], u0[k:k + 1], target, scale, tol, [cap])
+                a[k], u[k], trials[k], res[k] = (x[0] for x in once[:4])
+            spent += int(trials[k])
+            best = min(best, float(res[k]))
+            if res[k] <= tol * scale:
+                check = np.diagonal(u[k].conj().T @ t.data @ u[k])
+                verified = float(np.max(np.abs(check - target)))
+                if verified <= tol * scale:
+                    return Found(DenseMatrix(u[k]), verified)
     return SearchNotFound(budget, best)
 
 
-def _lm_polish(a, u, target, scale, tol, budget):
-    """Riemannian Levenberg-Marquardt on r(U) = diag(U*TU) - target, from
-    A = U*TU; returns (A, U, trial points spent).
+def _sweeps(a, u, target, scale):
+    """Two coordinate sweeps on a stack A = U*TU: for each pair (i, j), every
+    member scores the rotations of the grid on its 2x2 compression, and takes
+    the best one if it lowers the pair's residual."""
+    m, n = a.shape[:2]
+    cc, ss, cs = _COS * _COS, _SIN * _SIN, _COS * _SIN
+    floor = 1e-18 * scale ** 2
+    for _ in range(2):
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                p, q, x, y = (a[:, i, i, None, None], a[:, j, j, None, None],
+                              a[:, i, j, None, None], a[:, j, i, None, None])
+                cross = cs * (_TURN * x + _TURN.conj() * y)
+                score = (np.abs(cc * p + ss * q - target[i] + cross) ** 2
+                         + np.abs(ss * p + cc * q - target[j] - cross) ** 2).reshape(m, -1)
+                k = np.argmin(score, axis=1)
+                k[score[np.arange(m), k] >= score[:, 0] - floor] = 0   # keep the identity
+                g = np.broadcast_to(np.eye(n), (m, n, n)).astype(complex)
+                g[:, [i, i, j, j], [i, j, i, j]] = _GRID[k]
+                a, u = _h(g) @ a @ g, u @ g
+    return a, u
+
+
+def _lm_polish(a, u, target, scale, tol, caps):
+    """Riemannian Levenberg-Marquardt on r(U) = diag(U*TU) - target for a
+    stack A = U*TU in lockstep, each member with its own damping, stop rules
+    and at most caps[k] trials; returns (A, U, trials, max |r|, stopped).
 
     Moving U to U exp(X) for skew-Hermitian X changes the diagonal by
     diag(AX - XA) to first order.  Diagonal X leave it fixed, so the real
-    Jacobian J is taken over the n(n-1) off-diagonal directions E_ij - E_ji
-    and i(E_ij + E_ji), i < j, which move entries i and j of the diagonal by
-    -/+(A_ij + A_ji) and -/+i(A_ji - A_ij).  A trial solves
-    (J^T J + mu scale^2 I) delta = -J^T [Re r; Im r] and retracts through one
-    eigendecomposition i X = V diag(w) V*, exp(X) = V diag(exp(-i w)) V*.
-    It is accepted if it lowers |r|^2 by more than 1e-24 scale^2; mu then
-    shrinks, and it grows after a rejection.  The stopping rule is
-    search_membership's, and at most ``budget`` trials are made.
+    Jacobian J is taken over the n(n-1) directions E_ij - E_ji and
+    i(E_ij + E_ji), i < j, which move the diagonal by c_p m_p for m_p =
+    e_j - e_i and c_p = A_ij + A_ji or i(A_ji - A_ij).  J^T J and J^T r are
+    formed entrywise, <m_p, m_q> Re(conj(c_p) c_q) and Re(conj(c_p)(r_j -
+    r_i)), so no matrix-vector product makes a member's bits depend on its
+    stack.  A trial solves (J^T J + mu scale^2 I) delta = -J^T [Re r; Im r]
+    and retracts through one eigendecomposition i X = V diag(w) V*, exp(X) =
+    V diag(exp(-i w)) V*.  It is accepted if it lowers |r|^2 by more than
+    1e-24 scale^2; mu then shrinks, and it grows after a rejection.  The
+    stack stops early, leaving the rest unstopped, once a member within tol
+    scale has only stopped members before it.
     """
-    n = len(target)
+    m, n = a.shape[:2]
+    ii, jj, i2, j2, gram, eye = _pairs(n)
+    floor, aim, half = 1e-24 * scale ** 2, 0.9 * tol * scale, len(ii)
+    a, u, caps = a.copy(), u.copy(), np.asarray(caps)
+    res = np.abs(np.diagonal(a, axis1=1, axis2=2) - target).max(1)
+    trials = np.zeros(m, dtype=int)
+    stopped = (res <= aim) | (caps <= 0)
+    k = np.flatnonzero(~stopped)   # the members still polished
+    ak, uk, resk, cap, mu, tk = a[k], u[k], res[k], caps[k], np.full(len(k), LM_MU_START), trials[k]
+    rk = np.diagonal(ak, axis1=1, axis2=2) - target
+    fk = (np.abs(rk) ** 2).sum(1)
+    while len(k):
+        hit = stopped & (res <= tol * scale)
+        if hit.any() and stopped[:np.argmax(hit)].all():
+            break
+        up, lo = ak[:, ii, jj], ak[:, jj, ii]
+        c = np.concatenate([up + lo, 1j * (lo - up)], 1)
+        ch = c.conj()
+        normal = gram * (ch[:, :, None] * c[:, None, :]).real + (mu * scale ** 2)[:, None, None] * eye
+        delta = np.linalg.solve(normal, (ch * (rk[:, i2] - rk[:, j2])).real[:, :, None])[:, :, 0]
+        z = 1j * delta[:, :half] - delta[:, half:]   # i X above the diagonal
+        ix = np.zeros((len(k), n, n), dtype=complex)
+        ix[:, ii, jj], ix[:, jj, ii] = z, z.conj()
+        w, v = np.linalg.eigh(ix)
+        e = (v * np.exp(-1j * w)[:, None, :]) @ _h(v)
+        a2 = _h(e) @ ak @ e
+        r2 = np.diagonal(a2, axis1=1, axis2=2) - target
+        ar2 = np.abs(r2)
+        f2, res2 = (ar2 * ar2).sum(1), ar2.max(1)
+        tk += 1
+        ok = f2 < fk - floor
+        go = np.where(ok, (fk - f2 >= LM_STALL * fk) & (res2 > aim), mu < LM_MU_MAX) & (tk < cap)
+        ak, uk = np.where(ok[:, None, None], a2, ak), np.where(ok[:, None, None], uk @ e, uk)
+        rk, fk, resk = np.where(ok[:, None], r2, rk), np.where(ok, f2, fk), np.where(ok, res2, resk)
+        mu = np.minimum(np.maximum(mu * np.where(ok, LM_MU_DOWN, LM_MU_UP), LM_MU_MIN), LM_MU_MAX)
+        if not go.all():
+            end, out = k[~go], ~go
+            a[end], u[end], res[end], trials[end], stopped[end] = ak[out], uk[out], resk[out], tk[out], True
+            k, ak, uk, rk, fk, resk, cap, mu, tk = (x[go] for x in (k, ak, uk, rk, fk, resk, cap, mu, tk))
+    return a, u, trials, res, stopped
+
+
+@functools.lru_cache(maxsize=32)
+def _pairs(n):
+    """Pairs i < j, once and twice (a copy per direction), <m_p, m_q> and I."""
     ii, jj = np.triu_indices(n, 1)
-    # column p of moves is e_j - e_i for the pair p = (i, j), once for each
-    # of its two directions
-    moves = np.tile(np.eye(n)[:, jj] - np.eye(n)[:, ii], 2)
-    eye = np.eye(2 * len(ii))
-    floor = 1e-24 * scale ** 2
-    mu = LM_MU_START
-    r = np.diagonal(a) - target
-    f = float(np.vdot(r, r).real)
-    jac = None
-    spent = 0
-    while spent < min(budget, LM_STEPS):
-        if float(np.max(np.abs(r))) <= 0.9 * tol * scale:
-            break
-        if jac is None:
-            jc = moves * np.concatenate([a[ii, jj] + a[jj, ii],
-                                         1j * (a[jj, ii] - a[ii, jj])])
-            jac = np.concatenate([jc.real, jc.imag])
-            normal = jac.T @ jac
-            grad = jac.T @ np.concatenate([r.real, r.imag])
-        delta = np.linalg.solve(normal + (mu * scale ** 2) * eye, -grad)
-        x = np.zeros((n, n), dtype=complex)
-        x[ii, jj] = delta[:len(ii)] + 1j * delta[len(ii):]
-        x = x - x.conj().T
-        w, v = np.linalg.eigh(1j * x)
-        e = (v * np.exp(-1j * w)) @ v.conj().T
-        a2 = e.conj().T @ a @ e
-        r2 = np.diagonal(a2) - target
-        f2 = float(np.vdot(r2, r2).real)
-        spent += 1
-        if f2 < f - floor:
-            stalled = f - f2 < LM_STALL * f
-            a, u, r, f, jac = a2, u @ e, r2, f2, None
-            mu = max(mu * LM_MU_DOWN, LM_MU_MIN)
-            if stalled:
-                break
-        elif mu >= LM_MU_MAX:
-            break
-        else:
-            mu = min(mu * LM_MU_UP, LM_MU_MAX)
-    return a, u, spent
+    m_p = np.eye(n)[:, jj] - np.eye(n)[:, ii]
+    return ii, jj, np.tile(ii, 2), np.tile(jj, 2), np.tile(m_p.T @ m_p, (2, 2)), np.eye(2 * len(ii))
 
 
 def rational_majorization_oracle(d, lam) -> str:

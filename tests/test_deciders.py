@@ -442,6 +442,49 @@ class TestBlaschkeGeneralExact:
         assert check_mt_p_summable(self.spec(), on_edge, 2).verdict == "SufficientConditionHolds"
 
 
+class TestModeFromPointsAndD:
+    """The mode is exact only when the essential points and d all are: float
+    points with exact d are decided, and reported, in float mode."""
+
+    FLOAT_TRIANGLE = FiniteSpectrumSpec(((0j, INF), (1 + 0j, INF), (1j, INF)))
+    EXACT_TRIANGLE = FiniteSpectrumSpec(tuple((QC(F(x), F(y)), INF)
+                                              for x, y in ((0, 0), (1, 0), (0, 1))))
+
+    def test_entry_on_an_edge_with_float_points(self):
+        d = seq(FiniteList([QC(F(1, 3), F(2, 3))]), ConstantRepeat(QC(F(1, 4), F(1, 4)), INF),
+                field="complex")
+        out = check_blaschke(self.FLOAT_TRIANGLE, d, mode="general")
+        assert (out.verdict, out.mode) == ("SufficientConditionHolds", "float")
+        with pytest.raises(PreconditionError, match="on or outside the boundary"):
+            check_blaschke(self.EXACT_TRIANGLE, d, mode="general")
+
+    def test_mt_p_limit_just_inside_with_float_points(self):
+        d = seq(ConstantRepeat(QC(F(1, 2), F(1, 2) - F(1, 10 ** 14)), INF), field="complex")
+        out = check_mt_p_summable(self.FLOAT_TRIANGLE, d, 2)
+        assert (out.verdict, out.mode) == ("SufficientConditionHolds", "float")
+        out = check_mt_p_summable(self.EXACT_TRIANGLE, d, 2)
+        assert (out.verdict, out.mode) == ("ConditionFails", "exact")
+
+    def test_selfadjoint_with_float_points(self):
+        spec = FiniteSpectrumSpec(((0.0, INF), (1.0, INF)))
+        out = check_blaschke(spec, seq(ConstantRepeat(F(1, 2), INF)))
+        assert (out.verdict, out.mode) == ("SufficientConditionHolds", "float")
+        out = check_blaschke(two_point_spec(), seq(ConstantRepeat(F(1, 2), INF)))
+        assert (out.verdict, out.mode) == ("SufficientConditionHolds", "exact")
+
+    @pytest.mark.parametrize("d,general,mt_p", [
+        (seq(ConstantRepeat(QC(F(1, 4), F(1, 4)), INF), field="complex"),
+         "SufficientConditionHolds", "ConditionFails"),
+        (seq(FiniteList([QC(F(1, 4), F(1, 4)), QC(F(1, 10), F(1, 5))]), field="complex"),
+         "ConditionFails", "SufficientConditionHolds"),
+    ])
+    def test_all_exact_input_keeps_its_answers(self, d, general, mt_p):
+        out = check_blaschke(self.EXACT_TRIANGLE, d, mode="general")
+        assert (out.verdict, out.mode) == (general, "exact")
+        out = check_mt_p_summable(self.EXACT_TRIANGLE, d, 2)
+        assert (out.verdict, out.mode) == (mt_p, "exact")
+
+
 def three_point_spec():
     return FiniteSpectrumSpec(((F(0), INF), (F(1, 2), INF), (F(1), INF)))
 

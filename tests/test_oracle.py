@@ -14,6 +14,8 @@ from diagonalis.majorization import majorize_finite
 from diagonalis.oracle import (
     Found,
     SearchNotFound,
+    _lm_polish,
+    _sweeps,
     rational_majorization_oracle,
     sample_diagonals,
     search_membership,
@@ -107,6 +109,17 @@ class TestSearchInput:
         out = search_membership(self.T, [1, 0], tol=1e-6, budget=0, seed=0)
         assert isinstance(out, SearchNotFound) and out.budget == 0
 
+    def test_empty_matrix(self):
+        with pytest.raises(PreconditionError, match="at least one row"):
+            search_membership(DenseMatrix(np.zeros((0, 0))), [], tol=1e-6, budget=1000, seed=0)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.run(["oracle", "search", "--matrix", '{"n":0,"real":true,"entries":[]}',
+                            "--d", "[]"])
+        assert code == 3
+        assert json.loads(buf.getvalue()) == {"error": "matrix must have at least one row",
+                                              "type": "PreconditionError"}
+
     @pytest.mark.parametrize("extra", [["--d", "[NaN, 0]"],
                                        ["--d", "[1, 0]", "--tol", "nan"],
                                        ["--d", "[1, 0]", "--budget", "-5"]])
@@ -150,6 +163,197 @@ def test_search_finds_reachable_targets(kind, least):
     assert found >= least
 
 
+# ---------------------------------------------------------------------------
+# The restarts run as one stack but are counted in restart order.  The pins
+# below were recorded with the sequential restart loop that the stack replaced;
+# _sequential_search is a copy of that loop.
+
+# T = diag(lam) with d on the boundary of its Williams set (a bisection along
+# the segment from the Hoffman midpoints to the centroid).  The Jacobian is
+# singular at the solution, so each polish converges linearly: at tol 3e-8,
+# seed 21, the first restart ends after 400 trials at 40 tol scale and the
+# second hits after 13.  Linear convergence keeps rounding in the last digits.
+BOUNDARY_LAM = [-1.6417271606182724 - 0.5611391465060063j,
+                -0.8165072159504408 + 0.4146698601879163j,
+                0.3793426653186408 + 1.8425742832605878j]
+BOUNDARY_D = [-0.37670948482339484 + 0.9408708252192519j,
+              -0.6517827996870538 + 0.6156011563515709j,
+              -1.0503994267396235 + 0.139633015371675j]
+
+
+def _counting_case(name):
+    """(T, d, tol, budget, seed) of one counting pin."""
+    boundary = np.diag(BOUNDARY_LAM)
+    hoffman0, hoffman13 = _orbit_target("hoffman", 3, 0), _orbit_target("hoffman", 3, 13)
+    return {
+        # criterion 3's scale: 64 restarts, the last with no polish
+        "hoffman-100000": (*hoffman13, 1e-6, 100_000, 13),
+        # restart 2 gets 10 polish trials where it would stop after 27
+        "hoffman-cap-binds-in-restart-2": (*hoffman0, 1e-6, 3106, 0),
+        # three restarts, then a fourth whose sweeps end past the budget
+        "hoffman-5000": (*hoffman0, 1e-6, 5000, 0),
+        "boundary-found-on-restart-2": (boundary, BOUNDARY_D, 3e-8, 12_000, 21),
+        # restart 2 would hit after 13 trials, but only 5 are left
+        "boundary-cap-binds-in-restart-2": (boundary, BOUNDARY_D, 3e-8, 3477, 21),
+        "n1-hit": (np.array([[2 + 1j]]), [2 + 1j], 1e-6, 500, 3),
+        # 14 trials a restart (rejections up to the largest damping); the 36th
+        # restart gets the last 10
+        "n1-miss": (np.array([[2 + 1j]]), [3], 1e-6, 500, 3),
+        "n1-budget-1": (np.array([[2 + 1j]]), [3], 1e-6, 1, 3),
+        # the sweeps of the one restart spend 1536 of a budget of 1
+        "budget-1": (*_orbit_target("general", 3, 0), 1e-6, 1, 0),
+    }[name]
+
+
+# name -> ("found", |U_00| of the witness) or ("notfound", budget, best_residual)
+PINNED_COUNTS = {
+    "hoffman-100000": ("notfound", 100_000, 0.04953554985390323),
+    "hoffman-cap-binds-in-restart-2": ("notfound", 3106, 0.13229563988061976),
+    "hoffman-5000": ("notfound", 5000, 0.13095664627116732),
+    "boundary-found-on-restart-2": ("found", 0.3333335943038481),
+    "boundary-cap-binds-in-restart-2": ("notfound", 3477, 3.2500882394823436e-06),
+    "n1-hit": ("found", 1.0),
+    "n1-miss": ("notfound", 500, 1.4142135623730945),
+    "n1-budget-1": ("notfound", 1, 1.4142135623730945),
+    "budget-1": ("notfound", 1, 0.027683591305325415),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
+def test_counting_paths(name):
+    t, d, tol, budget, seed = _counting_case(name)
+    out = search_membership(DenseMatrix(t), d, tol=tol, budget=budget, seed=seed)
+    pin = PINNED_COUNTS[name]
+    if pin[0] == "found":
+        assert isinstance(out, Found)
+        assert abs(abs(out.unitary.data[0, 0]) - pin[1]) <= 1e-6
+    else:
+        rel = 1e-6 if name.startswith("boundary") else 1e-9
+        assert isinstance(out, SearchNotFound) and out.budget == pin[1]
+        assert out.best_residual == pytest.approx(pin[2], rel=rel)
+
+
+def _sequential_search(t, d, tol, budget, seed):
+    """The sequential restart loop: one restart after another, each swept and
+    then polished by Levenberg-Marquardt in 2-D numpy calls."""
+    n = t.shape[0]
+    target = np.array([complex(x) for x in d])
+    scale = max(float(np.linalg.norm(t)), 1.0)
+    thetas = np.linspace(0.0, math.pi / 2, 16, endpoint=False)
+    phis = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+    rng = np.random.default_rng(seed)
+    best, spent = math.inf, 0
+    while spent < budget:
+        u = haar_unitary(n, seed=rng.integers(0, 2**63 - 1)).data.copy()
+        a = u.conj().T @ t @ u
+        for _ in range(2):
+            for i in range(n - 1):
+                for j in range(i + 1, n):
+                    c, s = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
+                    cross = np.exp(-1j * phis) * a[i, j] + np.exp(1j * phis) * a[j, i]
+                    d1 = (c * c) * a[i, i] + (s * s) * a[j, j] + (c * s) * cross
+                    d2 = (s * s) * a[i, i] + (c * c) * a[j, j] - (c * s) * cross
+                    score = np.abs(d1 - target[i]) ** 2 + np.abs(d2 - target[j]) ** 2
+                    spent += score.size
+                    k = int(np.argmin(score))
+                    base = abs(a[i, i] - target[i]) ** 2 + abs(a[j, j] - target[j]) ** 2
+                    if score.flat[k] < base - 1e-18 * scale ** 2:
+                        theta, phi = thetas[k // 16], phis[k % 16]
+                        z = math.sin(theta) * np.exp(-1j * phi)
+                        g = np.array([[math.cos(theta), -np.conj(z)], [z, math.cos(theta)]])
+                        a[:, [i, j]] = a[:, [i, j]] @ g
+                        a[[i, j], :] = g.conj().T @ a[[i, j], :]
+                        u[:, [i, j]] = u[:, [i, j]] @ g
+        a, u, trials = _sequential_polish(a, u, target, scale, tol, budget - spent)
+        spent += trials
+        res = float(np.max(np.abs(np.diagonal(a) - target)))
+        best = min(best, res)
+        if res <= tol * scale:
+            check = np.diagonal(u.conj().T @ t @ u)
+            if float(np.max(np.abs(check - target))) <= tol * scale:
+                return Found(DenseMatrix(u), float(np.max(np.abs(check - target))))
+    return SearchNotFound(budget, best)
+
+
+def _sequential_polish(a, u, target, scale, tol, budget):
+    n = len(target)
+    ii, jj = np.triu_indices(n, 1)
+    moves = np.tile(np.eye(n)[:, jj] - np.eye(n)[:, ii], 2)
+    mu, spent = 1e-3, 0
+    r = np.diagonal(a) - target
+    f = float(np.vdot(r, r).real)
+    while spent < min(budget, 400):
+        if float(np.max(np.abs(r))) <= 0.9 * tol * scale:
+            break
+        jc = moves * np.concatenate([a[ii, jj] + a[jj, ii], 1j * (a[jj, ii] - a[ii, jj])])
+        jac = np.concatenate([jc.real, jc.imag])
+        delta = np.linalg.solve(jac.T @ jac + (mu * scale ** 2) * np.eye(2 * len(ii)),
+                                -jac.T @ np.concatenate([r.real, r.imag]))
+        x = np.zeros((n, n), dtype=complex)
+        x[ii, jj] = delta[:len(ii)] + 1j * delta[len(ii):]
+        w, v = np.linalg.eigh(1j * (x - x.conj().T))
+        e = (v * np.exp(-1j * w)) @ v.conj().T
+        a2 = e.conj().T @ a @ e
+        r2 = np.diagonal(a2) - target
+        f2 = float(np.vdot(r2, r2).real)
+        spent += 1
+        if f2 < f - 1e-24 * scale ** 2:
+            stalled = f - f2 < 1e-12 * f
+            a, u, r, f = a2, u @ e, r2, f2
+            mu = max(mu / 3.0, 1e-12)
+            if stalled:
+                break
+        elif mu >= 1e8:
+            break
+        else:
+            mu = min(mu * 8.0, 1e8)
+    return a, u, spent
+
+
+def _differential_cases():
+    cases = []
+    for budget in (0, 1, 500, 1536, 1700, 3000, 5000, 12_000):
+        for n in range(1, 6):
+            for kind in ("general", "normal"):
+                for seed in range(3):
+                    cases.append((kind, n, budget, 100 * n + seed))
+        for seed in range(8):
+            cases.append(("hoffman", 3, budget, 200 + seed))
+    return cases
+
+
+def test_stack_matches_sequential_restarts():
+    """Same status and budget on every case, best residuals within 1e-9."""
+    statuses = set()
+    for kind, n, budget, seed in _differential_cases():
+        t, d = _orbit_target(kind, n, seed)
+        ref = _sequential_search(t, d, 1e-6, budget, seed)
+        out = search_membership(DenseMatrix(t), d, tol=1e-6, budget=budget, seed=seed)
+        case = (kind, n, budget, seed)
+        assert type(out) is type(ref), case
+        statuses.add(type(out))
+        if isinstance(ref, SearchNotFound):
+            assert out.budget == ref.budget, case
+            assert out.best_residual == pytest.approx(ref.best_residual, rel=1e-9, abs=0), case
+    assert statuses == {Found, SearchNotFound}
+
+
+def test_a_member_does_not_depend_on_its_stack():
+    """Sweeps and polish give each member the bits it gets alone."""
+    t, d = _orbit_target("general", 4, 5)
+    target = np.array(d)
+    rng = np.random.default_rng(9)
+    u = np.stack([haar_unitary(4, seed=rng.integers(0, 2**63 - 1)).data for _ in range(7)])
+    a = u.conj().transpose(0, 2, 1) @ t @ u
+    swept = _sweeps(a.copy(), u.copy(), target, 5.0)
+    polished = _lm_polish(*swept, target, 5.0, 1e-6, np.full(7, 400))
+    for k in range(7):
+        alone = _sweeps(a[k:k + 1].copy(), u[k:k + 1].copy(), target, 5.0)
+        assert all(np.array_equal(x[0], y[k]) for x, y in zip(alone, swept))
+        once = _lm_polish(*alone, target, 5.0, 1e-6, [400])
+        assert all(np.array_equal(x[0], y[k]) for x, y in zip(once, polished))
+
+
 class TestDifferential:
     def test_matches_library_on_random_rationals(self):
         for trial in range(2000):
@@ -166,7 +370,7 @@ class TestDifferential:
 
 # ---------------------------------------------------------------------------
 # Outputs pinned to recorded SHA-256 digests: the search and the sampler are
-# seed-deterministic, and a faster evaluation order must not move a single bit.
+# seed-deterministic, so a change that moves a single bit shows here.
 
 
 def _orbit_target(kind, n, seed):
@@ -203,31 +407,31 @@ def _sample_digest(ds):
 # (kind, n, budget, seed) -> digest of search_membership(t, d, tol=1e-6, budget, seed)
 PINNED_SEARCHES = {
     ("general", 3, 5000, 0):
-        "d3664b6d5cee36e90042a396b593aec507ef4d32a7eda6b100300657f1c1639c",
+        "8dffc24c852b84075f629e0fcef9173ee02c5e36cf1d3132323b75f14ce93f02",
     ("general", 3, 5000, 1):
-        "8425cf6d5ed2997095e7ea47956e1de3df92d733283d591459e3df96e57413ec",
+        "a42863c78756bc5ceb51b798ef71431c9a5e8dc47cb32331a04d4d6ceb49a422",
     ("general", 3, 5000, 2):
-        "49ee19f681f9fd052d5ecb6be0545e059bb5dbe3934b9de92a2419055ce73cf7",
+        "f9ed3ec856a8abdf7cebccc34d92d0f0458e63c82e0bc1ee343f4c1892b89367",
     ("normal", 3, 5000, 3):
-        "205040775c61fede946c499eac009b204ad4a6a9863916db166a45bbf9dbe8e4",
+        "2e3fc932e78636611b48931c6271a9ca532f76bf3cedd49585c668fe0ab0fe3d",
     ("normal", 3, 5000, 4):
-        "746050a5dff388d64b815ebfdd821601e556bc25beb98c45e8335362a6e6eac9",
+        "5e86ecd4edba5c1f594bb33cb5135390348a73a7b55de69c7d282f0b46e244af",
     ("normal", 3, 5000, 5):
-        "b858031d679c011880e81cc3c0e39209e1314e26f7b249184e9a09dddecb0d57",
+        "c88177807d83f647a09c4d34726f7954c3fc26bdc93d6f9b499eb15c24b46531",
     ("hoffman", 3, 3000, 6):
-        "ef9019ceaf036e8e893e296add3292f72f9218ed4fa1e49be8e52d4238f7efb8",
+        "8e0b017081e435db544f7545f7d8ba854b1c3b21f8185441f3c1a89343cd0b22",
     ("hoffman", 3, 3000, 7):
-        "6c99ef97f09e6298d7114afb45fed35b6bd182bfe4f179f129208d4e0b91eb76",
+        "129d2ed4f1061130878152877aea7c8d1420eeae33d46351a2f028c21d0d99af",
     # 1536 evaluations go to the two coordinate sweeps, so these budgets run
     # out inside the Levenberg-Marquardt polish
     ("general", 3, 1700, 8):
-        "af2837bf6fcc6277bce4be6de697f50bda944ce7fdf9d47859e5d0496ebb1e65",
+        "c39af03b19925176eff3a44a5fda19e449726708480a16ebf6a4cf7bc040278d",
     ("normal", 3, 1700, 9):
-        "6381fbf6634ee09dd8c0dcce4010f3f311cd92fed7c1b11eec419b6d6ba084c1",
+        "b45e172f2ee3b452e39d75aaf5ad9a9e3ab4686ecbcf9205de7a2dbd9b6b2227",
     ("hermitian", 4, 5000, 10):
-        "e4b7d38fe5b7fdd3cecb0a58e2467195e1ccb283a767431d810e73330684c942",
+        "1266e3c32d835a8015e1fc236ec29afa6863b550148e43852d086f43094afded",
     ("general", 2, 2000, 11):
-        "e1875e02601a4790a92cc9a68b551e6c8c1f264fb736ac4b3584f1bef57a2564",
+        "6de721e3f6053e40e22513b2c970ef6d55d0a3ab52b7547f8ae669410782f1b6",
     ("hermitian", 5, 4000, 12):
         "0b0b1738698aa8d013c81bc5d31ddba204c2d49809771e5a736e89698db5f6ff",
 }
@@ -254,7 +458,7 @@ SAMPLE_ARGV = ["oracle", "sample", "--matrix",
                "--trials", "6", "--seed", "11"]
 PINNED_CLI = {
     "search":
-        "f18b31f87a77914a620c142710a251ba2318c9af30e957b3cf4e1810128abe06",
+        "e42e226d141cf722066ab583b81ce9daabbb19b7bb4048460cdfef4a56b8030d",
     "sample":
         "61f6aff39dd929698c32c72dd1912f3fd0faf82aa87347487668467284a97d23",
 }
