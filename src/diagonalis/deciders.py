@@ -470,10 +470,9 @@ def _interior_distance(z, hull):
 def check_blaschke(spec, d: SequenceSpec, mode="selfadjoint") -> Decision:
     """Divergent boundary-distance sum: a sufficient diagonal condition."""
     from .spectra import essential_points, essential_summary
-    points = essential_points(spec)
-    dmode = _points_mode(points, d)
     if mode == "selfadjoint":
         summary = essential_summary(spec)
+        dmode = _points_mode(summary.ess_points, d)
         lo, hi = summary.w_e
         if lo == hi:
             raise PreconditionError("essential numerical range has empty interior")
@@ -491,6 +490,8 @@ def check_blaschke(spec, d: SequenceSpec, mode="selfadjoint") -> Decision:
         return Decision(Decision.CONDITION_FAILS, "blaschke-selfadjoint", cert, dmode)
     if mode != "general":
         raise PreconditionError("mode must be 'selfadjoint' or 'general'")
+    points = essential_points(spec)
+    dmode = _points_mode(points, d)
     hull = _hull_edges(points, dmode)
     if len(hull) < 3:
         raise PreconditionError("essential numerical range has empty planar interior")
@@ -860,11 +861,10 @@ def check_mt_p_summable(spec, d: SequenceSpec, p) -> Decision:
     from .spectra import essential_points, essential_summary
     if not (p > 1):
         raise PreconditionError("requires p > 1")
-    points = essential_points(spec)
-    mode = _points_mode(points, d)
     interior_limit = False
     if d.field == "real":
         summary = essential_summary(spec)
+        mode = _points_mode(summary.ess_points, d)
         lo, hi = summary.w_e
         for s in canonical_streams(d):
             if stream_is_infinite(s):
@@ -872,9 +872,11 @@ def check_mt_p_summable(spec, d: SequenceSpec, p) -> Decision:
                 if lo < lim < hi:
                     interior_limit = True
     else:
+        points = essential_points(spec)
+        mode = _points_mode(points, d)
         hull = _hull_edges(points, mode)
         if len(hull) >= 3:
-            tol = 0 if isinstance(hull[0], QC) else 1e-12
+            tol = 0 if mode == "exact" else 1e-12
             for s in canonical_streams(d):
                 if stream_is_infinite(s) and _interior_distance(stream_limit(s), hull) > tol:
                     interior_limit = True

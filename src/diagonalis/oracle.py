@@ -14,14 +14,13 @@ Yamashita & Fukushima, Computing Suppl. 15, 2001).  The polish stops within
 0.9 tol scale of the target, at a rejection under the largest damping, at a
 gain of rounding size, or after 400 trials.  Every grid point of a sweep and
 every trial point of the polish is one evaluation of the budget.  Restarts
-run as one (R, n, n) stack, swept and polished in lockstep, and are counted
+run in (R, n, n) stacks, swept and polished in lockstep, and are counted
 in restart order.  A SearchNotFound from the search is never treated as
 nonexistence, never read as No; only deciders say No.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +36,7 @@ _COS = np.cos(np.linspace(0.0, math.pi / 2, 16, endpoint=False))[:, None]
 _SIN = np.sin(np.linspace(0.0, math.pi / 2, 16, endpoint=False))[:, None]
 _TURN = np.exp(-1j * np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False))
 _GRID = np.stack(np.broadcast_arrays(_COS, -(_SIN * _TURN).conj(), _SIN * _TURN, _COS), -1).reshape(-1, 4)
-STACK_MAX = 64     # restarts drawn, swept and polished as one stack
+STACK_MAX = 64     # the largest stack of restarts; stacks grow 4, 16, 64
 # Levenberg-Marquardt polish: the damping mu is relative to scale^2, starts
 # at LM_MU_START, is multiplied by LM_MU_DOWN after an accepted trial and by
 # LM_MU_UP after a rejected one, and stays within [LM_MU_MIN, LM_MU_MAX].
@@ -102,13 +101,15 @@ def search_membership(t: DenseMatrix, d, tol=1e-8, budget=100_000, seed=0):
     ``budget``: at n = 3 a budget of 5000 spends about 6200, and the fourth
     restart gets no polish.
 
-    The starts of every restart that can still start, at most STACK_MAX, are
-    drawn in seed order, swept and polished as one stack, each member with
-    the trials it would have if no member before it took one.  Counted in
-    restart order, a member starts only while spent < budget, one that took
-    more trials than it had left is polished again from its swept state, and
-    the first hit returns its witness unitary, whose diagonal is recomputed
-    and checked against tol scale.  A SearchNotFound is never read as No.
+    Restarts run in stacks of 4, 16 and then STACK_MAX members, none larger
+    than the number of restarts that can still start, so a hit on an early
+    restart pays for at most four.  A stack's starts are drawn in seed order,
+    swept and polished together, each member with the trials it would have
+    if no member before it took one.  Counted in restart order, a member
+    starts only while spent < budget, one that took more trials than it had
+    left is polished again from its swept state, and the first hit returns
+    its witness unitary, whose diagonal is recomputed and checked against
+    tol scale.  A SearchNotFound is never read as No.
     """
     n = t.n
     if n == 0:
@@ -125,9 +126,10 @@ def search_membership(t: DenseMatrix, d, tol=1e-8, budget=100_000, seed=0):
     scale = max(t.norm(), 1.0)
     sweep = len(_GRID) * n * (n - 1)   # both sweeps over every pair
     rng = np.random.default_rng(seed)
-    best, spent = math.inf, 0
+    best, spent, size = math.inf, 0, 4
     while spent < budget:
-        count = min(-(-(budget - spent) // max(sweep, 1)), STACK_MAX)
+        count = min(size, -(-(budget - spent) // max(sweep, 1)))
+        size = min(4 * size, STACK_MAX)
         u0 = np.stack([haar_unitary(n, seed=rng.integers(0, 2**63 - 1)).data
                        for _ in range(count)])
         a0, u0 = _sweeps(_h(u0) @ t.data @ u0, u0, target, scale)
@@ -153,8 +155,8 @@ def search_membership(t: DenseMatrix, d, tol=1e-8, budget=100_000, seed=0):
 
 def _sweeps(a, u, target, scale):
     """Two coordinate sweeps on a stack A = U*TU: for each pair (i, j), every
-    member scores the rotations of the grid on its 2x2 compression, and takes
-    the best one if it lowers the pair's residual."""
+    member scores the rotations of the grid on its 2x2 compression, and turns
+    rows and columns i, j by the best one if it lowers the pair's residual."""
     m, n = a.shape[:2]
     cc, ss, cs = _COS * _COS, _SIN * _SIN, _COS * _SIN
     floor = 1e-18 * scale ** 2
@@ -168,9 +170,10 @@ def _sweeps(a, u, target, scale):
                          + np.abs(ss * p + cc * q - target[j] - cross) ** 2).reshape(m, -1)
                 k = np.argmin(score, axis=1)
                 k[score[np.arange(m), k] >= score[:, 0] - floor] = 0   # keep the identity
-                g = np.broadcast_to(np.eye(n), (m, n, n)).astype(complex)
-                g[:, [i, i, j, j], [i, j, i, j]] = _GRID[k]
-                a, u = _h(g) @ a @ g, u @ g
+                g = _GRID[k]
+                for w, h in ((a, g), (a.transpose(0, 2, 1), g.conj()), (u, g)):
+                    wi, wj = w[:, :, i], w[:, :, j]   # A's rows turn by conj(G) through A^T
+                    w[:, :, i], w[:, :, j] = wi * h[:, :1] + wj * h[:, 2:3], wi * h[:, 1:2] + wj * h[:, 3:]
     return a, u
 
 
@@ -194,7 +197,9 @@ def _lm_polish(a, u, target, scale, tol, caps):
     scale has only stopped members before it.
     """
     m, n = a.shape[:2]
-    ii, jj, i2, j2, gram, eye = _pairs(n)
+    ii, jj = np.triu_indices(n, 1)
+    m_p = np.eye(n)[:, jj] - np.eye(n)[:, ii]
+    i2, j2, gram, eye = np.tile(ii, 2), np.tile(jj, 2), np.tile(m_p.T @ m_p, (2, 2)), np.eye(2 * len(ii))
     floor, aim, half = 1e-24 * scale ** 2, 0.9 * tol * scale, len(ii)
     a, u, caps = a.copy(), u.copy(), np.asarray(caps)
     res = np.abs(np.diagonal(a, axis1=1, axis2=2) - target).max(1)
@@ -233,14 +238,6 @@ def _lm_polish(a, u, target, scale, tol, caps):
             a[end], u[end], res[end], trials[end], stopped[end] = ak[out], uk[out], resk[out], tk[out], True
             k, ak, uk, rk, fk, resk, cap, mu, tk = (x[go] for x in (k, ak, uk, rk, fk, resk, cap, mu, tk))
     return a, u, trials, res, stopped
-
-
-@functools.lru_cache(maxsize=32)
-def _pairs(n):
-    """Pairs i < j, once and twice (a copy per direction), <m_p, m_q> and I."""
-    ii, jj = np.triu_indices(n, 1)
-    m_p = np.eye(n)[:, jj] - np.eye(n)[:, ii]
-    return ii, jj, np.tile(ii, 2), np.tile(jj, 2), np.tile(m_p.T @ m_p, (2, 2)), np.eye(2 * len(ii))
 
 
 def rational_majorization_oracle(d, lam) -> str:

@@ -269,7 +269,7 @@ GOLDEN = {
     "verify-3": "2c2c1375a982091e",
     "verify-4": "8802203ebed0199c",
     "oracle-5": "efd97d0e70bd116e",
-    "oracle-6": "2414834ec468cf97",
+    "oracle-6": "04ea2d7aa2f42b01",
     "oracle-7": "1a6d4526a58e9e3e",
     "oracle-8": "4a76f681f7222718",
     "range-9": "2193881b6cf1f6b0",

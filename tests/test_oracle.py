@@ -12,6 +12,7 @@ from diagonalis import cli
 from diagonalis.deciders import decide_schur_horn, decide_williams_3x3
 from diagonalis.majorization import majorize_finite
 from diagonalis.oracle import (
+    STACK_MAX,
     Found,
     SearchNotFound,
     _lm_polish,
@@ -164,7 +165,7 @@ def test_search_finds_reachable_targets(kind, least):
 
 
 # ---------------------------------------------------------------------------
-# The restarts run as one stack but are counted in restart order.  The pins
+# The restarts run in stacks but are counted in restart order.  The pins
 # below were recorded with the sequential restart loop that the stack replaced;
 # _sequential_search is a copy of that loop.
 
@@ -231,6 +232,22 @@ def test_counting_paths(name):
         rel = 1e-6 if name.startswith("boundary") else 1e-9
         assert isinstance(out, SearchNotFound) and out.budget == pin[1]
         assert out.best_residual == pytest.approx(pin[2], rel=rel)
+
+
+def test_stacks_grow_from_four(monkeypatch):
+    """A hit on restart 1 pays for one stack of four at any budget; a long
+    search runs stacks of 4, 16 and then at most STACK_MAX."""
+    sizes, sweeps = [], _sweeps
+    monkeypatch.setattr("diagonalis.oracle._sweeps", lambda a, *rest: sizes.append(len(a)) or sweeps(a, *rest))
+    for kind in ("normal", "general"):
+        t, d = _reachable_target(kind, 0)
+        sizes.clear()
+        assert isinstance(search_membership(DenseMatrix(t), d, tol=1e-6, budget=100_000), Found)
+        assert sizes == [4]
+    t, d, tol, budget, seed = _counting_case("hoffman-100000")
+    sizes.clear()
+    search_membership(DenseMatrix(t), d, tol=tol, budget=budget, seed=seed)
+    assert sizes[:2] == [4, 16] and len(sizes) == 3 and sizes[2] <= STACK_MAX
 
 
 def _sequential_search(t, d, tol, budget, seed):
@@ -407,33 +424,33 @@ def _sample_digest(ds):
 # (kind, n, budget, seed) -> digest of search_membership(t, d, tol=1e-6, budget, seed)
 PINNED_SEARCHES = {
     ("general", 3, 5000, 0):
-        "8dffc24c852b84075f629e0fcef9173ee02c5e36cf1d3132323b75f14ce93f02",
+        "a1047b35559b607fff43bb76667642c83069e2aa7cfbb59c4f1107bdb451be38",
     ("general", 3, 5000, 1):
-        "a42863c78756bc5ceb51b798ef71431c9a5e8dc47cb32331a04d4d6ceb49a422",
+        "3bfeb097edba468f5ada9cea7a4821a72ff7b5d2267ce787986958ad738e485d",
     ("general", 3, 5000, 2):
-        "f9ed3ec856a8abdf7cebccc34d92d0f0458e63c82e0bc1ee343f4c1892b89367",
+        "6102d60d3e738190ea3dce4523ad168a01552a49529558d400eda37edf082f9d",
     ("normal", 3, 5000, 3):
-        "2e3fc932e78636611b48931c6271a9ca532f76bf3cedd49585c668fe0ab0fe3d",
+        "2985dc9330180388d61a6fbc3145fd7d81a8ff55e26b5488f44b046078e4e633",
     ("normal", 3, 5000, 4):
-        "5e86ecd4edba5c1f594bb33cb5135390348a73a7b55de69c7d282f0b46e244af",
+        "89918dbca338b1cc22065f5c0dc6e1cf1a3407cb9ad6aa46accffc41cea7c6df",
     ("normal", 3, 5000, 5):
-        "c88177807d83f647a09c4d34726f7954c3fc26bdc93d6f9b499eb15c24b46531",
+        "a6c15c4955fbbf0fba41cb3098e1919687a1c810ca0f5295f8ca65f2539e9fc8",
     ("hoffman", 3, 3000, 6):
-        "8e0b017081e435db544f7545f7d8ba854b1c3b21f8185441f3c1a89343cd0b22",
+        "550c3682fe251f8b5914361f8d50c0a4bc444d50b483115c06110c0fec5d86d4",
     ("hoffman", 3, 3000, 7):
-        "129d2ed4f1061130878152877aea7c8d1420eeae33d46351a2f028c21d0d99af",
+        "6c99ef97f09e6298d7114afb45fed35b6bd182bfe4f179f129208d4e0b91eb76",
     # 1536 evaluations go to the two coordinate sweeps, so these budgets run
     # out inside the Levenberg-Marquardt polish
     ("general", 3, 1700, 8):
-        "c39af03b19925176eff3a44a5fda19e449726708480a16ebf6a4cf7bc040278d",
+        "6cd0923f8d7c6a0e8d042c458eddae544ab41fcd1c0aeb09be170b1b1938afae",
     ("normal", 3, 1700, 9):
-        "b45e172f2ee3b452e39d75aaf5ad9a9e3ab4686ecbcf9205de7a2dbd9b6b2227",
+        "75ea07fb9552c1058858c7836eea6de7767727f889c2f96bb639dbdffe230713",
     ("hermitian", 4, 5000, 10):
-        "1266e3c32d835a8015e1fc236ec29afa6863b550148e43852d086f43094afded",
+        "a08b28f622d8cd9badc2848742b9e437e5055cf4203ed14bfb78f37f6fd96bbf",
     ("general", 2, 2000, 11):
-        "6de721e3f6053e40e22513b2c970ef6d55d0a3ab52b7547f8ae669410782f1b6",
+        "b89886b7d5615b1992548b7e9f34c364c987cbb15f0188b1b31119fb16356ef0",
     ("hermitian", 5, 4000, 12):
-        "0b0b1738698aa8d013c81bc5d31ddba204c2d49809771e5a736e89698db5f6ff",
+        "d565733958961c83fb95b547d264369ab3a177fcd8c568d95416331848058000",
 }
 
 # (n, trials, seed) -> digest of sample_diagonals on the "general" matrix
@@ -458,7 +475,7 @@ SAMPLE_ARGV = ["oracle", "sample", "--matrix",
                "--trials", "6", "--seed", "11"]
 PINNED_CLI = {
     "search":
-        "e42e226d141cf722066ab583b81ce9daabbb19b7bb4048460cdfef4a56b8030d",
+        "a1f6569ac86a12d09241a4cd74c0c61f4911605f4a62370a6594842c4e83dee7",
     "sample":
         "61f6aff39dd929698c32c72dd1912f3fd0faf82aa87347487668467284a97d23",
 }
