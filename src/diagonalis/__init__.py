@@ -1,8 +1,9 @@
 """Deciders and constructors for diagonals of operators.
 
-Sequence models live in :mod:`diagonalis.seqspec`, majorization orders in
-:mod:`diagonalis.majorization`, dense kernels and spectral models in
-:mod:`diagonalis.spectra`, the theorem deciders in
+Sequence models and the spectral models of operators live in
+:mod:`diagonalis.seqspec`, majorization orders in
+:mod:`diagonalis.majorization`, dense kernels and the finite identity
+checks in :mod:`diagonalis.spectra`, the theorem deciders in
 :mod:`diagonalis.deciders`, realizations in :mod:`diagonalis.constructors`
 and brute-force cross-checks in :mod:`diagonalis.oracle`.
 
@@ -13,24 +14,23 @@ from its module on first access (PEP 562), so only what is used is loaded.
 _EXPORTS = {
     "scalars": ("INF", "QC", "ConvergenceError", "DiagonalisError", "InputError",
                 "PreconditionError", "UnsupportedError", "XSum"),
-    "seqspec": ("ConstantRepeat", "FiniteList", "Geometric", "OrderedSequenceSpec",
-                "SequenceSpec", "TelescopingHarmonic", "abs_values", "affine_image",
-                "materialize_prefix", "seq", "sorted_prefix_desc", "split_parts",
-                "tail_sum_after_top", "total_sum"),
+    "seqspec": ("ConstantRepeat", "DiagonalizableSpec", "FiniteList", "FiniteSpectrumSpec",
+                "Geometric", "MatrixSpec", "OrderedSequenceSpec", "SequenceSpec",
+                "SpectralSummary", "TelescopingHarmonic", "abs_values", "affine_image",
+                "essential_summary", "materialize_prefix", "seq", "sorted_prefix_desc",
+                "split_parts", "tail_sum_after_top", "total_sum"),
     "majorization": ("MajorizationVerdict", "approx_p_majorize", "majorize_finite",
                      "majorize_l1", "majorize_spec", "p_majorize", "weak_majorize"),
-    "spectra": ("DenseMatrix", "DiagonalizableSpec", "FiniteSpectrumSpec", "MatrixSpec",
-                "SpectralSummary", "attain_numerical_range_vector", "essential_summary",
+    "spectra": ("DenseMatrix", "attain_numerical_range_vector", "essential_codimension_finite",
                 "haar_unitary", "hermitian_eigensystem", "hermitian_eigenvalues",
-                "numerical_range_support", "singular_values"),
+                "numerical_range_support", "singular_values",
+                "verify_kadison_codimension_identity", "verify_normal_codimension_identity"),
     "deciders": ("Decision", "check_arveson", "check_blaschke", "check_fan_criterion",
                  "check_mt_p_summable", "classify_trace_set", "decide_bownik_jasper",
                  "decide_gohberg_markus", "decide_horn_unitary", "decide_jlw_unitary",
                  "decide_kadison", "decide_kw", "decide_neumann_closure",
                  "decide_schur_horn", "decide_thompson", "decide_thompson_compact",
-                 "decide_three_point", "decide_williams_3x3",
-                 "essential_codimension_finite", "verify_kadison_codimension_identity",
-                 "verify_normal_codimension_identity"),
+                 "decide_three_point", "decide_williams_3x3"),
     "constructors": ("NotFound", "Realization", "construct_kadison_block",
                      "construct_projection_with_diagonal", "construct_schur_horn",
                      "construct_thompson", "construct_unitary_with_diagonal",

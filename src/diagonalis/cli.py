@@ -276,18 +276,18 @@ def _verify_matrix(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from . import deciders
+    from . import spectra
     what = args.what
     if what == "matrix":
         return _verify_matrix(args)
     if what == "kadison-codimension":
-        rep = deciders.verify_kadison_codimension_identity(_matrix(args, "matrix"))
+        rep = spectra.verify_kadison_codimension_identity(_matrix(args, "matrix"))
     elif what == "normal-codimension":
-        rep = deciders.verify_normal_codimension_identity(_matrix(args, "n-matrix"),
-                                                          _matrix(args, "n-prime"))
+        rep = spectra.verify_normal_codimension_identity(_matrix(args, "n-matrix"),
+                                                         _matrix(args, "n-prime"))
     elif what == "essential-codimension":
-        val = deciders.essential_codimension_finite(_matrix(args, "p-matrix"),
-                                                    _matrix(args, "q-matrix"))
+        val = spectra.essential_codimension_finite(_matrix(args, "p-matrix"),
+                                                   _matrix(args, "q-matrix"))
         return _emit({"essential_codimension": val}, EXIT_YES)
     else:
         raise InputError(f"unknown verify target {what!r}")

@@ -14,10 +14,9 @@ import cmath
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations, product
 
 from .scalars import (
-    EPS_MAT,
     INF,
     INTEGRALITY_BUFFER,
     INTEGRALITY_TOL,
@@ -35,7 +34,6 @@ from .scalars import (
     scalar_abs,
     unit_scale,
 )
-from . import ratlinalg
 from .jsonio import encode
 from .majorization import (
     _sorted_scan,
@@ -46,11 +44,16 @@ from .majorization import (
     weak_majorize,
 )
 from .seqspec import (
+    ConstantRepeat,
+    FiniteList,
     OrderedSequenceSpec,
     SequenceSpec,
     affine_image,
     canonical_streams,
     count_value,
+    eigen_multiset,
+    essential_points,
+    essential_summary,
     interval_blaschke_sum,
     materialize_prefix,
     spec_bounds,
@@ -71,10 +74,6 @@ from .seqspec import (
     _peel_head_by_gap,
     _z,
 )
-
-# The operator-spec deciders and the finite identity checks import numpy and
-# ``spectra`` where they run: deciding from sequence specs and scalar lists
-# loads neither.
 
 BJ_SEARCH_CAP = 1_000_000
 ARVESON_COEFF_BOUND_DEFAULT = 64
@@ -133,11 +132,43 @@ def _decided(ok, tag, cert, mode):
     return Decision(Decision.YES if ok else Decision.NO, tag, cert, mode)
 
 
+def _clamp(cmp, d, a, b):
+    """d with every finite entry and constant value that ``cmp`` puts within
+    the float tolerance of [a, b] moved onto the endpoint, and a certificate
+    entry counting the moved entries (empty when none moved).
+
+    This is the perturbation ``Cmp`` grants every other comparison.  Exact
+    mode and complex specs are left as they are, and so are geometric and
+    telescoping streams: their closed-form sums need the exact interval.
+    """
+    if cmp.exact or d.field != "real":
+        return d, {}
+    a, b = float(a), float(b)
+
+    def near(v):
+        return a if v < a and cmp.le(a, v) else b if v > b and cmp.le(v, b) else v
+
+    streams, moved = [], 0
+    for s in d.streams:
+        if isinstance(s, FiniteList):
+            values = [near(v) for v in s.values]
+            moved += sum(x != v for x, v in zip(values, s.values))
+            s = FiniteList(values)
+        elif isinstance(s, ConstantRepeat) and near(s.value) != s.value:
+            moved += s.count
+            s = ConstantRepeat(near(s.value), s.count)
+        streams.append(s)
+    if not moved:
+        return d, {}
+    return SequenceSpec(tuple(streams), d.field, d.exact), {"clamped": moved}
+
+
 def _inside(cmp, bounds, a, b):
     """Whether every entry, by its ``spec_bounds``, lies in [a, b].
 
-    None also when an entry is outside by less than the float tolerance:
-    the closed-form sums that follow need the exact interval.
+    None also when an entry is outside by less than the float tolerance
+    (one ``_clamp`` could not move): the closed-form sums that follow need
+    the exact interval.
     """
     lo, _, hi, _ = bounds
     return _all3([cmp.le(a, lo), cmp.le(hi, b)]) and (bool(a <= lo and hi <= b) or None)
@@ -247,16 +278,18 @@ def kadison_invariants(d: SequenceSpec) -> KadisonInvariants:
 
 def decide_kadison(d: SequenceSpec) -> Decision:
     """Diagonals of projections: a+b infinite, or a-b an integer."""
-    bounds = spec_bounds(d)
     mode = _spec_mode(d)
+    cmp = Cmp(mode == "exact")
+    d, clamped = _clamp(cmp, d, 0, 1)
+    bounds = spec_bounds(d)
     if bounds is not None:
-        inside = _inside(Cmp(mode == "exact"), bounds, 0, 1)
+        inside = _inside(cmp, bounds, 0, 1)
         if inside is False:
             raise PreconditionError("entries must lie in [0, 1]")
         if inside is None:
-            return Decision(Decision.UNKNOWN, "kadison", {"reason": _BUFFER}, mode)
+            return Decision(Decision.UNKNOWN, "kadison", {**clamped, "reason": _BUFFER}, mode)
     inv = kadison_invariants(d)
-    cert = {"a": inv.a, "b": inv.b}
+    cert = {**clamped, "a": inv.a, "b": inv.b}
     if not inv.a.finite or not inv.b.finite:
         return Decision(Decision.YES, "kadison", {**cert, "branch": "a+b infinite"}, mode)
     diff = inv.a.value - inv.b.value
@@ -268,6 +301,22 @@ def decide_kadison(d: SequenceSpec) -> Decision:
         return Decision(Decision.UNKNOWN, "kadison",
                         {**cert, "reason": "a-b inside the integrality buffer"}, mode)
     return Decision(Decision.NO, "kadison", cert, mode)
+
+
+def _bj_periods(interior, ceiling, target):
+    """The period p_j of each N_j, or None unless the points and C - D are exact.
+
+    With L the lcm of the denominators of the lambda_j, B and C - D, the
+    equality C - D = sum lambda_j N_j + k B reads sum (L lambda_j) N_j =
+    L (C - D) mod L B.  Lowering N_j by p_j = L B / gcd(L lambda_j, L B)
+    keeps it, and keeps every inequality, whose right side grows in every N_j.
+    """
+    values = [*interior, ceiling, target]
+    if not all(map(is_exact_scalar, values)):
+        return None
+    den = math.lcm(*(Fraction(v).denominator for v in values))
+    modulus = int(ceiling * den)
+    return [modulus // math.gcd(int(lj * den), modulus) for lj in interior]
 
 
 def decide_bownik_jasper(points, d: SequenceSpec) -> Decision:
@@ -284,20 +333,22 @@ def decide_bownik_jasper(points, d: SequenceSpec) -> Decision:
     interior = pts[1:-1]
     mode = _spec_mode(d)
     cmp = Cmp(mode == "exact")
+    d, clamped = _clamp(cmp, d, 0, ceiling)
     bounds = spec_bounds(d)
     if bounds is not None:
         inside = _inside(cmp, bounds, 0, ceiling)
         if inside is False:
             raise PreconditionError("entries must lie in [0, B]")
         if inside is None:
-            return Decision(Decision.UNKNOWN, "bownik-jasper", {"reason": _BUFFER}, mode)
+            return Decision(Decision.UNKNOWN, "bownik-jasper",
+                            {**clamped, "reason": _BUFFER}, mode)
     if total_sum(d).kind != "pinf":
         raise PreconditionError("sum of entries must be infinite")
     if total_sum(affine_image(d, -1, ceiling)).kind != "pinf":
         raise PreconditionError("sum of (B - entries) must be infinite")
     half = ceiling / 2
     c_half, d_half = split_sums(d, half, ceiling=ceiling)
-    cert = {"C(B/2)": c_half, "D(B/2)": d_half}
+    cert = {**clamped, "C(B/2)": c_half, "D(B/2)": d_half}
     if not c_half.finite or not d_half.finite:
         return Decision(Decision.YES, "bownik-jasper",
                         {**cert, "branch": "C+D infinite"}, mode)
@@ -320,6 +371,7 @@ def decide_bownik_jasper(points, d: SequenceSpec) -> Decision:
             lhs.append(None)  # inequality trivially satisfied
         else:
             lhs.append((ceiling - lr) * c_r.value + lr * d_r.value)
+    period = _bj_periods(interior, ceiling, target)
     bound = []
     for j, lj in enumerate(interior):
         bj = None
@@ -336,51 +388,23 @@ def decide_bownik_jasper(points, d: SequenceSpec) -> Decision:
             return Decision(Decision.NO, "bownik-jasper",
                             {**cert, "reason": f"no admissible N_{j+1}",
                              "bound": limit}, mode)
-        bound.append(limit)
-    combos = 1
-    for b in bound:
-        combos *= b
-        if combos > BJ_SEARCH_CAP:
-            return Decision(Decision.UNKNOWN, "bownik-jasper",
-                            {**cert, "reason": "search bound exceeds candidate cap",
-                             "bounds": bound}, mode)
+        bound.append(limit if period is None else min(limit, period[j]))
+    if math.prod(bound) > BJ_SEARCH_CAP:
+        return Decision(Decision.UNKNOWN, "bownik-jasper",
+                        {**cert, "reason": "search bound exceeds candidate cap",
+                         "bounds": bound}, mode)
     borderline = False
-    ns = [1] * n
-    while True:
+    for ns in product(*(range(1, b + 1) for b in bound)):  # the last N_j runs fastest
         s = sum(lj * nj for lj, nj in zip(interior, ns))
-        q = (target - s) / ceiling
-        isint, k = integrality(q, mode == "exact")
-        if isint is None:
-            borderline = True
-        elif isint:
-            ok = True
-            for r in range(n):
-                if lhs[r] is None:
-                    continue
-                rhs = ((ceiling - interior[r]) * sum(interior[j] * ns[j] for j in range(r + 1))
-                       + interior[r] * sum((ceiling - interior[j]) * ns[j]
-                                           for j in range(r + 1, n)))
-                c = cmp.le(rhs, lhs[r])
-                if c is None:
-                    borderline = True
-                    ok = False
-                    break
-                if not c:
-                    ok = False
-                    break
-            if ok:
-                return Decision(Decision.YES, "bownik-jasper",
-                                {**cert, "N": list(ns), "k": k}, mode)
-        # lexicographic increment
-        i = n - 1
-        while i >= 0:
-            ns[i] += 1
-            if ns[i] <= bound[i]:
-                break
-            ns[i] = 1
-            i -= 1
-        if i < 0:
-            break
+        ok, k = integrality((target - s) / ceiling, mode == "exact")
+        for r, lr in enumerate(interior):  # up to the first answer that is not True
+            if ok and lhs[r] is not None:
+                rhs = ((ceiling - lr) * sum(interior[j] * ns[j] for j in range(r + 1))
+                       + lr * sum((ceiling - interior[j]) * ns[j] for j in range(r + 1, n)))
+                ok = cmp.le(rhs, lhs[r])
+        if ok:
+            return Decision(Decision.YES, "bownik-jasper", {**cert, "N": list(ns), "k": k}, mode)
+        borderline = borderline or ok is None
     if borderline:
         return Decision(Decision.UNKNOWN, "bownik-jasper",
                         {**cert, "reason": "candidates inside the float buffer"}, mode)
@@ -395,7 +419,6 @@ def decide_bownik_jasper(points, d: SequenceSpec) -> Decision:
 
 def decide_neumann_closure(spec, d: SequenceSpec) -> Decision:
     """Membership of d in the sup-norm closure of the diagonal set."""
-    from .spectra import eigen_multiset, essential_summary
     summary = essential_summary(spec)
     lo, hi = summary.w_e
     if d.field != "real":
@@ -469,7 +492,6 @@ def _interior_distance(z, hull):
 
 def check_blaschke(spec, d: SequenceSpec, mode="selfadjoint") -> Decision:
     """Divergent boundary-distance sum: a sufficient diagonal condition."""
-    from .spectra import essential_points, essential_summary
     if mode == "selfadjoint":
         summary = essential_summary(spec)
         dmode = _points_mode(summary.ess_points, d)
@@ -519,7 +541,6 @@ def check_blaschke(spec, d: SequenceSpec, mode="selfadjoint") -> Decision:
 
 def decide_three_point(spec, d: SequenceSpec) -> Decision:
     """Characterization when W(T) sits inside W_e(T) and |ess spectrum| >= 3."""
-    from .spectra import eigen_multiset, essential_summary
     summary = essential_summary(spec)
     if len(summary.ess_points) < 3:
         raise PreconditionError("need at least three essential-spectrum points")
@@ -533,7 +554,8 @@ def decide_three_point(spec, d: SequenceSpec) -> Decision:
     ms = eigen_multiset(spec)
     dim_a = count_value(ms, a)
     dim_b = count_value(ms, b)
-    cert = {"a": a, "b": b, "dim_a": dim_a, "dim_b": dim_b}
+    d, clamped = _clamp(cmp, d, a, b)
+    cert = {**clamped, "a": a, "b": b, "dim_a": dim_a, "dim_b": dim_b}
     bounds = spec_bounds(d)
     if bounds is not None:
         lo, lo_att, hi, hi_att = bounds
@@ -604,6 +626,20 @@ def _inconic(bc, p):
             - 2 * (u * v * x * y + v * w * y * z + w * u * z * x))
 
 
+def _barycentric(p, a, b, c):
+    """Barycentric coordinates of p in the triangle (a, b, c), or None if flat.
+
+    Cramer's rule on plane points (``QC`` or ``complex``): exact for QC.
+    """
+    def cross(u, v):
+        return u.real * v.imag - u.imag * v.real
+
+    den = cross(b - a, c - a)
+    if den == 0:
+        return None
+    return cross(b - p, c - p) / den, cross(c - p, a - p) / den, cross(a - p, b - p) / den
+
+
 def decide_williams_3x3(lam, d) -> Decision:
     """Diagonals of a 3x3 normal matrix with eigenvalues ``lam``.
 
@@ -640,7 +676,7 @@ def decide_williams_3x3(lam, d) -> Decision:
         return _williams_collinear(cmp, lam, d, mode)
     # every case below checks the trace: d2 + d3 = lam1 + lam2 + lam3 - d1
     pair_ok = cmp.eq(d[1] + d[2], lam[0] + lam[1] + lam[2] - d[0])
-    bc = ratlinalg.barycentric(d[0], *lam)
+    bc = _barycentric(d[0], *lam)
     cert = {"barycentric_d1": list(bc)}
     if _all3(cmp.le(0, x) for x in bc) is False:
         return Decision(Decision.NO, tag, {**cert, "clause": "d1 outside the triangle"}, mode)
@@ -667,8 +703,8 @@ def decide_williams_3x3(lam, d) -> Decision:
     if pair_ok is not True:
         return _decided(pair_ok, tag,
                         {**cert, "clause": "pair not symmetric about the ellipse center"}, mode)
-    q_center = _inconic(bc, ratlinalg.barycentric(center, *lam))
-    q_d2 = _inconic(bc, ratlinalg.barycentric(d[1], *lam))
+    q_center = _inconic(bc, _barycentric(center, *lam))
+    q_d2 = _inconic(bc, _barycentric(d[1], *lam))
     # d2 is inside or on the ellipse: on the center's side of the conic
     return _decided(cmp.le(0, q_d2 / q_center), tag, {**cert, "clause": "interior case"}, mode)
 
@@ -726,12 +762,12 @@ def check_arveson(vertices, d: SequenceSpec, coeff_bound=ARVESON_COEFF_BOUND_DEF
     target = (total_dev.real, total_dev.imag)
     cert = {"deviation_sum": total_dev}
     if not exact:
-        sol = ratlinalg.lattice_search_float(gens, target, coeff_bound, 1e-9)
+        sol = _lattice_search_float(gens, target, coeff_bound, 1e-9)
         if sol is None:
             return Decision(Decision.UNKNOWN, "arveson",
                             {**cert, "reason": "bounded lattice search exhausted"}, mode)
         return Decision(Decision.YES, "arveson", {**cert, "c": [-sum(sol)] + sol}, mode)
-    sol = ratlinalg.lattice_solve(gens, target)
+    sol = _lattice_solve(gens, target)
     if sol is None:
         return Decision(Decision.NO, "arveson",
                         {**cert, "reason": "deviation sum outside the vertex lattice"}, mode)
@@ -740,6 +776,100 @@ def check_arveson(vertices, d: SequenceSpec, coeff_bound=ARVESON_COEFF_BOUND_DEF
     if max(abs(c) for c in coeffs) > coeff_bound:
         cert["note"] = "certificate exceeds requested coefficient bound"
     return Decision(Decision.YES, "arveson", cert, mode)
+
+
+def _egcd(a, b):
+    """(g, x, y) with a x + b y = g = gcd(a, b) >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+
+def _lattice_solve(gens, target):
+    """Integer x with sum_j x_j gens[j] = target, or None.
+
+    ``gens`` and ``target`` are rational plane vectors, scaled to integers by
+    the lcm of their denominators.  A two-row Hermite reduction: each
+    integer column carries its coefficient vector, and for each row,
+    extended-gcd steps fold every entry into one pivot column and leave 0 in
+    the others; the target is then back-substituted.  Membership is decided
+    exactly, so a None is a proof of non-membership.
+    """
+    den = math.lcm(*(Fraction(v).denominator for vec in [*gens, target] for v in vec))
+    cols = [([int(v * den) for v in g], [int(i == j) for i in range(len(gens))])
+            for j, g in enumerate(gens)]
+    t = [int(v * den) for v in target]
+    x = [0] * len(gens)
+    for row in (0, 1):
+        pivot, rest = None, []
+        for col in cols:
+            if col[0][row] == 0:
+                rest.append(col)
+            elif pivot is None:
+                pivot = col
+            else:  # u, w = p/g, c/g in this row: a P + b C has g, u C - w P has 0
+                (pv, pc), (cv, cc) = pivot, col
+                g, a, b = _egcd(pv[row], cv[row])
+                u, w = pv[row] // g, cv[row] // g
+                pivot = ([a * y + b * z for y, z in zip(pv, cv)],
+                         [a * y + b * z for y, z in zip(pc, cc)])
+                rest.append(([u * z - w * y for y, z in zip(pv, cv)],
+                             [u * z - w * y for y, z in zip(pc, cc)]))
+        cols = rest
+        if pivot is None:
+            if t[row]:
+                return None
+            continue
+        q, r = divmod(t[row], pivot[0][row])
+        if r:
+            return None
+        t = [y - q * z for y, z in zip(t, pivot[0])]
+        x = [y + q * z for y, z in zip(x, pivot[1])]
+    return x
+
+
+def _lattice_search_float(gens, target, bound, tol):
+    """Bounded float search: integer combo of up to two generators hitting target.
+
+    Returns coefficient list or None; None proves nothing (search control
+    only).
+    """
+    m = len(gens)
+    tx, ty = target
+    scale = max(abs(tx), abs(ty), 1.0)
+    if abs(tx) <= tol * scale and abs(ty) <= tol * scale:
+        return [0] * m
+    for i, j in combinations(range(m), 2):
+        (a, b), (c, d) = gens[i], gens[j]
+        det = a * d - b * c
+        if abs(det) < 1e-14:
+            continue
+        x = (tx * d - ty * c) / det
+        y = (a * ty - b * tx) / det
+        xi, yi = round(x), round(y)
+        if abs(x - xi) <= 1e-6 and abs(y - yi) <= 1e-6 and abs(xi) <= bound and abs(yi) <= bound:
+            rx = xi * a + yi * c - tx
+            ry = xi * b + yi * d - ty
+            if abs(rx) <= tol * scale and abs(ry) <= tol * scale:
+                out = [0] * m
+                out[i], out[j] = xi, yi
+                return out
+    for i in range(m):
+        a, b = gens[i]
+        nrm = a * a + b * b
+        if nrm < 1e-28:
+            continue
+        x = (tx * a + ty * b) / nrm
+        xi = round(x)
+        if abs(x - xi) <= 1e-6 and abs(xi) <= bound:
+            if abs(xi * a - tx) <= tol * scale and abs(xi * b - ty) <= tol * scale:
+                out = [0] * m
+                out[i] = xi
+                return out
+    return None
 
 
 def _expand_finite(s):
@@ -792,15 +922,17 @@ def decide_jlw_unitary(d: SequenceSpec) -> Decision:
     ad = abs_values(d)
     mode = _spec_mode(ad)
     cmp = Cmp(mode == "exact")
+    ad, clamped = _clamp(cmp, ad, 0, 1)
     bounds = spec_bounds(ad)
     if bounds is None:
         raise PreconditionError("empty sequence")
     lo, _, hi, _ = bounds
     inside = _inside(cmp, bounds, 0, 1)
     if inside is not True:
-        return _decided(inside, "jlw-unitary", {"reason": "modulus above 1", "sup": hi}, mode)
+        return _decided(inside, "jlw-unitary",
+                        {**clamped, "reason": "modulus above 1", "sup": hi}, mode)
     rhs = total_sum(affine_image(ad, -1, 1))
-    cert = {"inf_modulus": lo, "deficiency_sum": rhs}
+    cert = {**clamped, "inf_modulus": lo, "deficiency_sum": rhs}
     if rhs.kind == "pinf":
         return Decision(Decision.YES, "jlw-unitary", cert, mode)
     lhs = 2 * (1 - lo)
@@ -858,7 +990,6 @@ def decide_thompson_compact(s: SequenceSpec, d: SequenceSpec) -> Decision:
 
 def check_mt_p_summable(spec, d: SequenceSpec, p) -> Decision:
     """p-summable boundary-distance: diagonal after a Schatten-p perturbation."""
-    from .spectra import essential_points, essential_summary
     if not (p > 1):
         raise PreconditionError("requires p > 1")
     interior_limit = False
@@ -1033,90 +1164,3 @@ def _cross(a, b):
 
 def _dot(a, b):
     return (a.conjugate() * b).real
-
-
-# ---------------------------------------------------------------------------
-# essential codimension (finite analogues)
-
-
-def essential_codimension_finite(p, q) -> int:
-    """trace P - trace Q for two finite projections (DenseMatrix)."""
-    import numpy as np
-    if not p.is_projection() or not q.is_projection():
-        raise PreconditionError("inputs must be projections at tolerance")
-    tp = float(np.trace(p.data).real)
-    tq = float(np.trace(q.data).real)
-    for t in (tp, tq):
-        if abs(t - round(t)) > 0.1:
-            raise PreconditionError("projection trace too far from an integer")
-    return int(round(tp - tq))
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    lhs: object
-    rhs: object
-    residual: float
-    ok: bool
-    detail: dict = dc_field(default_factory=dict)
-
-    def as_json(self):
-        return encode(vars(self))
-
-
-def verify_kadison_codimension_identity(p) -> IdentityReport:
-    """Finite check that a - b equals trace P - trace Q."""
-    import numpy as np
-    if not p.is_projection():
-        raise PreconditionError("input must be a projection at tolerance")
-    d = np.real(p.diag())
-    a = float(np.sum(d[d < 0.5]))
-    b = float(np.sum(1.0 - d[d >= 0.5]))
-    tq = int(np.sum(d >= 0.5))
-    tp = float(np.trace(p.data).real)
-    lhs = a - b
-    rhs = tp - tq
-    res = abs(lhs - rhs)
-    return IdentityReport(lhs, rhs, res, res <= p.n * EPS_MAT,
-                          {"a": a, "b": b, "trace_P": tp, "trace_Q": tq})
-
-
-def verify_normal_codimension_identity(n, n_prime, cluster_tol=1e-8) -> IdentityReport:
-    """Finite check of the spectral-projection trace identity."""
-    import numpy as np
-    if n.n != n_prime.n:
-        raise PreconditionError("size mismatch")
-    offdiag = n_prime.data - np.diag(np.diagonal(n_prime.data))
-    if np.linalg.norm(offdiag) > EPS_MAT * max(1.0, n_prime.norm()):
-        raise PreconditionError("second argument must be diagonal")
-    if not n.is_normal():
-        raise PreconditionError("matrix is not normal at tolerance")
-    # the eigenvalues of a normal matrix are perfectly conditioned; clusters
-    # are listed by descending real part, then imaginary part
-    vals = np.sort_complex(np.linalg.eigvals(n.data))[::-1]
-    scale = max(n.norm(), 1.0)
-    centers = []
-    counts = []
-    used = np.zeros(n.n, dtype=bool)
-    for i in range(n.n):
-        if used[i]:
-            continue
-        mask = np.abs(vals - vals[i]) <= cluster_tol * scale
-        fresh = mask & ~used
-        centers.append(np.mean(vals[fresh]))
-        counts.append(int(np.sum(fresh)))
-        used |= mask
-    dprime = np.diagonal(n_prime.data)
-    q_counts = [0] * len(centers)
-    for e in dprime:
-        hits = [j for j, c in enumerate(centers) if abs(e - c) <= 10 * cluster_tol * scale]
-        if len(hits) != 1:
-            raise PreconditionError("diagonal entry does not match a unique eigenvalue cluster")
-        q_counts[hits[0]] += 1
-    lhs = complex(np.trace(n.data) - np.trace(n_prime.data))
-    rhs = sum((counts[j] - q_counts[j]) * centers[j] for j in range(len(centers)))
-    res = abs(lhs - rhs)
-    ok = bool(res <= max(1e-8 * scale, 1e-12))
-    return IdentityReport(lhs, rhs, res, ok,
-                          {"clusters": centers,
-                           "P_ranks": counts, "Q_ranks": q_counts})

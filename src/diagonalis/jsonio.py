@@ -32,16 +32,19 @@ from fractions import Fraction
 from .scalars import INF, QC, InputError, XSum, fraction_str
 from .seqspec import (
     ConstantRepeat,
+    DiagonalizableSpec,
     FiniteList,
+    FiniteSpectrumSpec,
     Geometric,
+    MatrixSpec,
     OrderedSequenceSpec,
     SequenceSpec,
     TelescopingHarmonic,
     stream_params,
 )
 
-# Matrices and operator specs are decoded with numpy and ``spectra``, which
-# are imported where they are used: sequence specs and scalars need neither.
+# Matrices are decoded with numpy and ``spectra``, which are imported where
+# they are used: no other wire format needs them.
 
 
 # "p/q" as ``fraction_str`` prints it, also past the int-to-str digit limit
@@ -60,7 +63,7 @@ def _rational(text):
         return Fraction(int(Decimal(m[1])), int(Decimal(m[2] or 1)))
 
 
-def decode_scalar(obj, exact=False, field="real"):
+def decode_scalar(obj, exact=False):
     if isinstance(obj, str):
         try:
             return _rational(obj)
@@ -233,7 +236,6 @@ def encode_matrix(m):
 
 
 def decode_operator(obj):
-    from .spectra import DiagonalizableSpec, FiniteSpectrumSpec, MatrixSpec
     if not isinstance(obj, dict):
         raise InputError("operator spec must be an object")
     variant = obj.get("variant")
@@ -254,7 +256,6 @@ def decode_operator(obj):
 
 
 def encode_operator(spec):
-    from .spectra import DiagonalizableSpec, FiniteSpectrumSpec, MatrixSpec
     if isinstance(spec, MatrixSpec):
         return {"variant": "matrix", "matrix": encode_matrix(spec.matrix)}
     if isinstance(spec, FiniteSpectrumSpec):

@@ -19,6 +19,12 @@ format.
 Everything here is a pure function over immutable values, and all
 rearrangement-invariant operations give identical results under any
 permutation of the streams list.
+
+The spectral models of operators live here too: ``FiniteSpectrumSpec`` and
+``DiagonalizableSpec`` give an operator by its eigenvalues, so its
+eigenvalue multiset and essential spectrum are sequence questions.
+``MatrixSpec`` wraps a ``spectra.DenseMatrix`` and has no essential
+spectrum.
 """
 
 from __future__ import annotations
@@ -825,3 +831,111 @@ def interval_blaschke_sum(spec: SequenceSpec, lo, hi) -> XSum:
         else:
             out = out + _limit_mass(hi - t.limit) - XSum.fin(t.deviation)
     return out
+
+
+# ---------------------------------------------------------------------------
+# operator specs and essential spectral data
+
+
+@dataclass(frozen=True)
+class MatrixSpec:
+    matrix: object  # a spectra.DenseMatrix
+
+
+@dataclass(frozen=True)
+class FiniteSpectrumSpec:
+    points: tuple  # ((eigenvalue, multiplicity-or-INF), ...)
+
+    def __post_init__(self):
+        object.__setattr__(self, "points", tuple(self.points))
+        vals = [p for p, _ in self.points]
+        if len(set(map(repr, vals))) != len(vals):
+            raise PreconditionError("FiniteSpectrum points must be distinct")
+        for _, mult in self.points:
+            if mult != INF and (int(mult) != mult or mult < 1):
+                raise PreconditionError("multiplicities are positive integers or inf")
+
+
+@dataclass(frozen=True)
+class DiagonalizableSpec:
+    eigs: SequenceSpec
+    kernel_dim: object = 0  # count or INF
+
+    def __post_init__(self):
+        if self.kernel_dim != INF and (int(self.kernel_dim) != self.kernel_dim
+                                       or self.kernel_dim < 0):
+            raise PreconditionError("kernel_dim is a nonnegative integer or inf")
+
+
+class FiniteDimensionalError(UnsupportedError):
+    """Raised when an essential-spectrum question is asked of a matrix."""
+
+
+@dataclass(frozen=True)
+class SpectralSummary:
+    spectrum_min: object
+    spectrum_max: object
+    min_attained: bool
+    max_attained: bool
+    ess_points: tuple          # sorted distinct essential-spectrum values
+    w_e: tuple                 # (lo, hi) interval for real specs
+    endpoint_mult: dict        # eigenspace dimension at each of lo, hi
+
+
+def eigen_multiset(spec) -> SequenceSpec:
+    """All eigenvalues of a spectral model as one sequence spec."""
+    if isinstance(spec, DiagonalizableSpec):
+        streams = list(spec.eigs.streams)
+        if spec.kernel_dim:
+            streams.append(ConstantRepeat(Fraction(0) if spec.eigs.exact else 0.0,
+                                          spec.kernel_dim))
+        return SequenceSpec(tuple(streams), spec.eigs.field, spec.eigs.exact)
+    if isinstance(spec, FiniteSpectrumSpec):
+        streams = tuple(ConstantRepeat(p, mult) for p, mult in spec.points)
+        exact = all(not isinstance(p, float) and not isinstance(p, complex)
+                    for p, _ in spec.points)
+        field = "real" if all(is_real_scalar(p) for p, _ in spec.points) else "complex"
+        return SequenceSpec(streams, field, exact)
+    raise PreconditionError("matrix spec has no eigenvalue multiset here")
+
+
+def essential_points(spec):
+    """Essential spectrum: infinite-multiplicity values plus tail limits."""
+    if isinstance(spec, MatrixSpec):
+        raise FiniteDimensionalError("finite-dimensional: essential spectrum empty")
+    ms = eigen_multiset(spec)
+    pts = []
+    for s in canonical_streams(ms):
+        if stream_is_infinite(s):
+            lim = stream_limit(s)
+            if lim not in pts:
+                pts.append(lim)
+    return pts
+
+
+def essential_summary(spec) -> SpectralSummary:
+    if isinstance(spec, MatrixSpec):
+        raise FiniteDimensionalError("finite-dimensional: essential spectrum empty")
+    ms = eigen_multiset(spec)
+    if ms.field != "real":
+        raise PreconditionError("essential_summary handles selfadjoint (real) specs")
+    pts = sorted(essential_points(spec))
+    if not pts:
+        raise PreconditionError("essential spectrum is empty (not a bounded diagonalizable model)")
+    b = spec_bounds(ms)
+    lo, lo_att, hi, hi_att = b
+    w_lo, w_hi = pts[0], pts[-1]
+    endpoint_mult = {}
+    for val in (w_lo, w_hi):
+        endpoint_mult[val] = count_value(ms, val)
+    return SpectralSummary(lo, hi, lo_att, hi_att, tuple(pts), (w_lo, w_hi), endpoint_mult)
+
+
+def operator_affine_image(spec, a, b):
+    """Spectral model of a*T + b."""
+    if isinstance(spec, FiniteSpectrumSpec):
+        return FiniteSpectrumSpec(tuple((a * p + b, m) for p, m in spec.points))
+    if isinstance(spec, DiagonalizableSpec):
+        eigs = affine_image(eigen_multiset(spec), a, b)
+        return DiagonalizableSpec(eigs, 0)
+    raise PreconditionError("unsupported spec for affine image")

@@ -1,4 +1,4 @@
-"""Dense-matrix kernels and spectral models of operators.
+"""Dense-matrix kernels and the finite identity checks built on them.
 
 The finite constructors build in closed form (Givens, Thompson and 2x2
 turn chains) and check what they build: ``np.linalg.svd`` checks Thompson
@@ -20,29 +20,12 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scalars import (
-    EPS_MAT,
-    INF,
-    ConvergenceError,
-    PreconditionError,
-    UnsupportedError,
-    is_real_scalar,
-)
-from . import seqspec
-from .seqspec import (
-    ConstantRepeat,
-    SequenceSpec,
-    canonical_streams,
-    count_value,
-    spec_bounds,
-    stream_is_infinite,
-    stream_limit,
-)
+from .jsonio import encode
+from .scalars import EPS_MAT, ConvergenceError, PreconditionError
 
 JACOBI_SWEEP_CAP = 30
 SUPPORT_DIRECTION_CAP = 64
@@ -416,115 +399,84 @@ def haar_unitary(n: int, seed) -> DenseMatrix:
 
 
 # ---------------------------------------------------------------------------
-# operator specs and essential spectral data
+# essential codimension (finite analogues)
+
+
+def essential_codimension_finite(p, q) -> int:
+    """trace P - trace Q for two finite projections (DenseMatrix)."""
+    if not p.is_projection() or not q.is_projection():
+        raise PreconditionError("inputs must be projections at tolerance")
+    tp = float(np.trace(p.data).real)
+    tq = float(np.trace(q.data).real)
+    for t in (tp, tq):
+        if abs(t - round(t)) > 0.1:
+            raise PreconditionError("projection trace too far from an integer")
+    return int(round(tp - tq))
 
 
 @dataclass(frozen=True)
-class MatrixSpec:
-    matrix: DenseMatrix
+class IdentityReport:
+    lhs: object
+    rhs: object
+    residual: float
+    ok: bool
+    detail: dict = field(default_factory=dict)
+
+    def as_json(self):
+        return encode(vars(self))
 
 
-@dataclass(frozen=True)
-class FiniteSpectrumSpec:
-    points: tuple  # ((eigenvalue, multiplicity-or-INF), ...)
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        vals = [p for p, _ in self.points]
-        if len(set(map(repr, vals))) != len(vals):
-            raise PreconditionError("FiniteSpectrum points must be distinct")
-        for _, mult in self.points:
-            if mult != INF and (int(mult) != mult or mult < 1):
-                raise PreconditionError("multiplicities are positive integers or inf")
-
-
-@dataclass(frozen=True)
-class DiagonalizableSpec:
-    eigs: SequenceSpec
-    kernel_dim: object = 0  # count or INF
-
-    def __post_init__(self):
-        if self.kernel_dim != INF and (int(self.kernel_dim) != self.kernel_dim
-                                       or self.kernel_dim < 0):
-            raise PreconditionError("kernel_dim is a nonnegative integer or inf")
+def verify_kadison_codimension_identity(p) -> IdentityReport:
+    """Finite check that a - b equals trace P - trace Q."""
+    if not p.is_projection():
+        raise PreconditionError("input must be a projection at tolerance")
+    d = np.real(p.diag())
+    a = float(np.sum(d[d < 0.5]))
+    b = float(np.sum(1.0 - d[d >= 0.5]))
+    tq = int(np.sum(d >= 0.5))
+    tp = float(np.trace(p.data).real)
+    lhs = a - b
+    rhs = tp - tq
+    res = abs(lhs - rhs)
+    return IdentityReport(lhs, rhs, res, res <= p.n * EPS_MAT,
+                          {"a": a, "b": b, "trace_P": tp, "trace_Q": tq})
 
 
-class FiniteDimensionalError(UnsupportedError):
-    """Raised when an essential-spectrum question is asked of a matrix."""
-
-
-@dataclass(frozen=True)
-class SpectralSummary:
-    spectrum_min: object
-    spectrum_max: object
-    min_attained: bool
-    max_attained: bool
-    ess_points: tuple          # sorted distinct essential-spectrum values
-    w_e: tuple                 # (lo, hi) interval for real specs
-    endpoint_mult: dict        # eigenspace dimension at each of lo, hi
-
-
-def eigen_multiset(spec) -> SequenceSpec:
-    """All eigenvalues of a spectral model as one sequence spec."""
-    if isinstance(spec, DiagonalizableSpec):
-        streams = list(spec.eigs.streams)
-        if spec.kernel_dim == INF:
-            streams.append(ConstantRepeat(_zero_of(spec.eigs), INF))
-        elif spec.kernel_dim:
-            streams.append(ConstantRepeat(_zero_of(spec.eigs), int(spec.kernel_dim)))
-        return SequenceSpec(tuple(streams), spec.eigs.field, spec.eigs.exact)
-    if isinstance(spec, FiniteSpectrumSpec):
-        streams = []
-        exact = all(not isinstance(p, float) and not isinstance(p, complex)
-                    for p, _ in spec.points)
-        field = "real" if all(is_real_scalar(p) for p, _ in spec.points) else "complex"
-        for p, mult in spec.points:
-            streams.append(ConstantRepeat(p, mult if mult == INF else int(mult)))
-        return SequenceSpec(tuple(streams), field, exact)
-    raise PreconditionError("matrix spec has no eigenvalue multiset here")
-
-
-def _zero_of(s: SequenceSpec):
-    return Fraction(0) if s.exact else 0.0
-
-
-def essential_points(spec):
-    """Essential spectrum: infinite-multiplicity values plus tail limits."""
-    if isinstance(spec, MatrixSpec):
-        raise FiniteDimensionalError("finite-dimensional: essential spectrum empty")
-    ms = eigen_multiset(spec)
-    pts = []
-    for s in canonical_streams(ms):
-        if stream_is_infinite(s):
-            lim = stream_limit(s)
-            if lim not in pts:
-                pts.append(lim)
-    return pts
-
-
-def essential_summary(spec) -> SpectralSummary:
-    if isinstance(spec, MatrixSpec):
-        raise FiniteDimensionalError("finite-dimensional: essential spectrum empty")
-    ms = eigen_multiset(spec)
-    if ms.field != "real":
-        raise PreconditionError("essential_summary handles selfadjoint (real) specs")
-    pts = sorted(essential_points(spec))
-    if not pts:
-        raise PreconditionError("essential spectrum is empty (not a bounded diagonalizable model)")
-    b = spec_bounds(ms)
-    lo, lo_att, hi, hi_att = b
-    w_lo, w_hi = pts[0], pts[-1]
-    endpoint_mult = {}
-    for val in (w_lo, w_hi):
-        endpoint_mult[val] = count_value(ms, val)
-    return SpectralSummary(lo, hi, lo_att, hi_att, tuple(pts), (w_lo, w_hi), endpoint_mult)
-
-
-def operator_affine_image(spec, a, b):
-    """Spectral model of a*T + b."""
-    if isinstance(spec, FiniteSpectrumSpec):
-        return FiniteSpectrumSpec(tuple((a * p + b, m) for p, m in spec.points))
-    if isinstance(spec, DiagonalizableSpec):
-        eigs = seqspec.affine_image(eigen_multiset(spec), a, b)
-        return DiagonalizableSpec(eigs, 0)
-    raise PreconditionError("unsupported spec for affine image")
+def verify_normal_codimension_identity(n, n_prime, cluster_tol=1e-8) -> IdentityReport:
+    """Finite check of the spectral-projection trace identity."""
+    if n.n != n_prime.n:
+        raise PreconditionError("size mismatch")
+    offdiag = n_prime.data - np.diag(np.diagonal(n_prime.data))
+    if np.linalg.norm(offdiag) > EPS_MAT * max(1.0, n_prime.norm()):
+        raise PreconditionError("second argument must be diagonal")
+    if not n.is_normal():
+        raise PreconditionError("matrix is not normal at tolerance")
+    # the eigenvalues of a normal matrix are perfectly conditioned; clusters
+    # are listed by descending real part, then imaginary part
+    vals = np.sort_complex(np.linalg.eigvals(n.data))[::-1]
+    scale = max(n.norm(), 1.0)
+    centers = []
+    counts = []
+    used = np.zeros(n.n, dtype=bool)
+    for i in range(n.n):
+        if used[i]:
+            continue
+        mask = np.abs(vals - vals[i]) <= cluster_tol * scale
+        fresh = mask & ~used
+        centers.append(np.mean(vals[fresh]))
+        counts.append(int(np.sum(fresh)))
+        used |= mask
+    dprime = np.diagonal(n_prime.data)
+    q_counts = [0] * len(centers)
+    for e in dprime:
+        hits = [j for j, c in enumerate(centers) if abs(e - c) <= 10 * cluster_tol * scale]
+        if len(hits) != 1:
+            raise PreconditionError("diagonal entry does not match a unique eigenvalue cluster")
+        q_counts[hits[0]] += 1
+    lhs = complex(np.trace(n.data) - np.trace(n_prime.data))
+    rhs = sum((counts[j] - q_counts[j]) * centers[j] for j in range(len(centers)))
+    res = abs(lhs - rhs)
+    ok = bool(res <= max(1e-8 * scale, 1e-12))
+    return IdentityReport(lhs, rhs, res, ok,
+                          {"clusters": centers,
+                           "P_ranks": counts, "Q_ranks": q_counts})

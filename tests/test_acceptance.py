@@ -20,7 +20,6 @@ from diagonalis.deciders import (
     decide_thompson,
     decide_three_point,
     decide_williams_3x3,
-    verify_kadison_codimension_identity,
 )
 from diagonalis.constructors import (
     Realization,
@@ -40,13 +39,15 @@ from diagonalis.oracle import (
 from diagonalis.seqspec import (
     ConstantRepeat,
     FiniteList,
+    FiniteSpectrumSpec,
     Geometric,
     TelescopingHarmonic,
     affine_image,
+    operator_affine_image,
     seq,
     split_sums,
 )
-from diagonalis.spectra import DenseMatrix, FiniteSpectrumSpec, haar_unitary, operator_affine_image
+from diagonalis.spectra import DenseMatrix, haar_unitary, verify_kadison_codimension_identity
 from diagonalis.deciders import decide_horn_unitary
 
 rng = np.random.default_rng(20260808)

@@ -337,9 +337,10 @@ class TestEncoderBranches:
         import numpy as np
 
         from diagonalis import jsonio
-        from diagonalis.deciders import Decision, IdentityReport
+        from diagonalis.deciders import Decision
         from diagonalis.majorization import MajorizationVerdict
         from diagonalis.seqspec import FiniteList, SequenceSpec
+        from diagonalis.spectra import IdentityReport
         cert = {"i": np.int64(3), "x": np.float64(0.25), "z": np.complex128(1 - 2j),
                 "xs": [np.float32(0.5), np.int32(-1)]}
         assert self.wire(Decision("Yes", "t", cert, "float").as_json()["certificate"]) == \

@@ -285,13 +285,8 @@ def _entries(entry):
     return list(entry.values()) if isinstance(entry, dict) else [entry]
 
 
-def _loads_numpy(entry):
-    """Whether a request decodes an operator spec or a matrix (numpy's models)."""
-    return any(decoder in (cli._operator, cli._matrix)
-               for e in _entries(entry) for _, decoder in e[2])
-
-
-NUMPY_FREE = [tag for tag, entry in cli.DECIDE.items() if not _loads_numpy(entry)]
+def _decoders(entry):
+    return {decoder for e in _entries(entry) for _, decoder in e[2]}
 
 
 class TestTable:
@@ -316,9 +311,19 @@ class TestTable:
             assert not {"budget", "seed"} & {*params, *(option for option, _ in arguments)}, \
                 function
 
-    def test_only_operator_spec_tags_load_numpy(self):
-        assert sorted(set(cli.DECIDE) - set(NUMPY_FREE)) == \
+    def test_only_matrix_specs_load_numpy(self):
+        # no decide argument is a matrix, and of the operator specs only the
+        # matrix variant loads numpy (the probe below runs one of each)
+        assert not any(cli._matrix in _decoders(entry) for entry in cli.DECIDE.values())
+        assert sorted(tag for tag, entry in cli.DECIDE.items()
+                      if cli._operator in _decoders(entry)) == \
             ["blaschke", "mt-p-summable", "neumann", "three-point"]
+        out = _probe([["decide", "neumann", "--spec", js(points(True, 0, 1)),
+                       "--d", js(spec(True, const(True, "1/2")))],
+                      ["decide", "neumann", "--spec", MATRIX_SPEC,
+                       "--d", js(spec(True, const(True, "1/2")))]])
+        assert out["codes"] == [0, 3] and out["numpy"] == [False, True]
+        assert "diagonalis.spectra" in out["loaded"]
 
     def test_readme_lists_the_table(self):
         text = " ".join(README.read_text().split())
@@ -340,37 +345,45 @@ def test_golden_covers_every_request():
     assert sorted(GOLDEN) == sorted(r for r, _ in all_requests())
 
 
-# Runs in a fresh interpreter: a bare import first, then every numpy-free
-# request through ``python -m diagonalis`` (its __main__ module).
+# Runs in a fresh interpreter: a bare import first, then each request through
+# ``python -m diagonalis`` (its __main__ module), noting after each whether
+# numpy has been loaded.
 _PROBE = """
 import contextlib, io, json, runpy, sys
 before = set(sys.modules)
 import diagonalis
 bare = sorted(set(sys.modules) - before)
-codes = []
+codes, numpy = [], []
 for argv in json.loads(sys.argv[1]):
     sys.argv = ["diagonalis", *argv]
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             runpy.run_module("diagonalis", run_name="__main__", alter_sys=True)
         except SystemExit as exc:
             codes.append(exc.code)
-print(json.dumps({"bare": bare, "codes": codes, "numpy": "numpy" in sys.modules,
+    numpy.append("numpy" in sys.modules)
+print(json.dumps({"bare": bare, "codes": codes, "numpy": numpy,
                   "loaded": sorted(m for m in sys.modules if m.startswith("diagonalis"))}))
 """
 
+MATRIX_SPEC = js({"variant": "matrix", "matrix": json.loads(MATRIX_2)})
 
-def test_numpy_free_requests_never_import_numpy():
-    requests = [["decide", tag, *argv] for tag in NUMPY_FREE for exact in (True, False)
-                for argv in DECIDE_REQUESTS[tag](exact)]
+
+def _probe(requests):
     proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(requests)],
                           capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": str(SRC)})
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_numpy_free_requests_never_import_numpy():
+    requests = [["decide", tag, *argv] for tag in cli.DECIDE for exact in (True, False)
+                for argv in DECIDE_REQUESTS[tag](exact)]
+    out = _probe(requests)
     assert out["bare"] == ["diagonalis"]
-    assert len(out["codes"]) == len(requests) >= 2 * len(NUMPY_FREE)
+    assert len(out["codes"]) == len(requests) >= 2 * len(cli.DECIDE)
     assert all(code in (0, 1, 2) for code in out["codes"]), out["codes"]
-    assert not out["numpy"]
+    assert not any(out["numpy"])
     assert not {"diagonalis.spectra", "diagonalis.constructors",
                 "diagonalis.oracle"} & set(out["loaded"])

@@ -193,6 +193,10 @@ def _williams(g, kind, nudge):
     return (list(lam), list(d)), (list(lam), list(d))
 
 
+# the Yes count a draw must reach: float projection diagonals sit within
+# rounding of 0 and 1, and the range check clamps them onto it
+MIN_YES = {"kadison-block": 195}
+
 # construct target -> (decide tag, draw, number of kinds)
 DRAWS = {
     "schur-horn": ("schur-horn", _schur_horn, 3),
@@ -224,7 +228,7 @@ def test_every_yes_builds(target):
         yes += 1
         out = construct(*constructor_args)
         assert isinstance(out, (Realization, KadisonBlockDescription, list)), (k, out)
-    assert yes >= 100, yes
+    assert yes >= MIN_YES.get(target, 100), yes
 
 
 def _sum_face_pair(k):

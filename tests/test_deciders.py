@@ -1,5 +1,7 @@
+import itertools
 import math
 import operator
+import random
 from fractions import Fraction as F
 from functools import reduce
 
@@ -28,14 +30,17 @@ from diagonalis.deciders import (
 )
 from diagonalis.seqspec import (
     ConstantRepeat,
+    DiagonalizableSpec,
     FiniteList,
+    FiniteSpectrumSpec,
     Geometric,
     OrderedSequenceSpec,
     TelescopingHarmonic,
     affine_image,
+    operator_affine_image,
     seq,
+    split_sums,
 )
-from diagonalis.spectra import DiagonalizableSpec, FiniteSpectrumSpec, operator_affine_image
 
 
 def geo(f, r):
@@ -320,13 +325,33 @@ class TestBownikJasper:
         assert out.verdict == decide_kadison(d).verdict == "Yes"
 
     def test_search_bound_past_float_range(self):
-        # B/2 repeated 10**400 times: the bound on N_1 is 10**400, which no
-        # float holds; it is floored exactly and capped
+        # B/2 repeated 10**400 times: the inequality bound on N_1 is 10**400,
+        # which no float holds; N_1 / 2 mod 1 repeats with period 2 in N_1,
+        # so the search stops at 2
         d = seq(zeros, ones, ConstantRepeat(F(1, 2), 10 ** 400))
         out = decide_bownik_jasper([F(0), F(1, 2), F(1)], d)
-        assert out.verdict == "Unknown"
-        assert out.certificate["reason"] == "search bound exceeds candidate cap"
-        assert out.certificate["bounds"] == [10 ** 400]
+        assert out.verdict == "Yes"
+        assert out.certificate["N"] == [2]
+        assert out.certificate["k"] == -(5 * 10 ** 399 + 1)
+        assert _bj_holds([F(1, 2)], F(1), d, [2]) == out.certificate["k"]
+
+    @pytest.mark.usefixtures("no_exact_float")
+    def test_period_bound_agrees_with_full_enumeration(self):
+        g = random.Random(16)
+        compared = newly_decided = 0
+        for _ in range(400):
+            points, d = _bj_instance(g)
+            out = decide_bownik_jasper(points, d)
+            if out.verdict == "Yes" and "N" in out.certificate:
+                assert _bj_holds(points[1:-1], points[-1], d, out.certificate["N"]) == \
+                    out.certificate["k"]
+            full = _bj_enumerate(points, d)
+            if full is None:
+                newly_decided += out.verdict != "Unknown"
+                continue
+            compared += 1
+            assert out.verdict == full, (points, d, out.as_json())
+        assert compared >= 200 and newly_decided >= 20, (compared, newly_decided)
 
     def test_pure_projection_diagonal_needs_interior_mass(self):
         # all-0/1 diagonal forces eigenvectors at the extremes, so an
@@ -334,6 +359,55 @@ class TestBownikJasper:
         d = seq(zeros, ones)
         out = decide_bownik_jasper([F(0), F(1, 2), F(1)], d)
         assert out.verdict == "No"
+
+
+def _bj_instance(g):
+    """Points 0 < small-denominator interior points < B, and d: 0 and B
+    repeated forever, a short head, and interior values repeated often."""
+    ceiling = g.choice([F(1), F(2), F(3, 2)])
+    grid = sorted({ceiling * F(g.randint(1, 11), 12) for _ in range(g.randint(1, 3))})
+    head = [ceiling * F(g.randint(0, 12), 12) for _ in range(g.randint(0, 4))]
+    repeats = [ConstantRepeat(g.choice(grid + head + [ceiling / 3]),
+                              g.choice([g.randint(1, 40), g.randint(10 ** 3, 10 ** 9)]))
+               for _ in range(g.randint(0, 2))]
+    d = seq(ConstantRepeat(F(0), INF), ConstantRepeat(ceiling, INF), FiniteList(head), *repeats)
+    return [F(0), *grid, ceiling], d
+
+
+def _bj_holds(interior, ceiling, d, ns):
+    """k when (N, k) meets the Bownik-Jasper equality and inequalities, else None."""
+    c_half, d_half = split_sums(d, ceiling / 2, ceiling=ceiling)
+    q = (c_half.value - d_half.value - sum(x * n for x, n in zip(interior, ns))) / ceiling
+    if q.denominator != 1 or min(ns) < 1:
+        return None
+    for r, lr in enumerate(interior):
+        c_r, d_r = split_sums(d, lr, ceiling=ceiling)
+        rhs = ((ceiling - lr) * sum(x * n for x, n in zip(interior[:r + 1], ns))
+               + lr * sum((ceiling - x) * n for x, n in zip(interior[r + 1:], ns[r + 1:])))
+        if rhs > (ceiling - lr) * c_r.value + lr * d_r.value:
+            return None
+    return int(q)
+
+
+def _bj_enumerate(points, d, cap=20_000):
+    """The verdict of a search through every N the inequalities allow, or
+    None when there are more than ``cap`` candidates."""
+    interior, ceiling = points[1:-1], points[-1]
+    bounds = []
+    for j, lj in enumerate(interior):
+        caps = []
+        for r, lr in enumerate(interior):
+            c_r, d_r = split_sums(d, lr, ceiling=ceiling)
+            coef = (ceiling - lr) * lj if j <= r else lr * (ceiling - lj)
+            caps.append(((ceiling - lr) * c_r.value + lr * d_r.value) // coef)
+        bounds.append(int(min(caps)))
+    if min(bounds) < 1:
+        return "No"
+    if math.prod(bounds) > cap:
+        return None
+    boxes = itertools.product(*(range(1, b + 1) for b in bounds))
+    found = any(_bj_holds(interior, ceiling, d, ns) is not None for ns in boxes)
+    return "Yes" if found else "No"
 
 
 def neumann_spec():

@@ -1,23 +1,29 @@
 import cmath
 import math
+import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from diagonalis.scalars import INF, QC, PreconditionError
 from diagonalis.deciders import (
+    _barycentric,
     _inconic,
+    _lattice_solve,
     check_arveson,
     classify_trace_set,
     decide_williams_3x3,
+)
+from diagonalis.seqspec import ConstantRepeat, FiniteList, Geometric, seq
+from diagonalis.spectra import (
+    DenseMatrix,
     essential_codimension_finite,
+    haar_unitary,
     verify_kadison_codimension_identity,
     verify_normal_codimension_identity,
 )
-from diagonalis.ratlinalg import barycentric
-from diagonalis.seqspec import ConstantRepeat, FiniteList, Geometric, seq
-from diagonalis.spectra import DenseMatrix, haar_unitary
 
 rng = np.random.default_rng(777)
 
@@ -255,27 +261,27 @@ class TestWilliamsExact:
         g = np.random.default_rng([seed, 31])
         for _ in range(50):
             lam, d1, bc = rational_interior(g)
-            assert barycentric(d1, *lam) == tuple(bc)
+            assert _barycentric(d1, *lam) == tuple(bc)
             u, v, w = bc
             conj = (v * w, u * w, u * v)
             for i, j in ((1, 2), (0, 2), (0, 1)):
                 t = (lam[i] * conj[i] + lam[j] * conj[j]) / QC(conj[i] + conj[j], F(0))
                 side = lam[j] - lam[i]
-                assert _inconic(bc, barycentric(t, *lam)) == 0
+                assert _inconic(bc, _barycentric(t, *lam)) == 0
                 # a double root: Q is even about the trace along the side
-                ahead = _inconic(bc, barycentric(t + side, *lam))
-                assert ahead == _inconic(bc, barycentric(t - side, *lam)) != 0
+                ahead = _inconic(bc, _barycentric(t + side, *lam))
+                assert ahead == _inconic(bc, _barycentric(t - side, *lam)) != 0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_inconic_center_is_critical_and_ellipse(self, seed):
         g = np.random.default_rng([seed, 32])
         for _ in range(50):
             lam, d1, bc = rational_interior(g)
-            assert barycentric(d1, *lam) == tuple(bc)
+            assert _barycentric(d1, *lam) == tuple(bc)
             center = (lam[0] + lam[1] + lam[2] - d1) * QC(F(1, 2), F(0))
 
             def q(e):
-                return _inconic(bc, barycentric(center + e, *lam))
+                return _inconic(bc, _barycentric(center + e, *lam))
 
             steps = [QC(F(1), F(0)), QC(F(0), F(1)), QC(F(1), F(1))]
             for e in steps:  # the gradient vanishes: Q is even about the center
@@ -358,6 +364,59 @@ class TestArveson:
                   QC(F(0), F(0)))
         dev = out.certificate["deviation_sum"]
         assert dev == got
+
+
+def _determinantal_divisors(cols):
+    """gcd of the entries and gcd of the 2x2 minors of a two-row integer
+    matrix given by its columns (0 when there are none)."""
+    entries = math.gcd(*(v for c in cols for v in c))
+    minors = math.gcd(*(a[0] * b[1] - a[1] * b[0] for a, b in combinations(cols, 2)))
+    return entries, minors
+
+
+def _random_lattice_case(g):
+    """0-4 rational plane generators and a target; half of the targets are
+    integer combinations of the generators."""
+    def rational():
+        return F(g.randint(-6, 6), g.choice([1, 1, 2, 3, 4, 6, 9]))
+
+    gens = [(rational(), rational()) for _ in range(g.randint(0, 4))]
+    if len(gens) >= 2 and g.random() < 0.3:  # the last parallel to the first
+        k = F(g.randint(-3, 3), g.choice([1, 2, 3]))
+        gens[-1] = (k * gens[0][0], k * gens[0][1])
+    if g.random() < 0.5:
+        xs = [g.randint(-5, 5) for _ in gens]
+        target = (sum((x * a for x, (a, _) in zip(xs, gens)), F(0)),
+                  sum((x * b for x, (_, b) in zip(xs, gens)), F(0)))
+    else:
+        target = (rational(), rational())
+    return gens, target
+
+
+@pytest.mark.usefixtures("no_exact_float")
+def test_lattice_membership_matches_determinantal_divisors():
+    """``_lattice_solve`` returns an exact integer solution, or None exactly
+    when the target is outside the integer span: scaled to integers, t is in
+    the span of the columns of A when appending t to A leaves the gcd of the
+    entries and the gcd of the 2x2 minors unchanged."""
+    g = random.Random(2023)
+    found = missed = 0
+    for _ in range(2400):
+        gens, target = _random_lattice_case(g)
+        x = _lattice_solve(gens, target)
+        if x is not None:
+            found += 1
+            assert len(x) == len(gens) and all(isinstance(c, int) for c in x)
+            assert (sum((c * a for c, (a, _) in zip(x, gens)), F(0)),
+                    sum((c * b for c, (_, b) in zip(x, gens)), F(0))) == target
+            continue
+        missed += 1
+        den = math.lcm(*(v.denominator for v in (*target, *(c for a in gens for c in a))))
+        cols = [(int(a * den), int(b * den)) for a, b in gens]
+        t = (int(target[0] * den), int(target[1] * den))
+        assert _determinantal_divisors(cols) != _determinantal_divisors(cols + [t]), \
+            (gens, target)
+    assert found >= 1000 and missed >= 500, (found, missed)
 
 
 def _unit(re, im):

@@ -7,22 +7,27 @@ import pytest
 
 from diagonalis.deciders import _hull_edges, _interior_distance
 from diagonalis.scalars import INF, PreconditionError
-from diagonalis.seqspec import ConstantRepeat, FiniteList, Geometric, seq
-from diagonalis.spectra import (
-    DenseMatrix,
+from diagonalis.seqspec import (
+    ConstantRepeat,
     DiagonalizableSpec,
     FiniteDimensionalError,
+    FiniteList,
     FiniteSpectrumSpec,
+    Geometric,
     MatrixSpec,
+    essential_summary,
+    operator_affine_image,
+    seq,
+)
+from diagonalis.spectra import (
+    DenseMatrix,
     _attain_2x2,
     attain_numerical_range_vector,
-    essential_summary,
     haar_unitary,
     hermitian_eigensystem,
     hermitian_eigenvalues,
     numerical_range_hull,
     numerical_range_support,
-    operator_affine_image,
     singular_values,
 )
 

@@ -16,15 +16,17 @@ from hypothesis import strategies as st
 
 from diagonalis.cli import run
 from diagonalis.deciders import (
+    decide_bownik_jasper,
     decide_horn_unitary,
     decide_jlw_unitary,
+    decide_kadison,
     decide_schur_horn,
     decide_thompson,
     decide_williams_3x3,
 )
 from diagonalis.majorization import majorize_finite
 from diagonalis.scalars import INF, QC
-from diagonalis.seqspec import ConstantRepeat, FiniteList, SequenceSpec
+from diagonalis.seqspec import ConstantRepeat, FiniteList, SequenceSpec, seq
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -213,6 +215,56 @@ def test_horn_unit_modulus_does_not_flip(phases, eps):
     bumped = [x * (1 + e) for x, e in zip(signs, eps)]
     for variant in ("orthogonal", "rotation"):
         no_flip(decide_horn_unitary(signs, variant), decide_horn_unitary(bumped, variant))
+
+
+# range checks: an entry at an end of its interval, moved outside by the
+# tolerance or less, is clamped back onto it
+
+
+def ends_moved(head, eps, ends):
+    return [x + e if x in ends else x for x, e in zip(head, eps)]
+
+
+def padded(head, top=1.0):
+    return seq(FiniteList(head), ConstantRepeat(0.0, INF), ConstantRepeat(top, INF))
+
+
+@SETTINGS
+@given(st.lists(st.sampled_from([0.0, 1.0, 0.25, 0.5, 0.75]), min_size=1, max_size=6),
+       st.lists(tiny, min_size=6, max_size=6))
+def test_kadison_ends_do_not_flip(head, eps):
+    # a - b is a multiple of 1/4, and moves by at most 6e-13
+    moved = decide_kadison(padded(ends_moved(head, eps, (0.0, 1.0))))
+    assert moved.verdict == decide_kadison(padded(head)).verdict, moved.as_json()
+
+
+@SETTINGS
+@given(st.lists(st.sampled_from([-1.0, 0.0, 1.0, 0.5, -0.25]), min_size=1, max_size=5),
+       st.lists(tiny, min_size=5, max_size=5), st.sampled_from([None, 1.0, -1.0, 0.5]))
+def test_jlw_ends_do_not_flip(head, eps, limit):
+    def spec(entries):
+        tail = [] if limit is None else [ConstantRepeat(limit, INF)]
+        return seq(FiniteList(entries), *tail)
+    base = decide_jlw_unitary(spec(head))
+    moved = decide_jlw_unitary(spec(ends_moved(head, eps, (-1.0, 0.0, 1.0))))
+    no_flip(base, moved)
+
+
+@SETTINGS
+@given(st.lists(st.sampled_from([0.0, 1.0, 0.25, 0.5, 0.75]), min_size=1, max_size=5),
+       st.lists(tiny, min_size=5, max_size=5),
+       st.sampled_from([[0.0, 0.5, 1.0], [0.0, 0.25, 1.0], [0.0, 0.25, 0.75, 1.0]]))
+def test_bownik_jasper_ends_do_not_flip(head, eps, points):
+    base = decide_bownik_jasper(points, padded(head))
+    moved = decide_bownik_jasper(points, padded(ends_moved(head, eps, (0.0, 1.0))))
+    no_flip(base, moved)
+
+
+def test_haar_projection_diagonal_is_decided():
+    d = padded([1.0, 1.0000000000000002, 1.0, 1.0])
+    out = decide_kadison(d)
+    assert out.verdict == "Yes" and out.certificate["clamped"] == 1
+    assert decide_kadison(padded([1.0, 1.0 + 1e-8, 1.0])).verdict == "Unknown"
 
 
 # ---------------------------------------------------------------------------
