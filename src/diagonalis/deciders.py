@@ -143,7 +143,7 @@ def _clamp(cmp, d, a, b):
     """
     if cmp.exact or d.field != "real":
         return d, {}
-    a, b = float(a), float(b)
+    a, b = _ends(cmp, a, b)
 
     def near(v):
         return a if v < a and cmp.le(a, v) else b if v > b and cmp.le(v, b) else v
@@ -163,14 +163,23 @@ def _clamp(cmp, d, a, b):
     return SequenceSpec(tuple(streams), d.field, d.exact), {"clamped": moved}
 
 
+def _ends(cmp, a, b):
+    """The endpoints ``_clamp`` moves entries onto: a and b as they are in
+    exact mode, their nearest floats in float mode (an exact 1/10 lies below
+    float 0.1, so an entry clamped onto 0.1 would compare outside 1/10)."""
+    return (a, b) if cmp.exact else (float(a), float(b))
+
+
 def _inside(cmp, bounds, a, b):
-    """Whether every entry, by its ``spec_bounds``, lies in [a, b].
+    """Whether every entry, by its ``spec_bounds``, lies in [a, b], with the
+    endpoints of ``_ends``.
 
     None also when an entry is outside by less than the float tolerance
     (one ``_clamp`` could not move): the closed-form sums that follow need
     the exact interval.
     """
     lo, _, hi, _ = bounds
+    a, b = _ends(cmp, a, b)
     return _all3([cmp.le(a, lo), cmp.le(hi, b)]) and (bool(a <= lo and hi <= b) or None)
 
 
@@ -573,14 +582,15 @@ def decide_three_point(spec, d: SequenceSpec) -> Decision:
                             {**cert, "clause": "endpoint b not an eigenvalue"}, mode)
         if None in (inside, at_a, at_b):
             return Decision(Decision.UNKNOWN, "three-point", {**cert, "reason": _BUFFER}, mode)
-    use_a = count_value(d, a)
-    use_b = count_value(d, b)
+    end_a, end_b = _ends(cmp, a, b)
+    use_a = count_value(d, end_a)
+    use_b = count_value(d, end_b)
     cert["count_a"] = use_a
     cert["count_b"] = use_b
     if not (use_a == 0 or use_a <= dim_a) or not (use_b == 0 or use_b <= dim_b):
         return Decision(Decision.NO, "three-point",
                         {**cert, "clause": "endpoint multiplicity exceeds eigenspace"}, mode)
-    s = interval_blaschke_sum(d, a, b)
+    s = interval_blaschke_sum(d, end_a, end_b)
     cert["blaschke_sum"] = s
     if s.kind != "pinf":
         return Decision(Decision.NO, "three-point",

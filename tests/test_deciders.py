@@ -605,6 +605,26 @@ class TestThreePoint:
                 == decide_three_point(three_point_spec(), tweaked).verdict)
 
 
+class TestFloatEndpoints:
+    """Float d against exact endpoints: the range check and the endpoint
+    counts use the float endpoints that the clamp moves entries onto, so an
+    exact 1/10 and a float 0.1 answer alike."""
+
+    @pytest.mark.parametrize("points", [[F(0), F(1, 20), F(1, 10)], [0.0, 0.05, 0.1]])
+    def test_bownik_jasper(self, points):
+        d = seq(FiniteList([0.05]), ConstantRepeat(0.0, INF), ConstantRepeat(0.1, INF))
+        out = decide_bownik_jasper(points, d)
+        assert (out.verdict, out.mode) == ("Yes", "float")
+        assert (out.certificate["N"], out.certificate["k"]) == ([1], -1)
+
+    @pytest.mark.parametrize("values", [(F(0), F(1, 10), F(1, 5)), (0.0, 0.1, 0.2)])
+    def test_three_point(self, values):
+        spec = FiniteSpectrumSpec(tuple((v, INF) for v in values))
+        out = decide_three_point(spec, seq(FiniteList([0.2]), ConstantRepeat(0.1, INF)))
+        assert (out.verdict, out.mode) == ("Yes", "float")
+        assert (out.certificate["count_a"], out.certificate["count_b"]) == (0, 1)
+
+
 class TestHornUnitary:
     def test_examples(self):
         assert decide_horn_unitary([F(1), F(0), F(0)]).verdict == "Yes"

@@ -1,6 +1,7 @@
 """The decision layer stands alone: no module of it imports numpy or a
 matrix, construction, search or CLI module, at module level or inside a
-function, and the operator models live with the sequence models."""
+function, and the operator models live with the sequence models.  The
+oracle that cross-checks the deciders imports none of their code."""
 
 import ast
 import sys
@@ -46,6 +47,11 @@ def test_decision_layer_imports_no_matrix_module(module):
     bad = [(name, line) for name, line, _ in _imports(_tree(module))
            if name.split(".")[0] == "numpy" or name in FORBIDDEN]
     assert not bad, bad
+
+
+def test_oracle_shares_no_code_with_the_deciders():
+    bad = {".deciders", ".majorization", ".seqspec", ".constructors", ".cli"}
+    assert not [(name, line) for name, line, _ in _imports(_tree("oracle")) if name in bad]
 
 
 def test_deciders_import_at_module_level_from_the_decision_layer():

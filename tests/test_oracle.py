@@ -12,6 +12,8 @@ from diagonalis import cli
 from diagonalis.deciders import decide_schur_horn, decide_williams_3x3
 from diagonalis.majorization import majorize_finite
 from diagonalis.oracle import (
+    LM_STALL,
+    LM_STEPS,
     STACK_MAX,
     Found,
     SearchNotFound,
@@ -187,10 +189,10 @@ def _counting_case(name):
     boundary = np.diag(BOUNDARY_LAM)
     hoffman0, hoffman13 = _orbit_target("hoffman", 3, 0), _orbit_target("hoffman", 3, 13)
     return {
-        # criterion 3's scale: 64 restarts, the last with no polish
+        # criterion 3's scale: 65 restarts, the last with no polish
         "hoffman-100000": (*hoffman13, 1e-6, 100_000, 13),
-        # restart 2 gets 10 polish trials where it would stop after 27
-        "hoffman-cap-binds-in-restart-2": (*hoffman0, 1e-6, 3106, 0),
+        # restart 2 gets 10 polish trials where it would stop after 14
+        "hoffman-cap-binds-in-restart-2": (*hoffman0, 1e-6, 3093, 0),
         # three restarts, then a fourth whose sweeps end past the budget
         "hoffman-5000": (*hoffman0, 1e-6, 5000, 0),
         "boundary-found-on-restart-2": (boundary, BOUNDARY_D, 3e-8, 12_000, 21),
@@ -208,8 +210,8 @@ def _counting_case(name):
 
 # name -> ("found", |U_00| of the witness) or ("notfound", budget, best_residual)
 PINNED_COUNTS = {
-    "hoffman-100000": ("notfound", 100_000, 0.04953554985390323),
-    "hoffman-cap-binds-in-restart-2": ("notfound", 3106, 0.13229563988061976),
+    "hoffman-100000": ("notfound", 100_000, 0.04952371116357353),
+    "hoffman-cap-binds-in-restart-2": ("notfound", 3093, 0.13229563988061976),
     "hoffman-5000": ("notfound", 5000, 0.13095664627116732),
     "boundary-found-on-restart-2": ("found", 0.3333335943038481),
     "boundary-cap-binds-in-restart-2": ("notfound", 3477, 3.2500882394823436e-06),
@@ -248,6 +250,26 @@ def test_stacks_grow_from_four(monkeypatch):
     sizes.clear()
     search_membership(DenseMatrix(t), d, tol=tol, budget=budget, seed=seed)
     assert sizes[:2] == [4, 16] and len(sizes) == 3 and sizes[2] <= STACK_MAX
+
+
+def test_unreachable_members_stall_before_their_cap(monkeypatch):
+    """On Hoffman midpoints every polished member ends at a stall, long before
+    its cap (about 12 trials, where a relative gain of 1e-12 took about 24),
+    and the search still spends its whole budget."""
+    polished, polish = [], _lm_polish
+
+    def record(a, u, target, scale, tol, caps):
+        out = polish(a, u, target, scale, tol, caps)
+        caps = np.minimum(caps, LM_STEPS)
+        polished.extend(zip(caps[caps > 0], out[2][caps > 0]))
+        return out
+    monkeypatch.setattr("diagonalis.oracle._lm_polish", record)
+    for seed in range(8):
+        t, d = _orbit_target("hoffman", 3, seed)
+        out = search_membership(DenseMatrix(t), d, tol=1e-6, budget=20_000, seed=seed)
+        assert isinstance(out, SearchNotFound) and out.budget == 20_000
+    assert polished and all(trials < cap for cap, trials in polished)
+    assert sum(trials for _, trials in polished) <= 16 * len(polished)
 
 
 def _sequential_search(t, d, tol, budget, seed):
@@ -315,7 +337,7 @@ def _sequential_polish(a, u, target, scale, tol, budget):
         f2 = float(np.vdot(r2, r2).real)
         spent += 1
         if f2 < f - 1e-24 * scale ** 2:
-            stalled = f - f2 < 1e-12 * f
+            stalled = f - f2 < LM_STALL * f
             a, u, r, f = a2, u @ e, r2, f2
             mu = max(mu / 3.0, 1e-12)
             if stalled:
@@ -436,7 +458,7 @@ PINNED_SEARCHES = {
     ("normal", 3, 5000, 5):
         "a6c15c4955fbbf0fba41cb3098e1919687a1c810ca0f5295f8ca65f2539e9fc8",
     ("hoffman", 3, 3000, 6):
-        "550c3682fe251f8b5914361f8d50c0a4bc444d50b483115c06110c0fec5d86d4",
+        "816b62ae75944ff93b026d86da10bf9532bbddb354ee3c6897d98172761c605e",
     ("hoffman", 3, 3000, 7):
         "6c99ef97f09e6298d7114afb45fed35b6bd182bfe4f179f129208d4e0b91eb76",
     # 1536 evaluations go to the two coordinate sweeps, so these budgets run
