@@ -12,13 +12,12 @@ where the minimizers form a manifold rather than isolated points (Absil,
 Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds, ch. 8;
 Yamashita & Fukushima, Computing Suppl. 15, 2001).  The polish stops within
 0.9 tol scale of the target, at a rejection under the largest damping, at an
-accepted trial that gains less than a relative 1e-6 (too little to reach the
-target in the trials left, so a spurious minimum is not polished further),
-or after 400 trials.  Every grid point of a sweep and
-every trial point of the polish is one evaluation of the budget.  Restarts
-run in (R, n, n) stacks, swept and polished in lockstep, and are counted
-in restart order.  A SearchNotFound from the search is never treated as
-nonexistence, never read as No; only deciders say No.
+accepted trial that gains less than a relative 1e-6 (an empirical rule that
+stops polishing a spurious minimum), or after 400 trials.  Every grid point
+of a sweep and every trial point of the polish is one evaluation of the
+budget.  Restarts run in (R, n, n) stacks, swept and polished in lockstep,
+and are counted in restart order.  A SearchNotFound from the search is never
+treated as nonexistence, never read as No; only deciders say No.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .scalars import PreconditionError
-from .spectra import DenseMatrix, haar_unitaries
+from .spectra import DenseMatrix, haar_unitaries, haar_unitary
 
 # The sweep grid: G = [[cos t, -conj(z)], [z, cos t]] for z = sin(t) exp(-i p),
 # 16 angles t in [0, pi/2) by 16 phases p in [0, 2 pi); point 0 is the identity.
@@ -48,11 +47,14 @@ LM_MU_UP = 8.0
 LM_MU_MIN = 1e-12
 LM_MU_MAX = 1e8
 # A member ends its polish once an accepted trial lowers |r|^2 by less than
-# a relative LM_STALL.  At that rate its LM_STEPS trials cut |r|^2 by less
-# than a factor e^(4e-4), so it cannot reach the aim unless it is within
-# 0.02% of it already.  Near a zero-residual solution the gains stay far
-# larger, even where the polish converges only linearly.  A stall ends one
-# member's polish, not the search.
+# a relative LM_STALL.  The rule is empirical: one trial's gain does not bound
+# the next (a step damped by a run of rejections gains little, and the gains
+# recover as mu shrinks), but on sampled reachable targets no hit is lost to
+# it: 1499 of 1500 3x3 targets at budget 5000 (seed 3), 30 of 30 random n = 4
+# at 20 000 and 30 of 30 n = 5 at 50 000, as with 1e-12, and the linearly
+# converging BOUNDARY_D pins keep their hits.  On an unreachable target it
+# ends the polish of a spurious minimum.  A stall ends one member's polish,
+# not the search.
 LM_STALL = 1e-6
 LM_STEPS = 400     # trial points per restart
 
@@ -138,8 +140,8 @@ def search_membership(t: DenseMatrix, d, tol=1e-8, budget=100_000, seed=0):
     while spent < budget:
         count = min(size, -(-(budget - spent) // max(sweep, 1)))
         size = min(4 * size, STACK_MAX)
-        u0 = np.concatenate([haar_unitaries(n, np.random.default_rng(rng.integers(0, 2**63 - 1)), 1)
-                             for _ in range(count)])
+        u0 = np.stack([haar_unitary(n, seed=rng.integers(0, 2**63 - 1)).data
+                       for _ in range(count)])
         a0, u0 = _sweeps(_h(u0) @ t.data @ u0, u0, target, scale)
         caps = np.minimum(budget - spent - sweep * np.arange(1, count + 1), LM_STEPS)
         a, u, trials, res, stopped = _lm_polish(a0, u0, target, scale, tol, caps)
@@ -217,8 +219,10 @@ def _lm_polish(a, u, target, scale, tol, caps):
     ak, uk, resk, cap, mu, tk = a[k], u[k], res[k], caps[k], np.full(len(k), LM_MU_START), trials[k]
     rk = np.diagonal(ak, axis1=1, axis2=2) - target
     fk = (np.abs(rk) ** 2).sum(1)
-    settled = _hit_settled(stopped, res <= tol * scale)
-    while len(k) and not settled:
+    while len(k):
+        hit = stopped & (res <= tol * scale)
+        if hit.any() and stopped[:np.argmax(hit)].all():
+            break
         up, lo = ak[:, ii, jj], ak[:, jj, ii]
         c = np.concatenate([up + lo, 1j * (lo - up)], 1)
         ch = c.conj()
@@ -236,28 +240,14 @@ def _lm_polish(a, u, target, scale, tol, caps):
         tk += 1
         ok = f2 < fk - floor
         go = np.where(ok, (fk - f2 >= LM_STALL * fk) & (res2 > aim), mu < LM_MU_MAX) & (tk < cap)
-        if ok.all():
-            ak, uk, rk, fk, resk, mu = a2, uk @ e, r2, f2, res2, mu * LM_MU_DOWN
-        elif ok.any():
-            ak, uk = np.where(ok[:, None, None], a2, ak), np.where(ok[:, None, None], uk @ e, uk)
-            rk, fk, resk = np.where(ok[:, None], r2, rk), np.where(ok, f2, fk), np.where(ok, res2, resk)
-            mu = mu * np.where(ok, LM_MU_DOWN, LM_MU_UP)
-        else:
-            mu = mu * LM_MU_UP
-        mu = np.minimum(np.maximum(mu, LM_MU_MIN), LM_MU_MAX)
+        ak, uk = np.where(ok[:, None, None], a2, ak), np.where(ok[:, None, None], uk @ e, uk)
+        rk, fk, resk = np.where(ok[:, None], r2, rk), np.where(ok, f2, fk), np.where(ok, res2, resk)
+        mu = np.minimum(np.maximum(mu * np.where(ok, LM_MU_DOWN, LM_MU_UP), LM_MU_MIN), LM_MU_MAX)
         if not go.all():
             end, out = k[~go], ~go
             a[end], u[end], res[end], trials[end], stopped[end] = ak[out], uk[out], resk[out], tk[out], True
             k, ak, uk, rk, fk, resk, cap, mu, tk = (x[go] for x in (k, ak, uk, rk, fk, resk, cap, mu, tk))
-            settled = _hit_settled(stopped, res <= tol * scale)
     return a, u, trials, res, stopped
-
-
-def _hit_settled(stopped, hit):
-    """Whether a stopped member with ``hit`` has only stopped members before
-    it; the stack's polish can then end, as the restart count stops there."""
-    hit = stopped & hit
-    return bool(hit.any() and stopped[:np.argmax(hit)].all())
 
 
 def rational_majorization_oracle(d, lam) -> str:

@@ -115,7 +115,7 @@ class TestZeroBudget:
     def test_oracle_search_makes_no_evaluation(self, capsys, monkeypatch):
         def no_restart(*args, **kwargs):
             raise AssertionError("a restart was drawn")
-        monkeypatch.setattr("diagonalis.oracle.haar_unitaries", no_restart)
+        monkeypatch.setattr("diagonalis.oracle.haar_unitary", no_restart)
         mat = json.dumps({"n": 2, "real": True,
                           "entries": [[1, 0], [0, 0], [0, 0], [0, 0]]})
         code, body = invoke(capsys, "oracle", "search", "--matrix", mat,

@@ -236,6 +236,25 @@ def test_counting_paths(name):
         assert out.best_residual == pytest.approx(pin[2], rel=rel)
 
 
+@pytest.mark.parametrize("name", ["hoffman-cap-binds-in-restart-2", "boundary-cap-binds-in-restart-2"])
+def test_cap_binds_in_restart_2(name, monkeypatch):
+    """The pin reaches the path it is named for: restart 2 took more trials in
+    its stack than it has left, and is polished again alone up to its cap."""
+    alone, polish = [], _lm_polish
+
+    def record(a, u, target, scale, tol, caps):
+        out = polish(a, u, target, scale, tol, caps)
+        if len(a) == 1:
+            alone.append((int(caps[0]), int(out[2][0])))
+        return out
+    monkeypatch.setattr("diagonalis.oracle._lm_polish", record)
+    t, d, tol, budget, seed = _counting_case(name)
+    search_membership(DenseMatrix(t), d, tol=tol, budget=budget, seed=seed)
+    assert len(alone) == 1
+    cap, trials = alone[0]
+    assert 0 < cap < LM_STEPS and trials == cap
+
+
 def test_stacks_grow_from_four(monkeypatch):
     """A hit on restart 1 pays for one stack of four at any budget; a long
     search runs stacks of 4, 16 and then at most STACK_MAX."""
