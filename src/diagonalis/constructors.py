@@ -8,6 +8,7 @@ unitarity) before returning; one that fails verification raises
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,6 +18,7 @@ from numbers import Rational
 import numpy as np
 
 from .scalars import (
+    Cmp,
     ConvergenceError,
     PreconditionError,
     UnsupportedError,
@@ -300,18 +302,19 @@ def construct_projection_with_diagonal(d, tol=1e-9) -> Realization:
     vals = [Fraction(x) if isinstance(x, Rational) else float(x) for x in d]
     n = len(vals)
     total = sum(vals)
-    if isinstance(total, Fraction):
+    exact = isinstance(total, Fraction)
+    if exact:
         r = int(total)
         if total != r:
             raise PreconditionError("entries must sum to an integer")
-        if any(v < 0 or v > 1 for v in vals):
-            raise PreconditionError("entries must lie in [0, 1]")
     else:
         r = round(float(total))
         if abs(float(total) - r) > max(tol, 1e-9):
             raise PreconditionError("entries must sum to an integer")
-        if any(float(v) < -1e-12 or float(v) > 1 + 1e-12 for v in vals):
-            raise PreconditionError("entries must lie in [0, 1]")
+    # float entries within the deciders' tolerance of [0, 1] move onto it, as they do there
+    vals = [Cmp(exact).clamp(v, 0.0, 1.0) for v in vals]
+    if any(v < 0 or v > 1 for v in vals):
+        raise PreconditionError("entries must lie in [0, 1]")
     if not 0 <= r <= n:
         raise PreconditionError("integer sum out of range")
     # at rank 0 the Schur-Horn decider would see only d's float dust as scale
@@ -388,12 +391,13 @@ def construct_kadison_block(d: SequenceSpec, tol=1e-9) -> KadisonBlockDescriptio
 
 def _turn(a, u, p, q, z, tol):
     """Turn rows and columns p, q of a, and columns p, q of u, so that a[p, p] = z."""
-    idx = [p, q]
-    y = _attain_2x2(a[np.ix_(idx, idx)], z, tol)
-    g = np.array([[y[0], -y[1].conjugate()], [y[1], y[0].conjugate()]])
-    a[:, idx] = a[:, idx] @ g
-    a[idx] = g.conj().T @ a[idx]
-    u[:, idx] = u[:, idx] @ g
+    y0, y1 = _attain_2x2(a.item(p, p), a.item(p, q), a.item(q, p), a.item(q, q), z, tol)
+    # g = [[y0, -conj y1], [y1, conj y0]]: a g, then g* a, and u g
+    for m in (a, u):
+        col_p, col_q = m[:, p], m[:, q]
+        m[:, p], m[:, q] = col_p * y0 + col_q * y1, col_p * -y1.conjugate() + col_q * y0.conjugate()
+    row_p, row_q = a[p], a[q]
+    a[p], a[q] = y0.conjugate() * row_p + y1.conjugate() * row_q, -y1 * row_p + y0 * row_q
 
 
 def construct_zero_diagonal_basis(t: DenseMatrix, tol=1e-9) -> Realization:
@@ -415,26 +419,27 @@ def construct_zero_diagonal_basis(t: DenseMatrix, tol=1e-9) -> Realization:
     a = t.data.copy()
     u = np.eye(n, dtype=complex)
     small = 1e-12 * scale
-    live = [i for i in range(n) if abs(a[i, i]) > small]
+    live = [i for i in range(n) if abs(a.item(i, i)) > small]
     while len(live) > 1:
-        f = max(live, key=lambda i: abs(a[i, i]))
-        away = -a[f, f]
+        dg = a.diagonal().tolist()
+        f = max(live, key=lambda i: abs(dg[i]))
+        away = -dg[f]
         rest = [i for i in live if i != f]
         # nearest by |angle|: an entry on the ray may read -1e-17 and must
         # still count as on it, not as on f's side
-        angle = np.angle(a[rest, rest] * away.conjugate())
-        k = int(np.argmin(np.abs(angle)))
+        angle = [cmath.phase(dg[i] * away.conjugate()) for i in rest]
+        k = min(range(len(rest)), key=lambda j: abs(angle[j]))
         p = rest[k]
-        other = angle * angle[k] < 0
-        if other.any():
-            q = rest[int(np.argmin(np.where(other, np.abs(angle), np.inf)))]
-            c = _ray_crossing(a[p, p], a[q, q], away)
+        other = [j for j in range(len(rest)) if angle[j] * angle[k] < 0]
+        if other:
+            q = rest[min(other, key=lambda j: abs(angle[j]))]
+            c = _ray_crossing(dg[p], dg[q], away)
             if c is not None:
                 _turn(a, u, p, q, c, tol)
         # a[p, p] is now c, or already on the ray when every entry lies on
         # one line through 0, so 0 lies on [a[p, p], a[f, f]]
         _turn(a, u, p, f, 0.0, tol)
-        live = [i for i in live if i != p and abs(a[i, i]) > small]
+        live = [i for i in live if i != p and abs(a.item(i, i)) > small]
     final = u.conj().T @ t.data @ u
     diag_res = float(np.max(np.abs(np.diagonal(final))))
     unit_res = float(np.linalg.norm(u.conj().T @ u - np.eye(n)))
@@ -491,26 +496,31 @@ def _rotation_chain(s_f, d_c):
 
     ``_thompson_chain`` plans on the sorted moduli of d, and each step turns
     two rows and two columns; the rows then take the phases of d, so real d
-    gives a real matrix.  Returns the matrix and whether d is real.
+    gives a real matrix.  The plan is exact on ints: s and the moduli, scaled
+    to integers, are only added, compared and scaled again, so it is the
+    rational plan times one constant.  Returns the matrix and whether d is real.
     """
-    order_d = sorted(range(len(d_c)), key=lambda p: (-abs(d_c[p]), p))
-    s_q = [Fraction(x) for x in s_f]
-    t = [Fraction(abs(d_c[p])) for p in order_d]
+    n = len(d_c)
+    order_d = sorted(range(n), key=lambda p: (-abs(d_c[p]), p))
+    ratios = [x.as_integer_ratio() for x in s_f + [abs(d_c[p]) for p in order_d]]
+    unit = max(den for _, den in ratios)
+    s_q, t = ([num * (unit // den) for num, den in ratios[k:k + n]] for k in (0, n))
     # moduli that pass only within tolerance: scale them onto the partial-sum
     # faces, then pull them toward their mean onto the last face
-    over = max(((lhs - rhs) / lhs for lhs, rhs in zip(accumulate(t), accumulate(s_q))
+    over = max((Fraction(lhs - rhs, lhs) for lhs, rhs in zip(accumulate(t), accumulate(s_q))
                 if lhs > rhs), default=0)
-    t = [x * (1 - over) for x in t]
+    s_q, t = [x * over.denominator for x in s_q], [x * (over.denominator - over.numerator) for x in t]
     excess = sum(t) - 2 * t[-1] - sum(s_q) + 2 * s_q[-1]
-    if excess > 0 and len(t) > 1:
-        mean = sum(t) / len(t)
-        t = [x + excess * (mean - x) / (2 * (mean - t[-1])) for x in t]
+    if excess > 0 and n > 1:
+        # x + excess (mean - x) / (2 (mean - t[-1])), all times den
+        total, den = sum(t), 2 * (sum(t) - n * t[-1])
+        s_q, t = [x * den for x in s_q], [x * den + excess * (total - n * x) for x in t]
     steps, fixed = _thompson_chain(s_q, t)
     m = np.diag(s_f)
     for pa, pb, big, small, a, b in steps:
         # rows turn by theta, columns by phi; theta - phi fixes a + b, theta + phi a - b
-        minus = math.acos(float((a + b) / (big + small))) if big else 0.0
-        plus = math.acos(float((a - b) / (big - small))) if big != small else 0.0
+        minus = math.acos((a + b) / (big + small)) if big else 0.0
+        plus = math.acos((a - b) / (big - small)) if big != small else 0.0
         c, sn = math.cos((plus + minus) / 2), math.sin((plus + minus) / 2)
         m[[pa, pb]] = [[c, -sn], [sn, c]] @ m[[pa, pb]]
         c, sn = math.cos((plus - minus) / 2), math.sin((plus - minus) / 2)

@@ -144,19 +144,15 @@ def _clamp(cmp, d, a, b):
     if cmp.exact or d.field != "real":
         return d, {}
     a, b = _ends(cmp, a, b)
-
-    def near(v):
-        return a if v < a and cmp.le(a, v) else b if v > b and cmp.le(v, b) else v
-
     streams, moved = [], 0
     for s in d.streams:
         if isinstance(s, FiniteList):
-            values = [near(v) for v in s.values]
+            values = [cmp.clamp(v, a, b) for v in s.values]
             moved += sum(x != v for x, v in zip(values, s.values))
             s = FiniteList(values)
-        elif isinstance(s, ConstantRepeat) and near(s.value) != s.value:
+        elif isinstance(s, ConstantRepeat) and cmp.clamp(s.value, a, b) != s.value:
             moved += s.count
-            s = ConstantRepeat(near(s.value), s.count)
+            s = ConstantRepeat(cmp.clamp(s.value, a, b), s.count)
         streams.append(s)
     if not moved:
         return d, {}

@@ -326,6 +326,10 @@ class Cmp:
             return None
         return not r
 
+    def clamp(self, v, a, b):
+        """v moved onto the end of [a, b] that it is outside of within the tolerance."""
+        return a if v < a and self.le(a, v) else b if v > b and self.le(v, b) else v
+
     def xs_eq(self, a: XSum, b: XSum):
         if a.kind == "div" or b.kind == "div":
             return None

@@ -8,7 +8,8 @@ iteration, checks Schur-Horn matrices.  Jacobi also answers ``verify matrix
 Matrices here are small (n <= 64), where Jacobi is simple, provably
 convergent and accurate.  ``singular_values`` takes the Gram route, which
 blurs a zero singular value to about 1e-8 of the largest; no library code
-calls it.
+calls it.  Thompson chains are planned on Python integers, and 2x2 turns
+run on four Python complex scalars, where a numpy call costs more than its flops.
 
 A point of the numerical range W(M) is attained by adaptive support
 directions, and rejected only when a support direction certifies that it
@@ -195,44 +196,42 @@ def _rayleigh(m: np.ndarray, x: np.ndarray) -> complex:
     return complex(np.vdot(x, m @ x))
 
 
-def _schur_2x2(b: np.ndarray):
-    """Unitary q with q* b q upper triangular; returns (q, t)."""
-    tr = b[0, 0] + b[1, 1]
-    det = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
+def _schur_2x2(b00, b01, b10, b11):
+    """Unitary q with q* b q upper triangular, for b = [[b00, b01], [b10, b11]];
+    returns (q, t) as rows of Python complex scalars."""
+    tr = b00 + b11
+    det = b00 * b11 - b01 * b10
     disc = cmath.sqrt(tr * tr / 4.0 - det)
     lam = tr / 2.0 + disc
     # eigenvector for lam: both candidates solve (b - lam) v = 0 exactly, so
     # take the longer one; the shorter may be all cancellation error
-    cands = (np.array([b[0, 1], lam - b[0, 0]], dtype=complex),
-             np.array([lam - b[1, 1], b[1, 0]], dtype=complex))
-    vec = max(cands, key=np.linalg.norm)
-    nrm = np.linalg.norm(vec)
+    v0, v1 = max(((b01, lam - b00), (lam - b11, b10)), key=lambda v: abs(v[0]) ** 2 + abs(v[1]) ** 2)
+    nrm = math.hypot(abs(v0), abs(v1))
     if nrm < 1e-300:
-        vec = np.array([1.0, 0.0], dtype=complex)
-        nrm = 1.0
-    v = vec / nrm
-    q = np.array([[v[0], -np.conj(v[1])], [v[1], np.conj(v[0])]], dtype=complex)
-    t = q.conj().T @ b @ q
-    return q, t
+        v0, v1, nrm = 1.0, 0.0, 1.0
+    v0, v1 = complex(v0 / nrm), complex(v1 / nrm)
+    w0, w1 = -v1.conjugate(), v0.conjugate()
+    # t = q* b q for q = [[v0, w0], [v1, w1]]: b times each column, then each row of q*
+    bq = ((b00 * v0 + b01 * v1, b10 * v0 + b11 * v1), (b00 * w0 + b01 * w1, b10 * w0 + b11 * w1))
+    t = [[x0.conjugate() * y0 + x1.conjugate() * y1 for y0, y1 in bq] for x0, x1 in ((v0, v1), (w0, w1))]
+    return ((v0, w0), (v1, w1)), t
 
 
-def _attain_2x2(b: np.ndarray, z: complex, tol: float):
-    """Unit y in C^2 with <B y, y> = z, via the Schur-form quadratic."""
-    scale = max(float(np.linalg.norm(b)), abs(z), 1.0)
-    q, t = _schur_2x2(b)
-    mid = (t[0, 0] + t[1, 1]) / 2.0
-    dd = (t[0, 0] - t[1, 1]) / 2.0
-    off = t[0, 1]
+def _attain_2x2(b00, b01, b10, b11, z: complex, tol: float):
+    """Unit (y0, y1) with <B y, y> = z for B = [[b00, b01], [b10, b11]], via the Schur-form quadratic."""
+    scale = max(math.hypot(abs(b00), abs(b01), abs(b10), abs(b11)), abs(z), 1.0)
+    ((q00, q01), (q10, q11)), ((t00, off), (_, t11)) = _schur_2x2(b00, b01, b10, b11)
+    mid = (t00 + t11) / 2.0
+    dd = (t00 - t11) / 2.0
     w = z - mid
     aa = abs(dd) ** 2 + abs(off) ** 2 / 4.0
     if aa <= (1e-16 * scale) ** 2:
         if abs(w) > tol * scale:
             raise PreconditionError("target outside the numerical range of the block")
-        y = np.array([1.0, 0.0], dtype=complex)
-        return q @ y
-    bb = (w * np.conj(dd)).real
+        return q00, q10
+    bb = (w * dd.conjugate()).real
     # bb^2 - aa*(|w|^2 - |off|^2/4), rearranged so thin blocks lose no digits
-    disc = abs(off) ** 2 / 4.0 * (aa - abs(w) ** 2) - (w * np.conj(dd)).imag ** 2
+    disc = abs(off) ** 2 / 4.0 * (aa - abs(w) ** 2) - (w * dd.conjugate()).imag ** 2
     if disc < 0:
         if disc < -1e-12 * scale ** 2 * max(aa, 1.0):
             raise PreconditionError("target outside the numerical range of the block")
@@ -253,10 +252,10 @@ def _attain_2x2(b: np.ndarray, z: complex, tol: float):
             phase = phase / mag if mag > 0 else 1.0
         else:
             phase = 1.0
-        y = q @ np.array([c, s * phase], dtype=complex)
-        res = abs(_rayleigh(b, y) - z)
+        y0, y1 = q00 * c + q01 * (s * phase), q10 * c + q11 * (s * phase)
+        res = abs(y0.conjugate() * (b00 * y0 + b01 * y1) + y1.conjugate() * (b10 * y0 + b11 * y1) - z)
         if best is None or res < best[0]:
-            best = (res, y)
+            best = (res, (y0, y1))
     res, y = best
     if res > tol * scale:
         raise ConvergenceError(f"2x2 attainment residual {res:.2e} above tolerance")
@@ -270,10 +269,9 @@ def _interp_on_span(m: np.ndarray, u: np.ndarray, v: np.ndarray, z: complex, tol
     if nrm < 1e-10:
         raise ConvergenceError("degenerate interpolation pair")
     w = w / nrm
-    b = np.array([[_rayleigh(m, u), np.vdot(u, m @ w)],
-                  [np.vdot(w, m @ u), _rayleigh(m, w)]], dtype=complex)
-    y = _attain_2x2(b, z, tol)
-    return y[0] * u + y[1] * w
+    y0, y1 = _attain_2x2(_rayleigh(m, u), complex(np.vdot(u, m @ w)),
+                         complex(np.vdot(w, m @ u)), _rayleigh(m, w), z, tol)
+    return y0 * u + y1 * w
 
 
 def _chord_foot(p, q):

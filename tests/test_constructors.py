@@ -5,10 +5,12 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction as F
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
+from diagonalis import constructors
 from diagonalis.scalars import INF, PreconditionError
 from diagonalis.constructors import (
     KadisonBlockDescription,
@@ -28,6 +30,7 @@ from diagonalis.constructors import (
 )
 from diagonalis.deciders import (
     decide_horn_unitary,
+    decide_kadison,
     decide_schur_horn,
     decide_thompson,
     decide_williams_3x3,
@@ -276,6 +279,16 @@ class TestProjection:
         with pytest.raises(PreconditionError, match="entries must lie in"):
             construct_projection_with_diagonal([F(1) + F(1, 10**30), -F(1, 10**30)])
 
+    def test_float_entry_above_one_within_tolerance(self):
+        # 1 + 5e-11 is 1 to the deciders' comparisons, so Schur-Horn answers
+        # Yes; the range check clamps it onto 1 the same way
+        d = [1.00000000005, 0.99999999995, 0]
+        assert decide_schur_horn([1, 1, 0], d).verdict == "Yes"
+        real = construct_projection_with_diagonal(d)
+        p = real.matrix.data.real
+        assert np.linalg.norm(p @ p - p) <= 1e-9 and real.residuals["idempotency"] <= 1e-9
+        assert np.max(np.abs(np.diagonal(p) - d)) <= 1e-9
+
 
 class TestKadisonBlock:
     def test_half_half_with_padding(self):
@@ -297,6 +310,17 @@ class TestKadisonBlock:
         d = seq(FiniteList([F(1, 3)]), ConstantRepeat(F(0), INF))
         with pytest.raises(PreconditionError):
             construct_kadison_block(d)
+
+    def test_float_yes_with_a_clamped_entry_builds(self):
+        # decide_kadison clamps 1 + 5e-11 onto 1 and answers Yes: the block
+        # of the two entries off {0, 1} must build as well
+        d = seq(FiniteList([1 + 5e-11, 1 - 5e-11]), FiniteList([0.0]))
+        assert decide_kadison(d).verdict == "Yes"
+        out = construct_kadison_block(d)
+        p = out.block.matrix.data.real
+        assert out.block_values == (1 + 5e-11, 1 - 5e-11)
+        assert np.linalg.norm(p @ p - p) <= 1e-9 and out.block.residuals["idempotency"] <= 1e-9
+        assert np.max(np.abs(np.diagonal(p) - out.block_values)) <= 1e-9
 
 
 class TestZeroDiagonal:
@@ -460,6 +484,47 @@ def exact_thompson_pair(r, n, face):
     return None
 
 
+def fraction_plan(s_f, d_c):
+    """The plan of ``_rotation_chain`` on Fractions, the reference for its
+    integer plan: the moduli of d sorted, scaled onto the partial-sum faces,
+    pulled toward their mean onto the last face.  Returns s, the adjusted
+    moduli and which of the two adjustments ran."""
+    s_q = [F(x) for x in s_f]
+    t = sorted((F(abs(v)) for v in d_c), reverse=True)
+    over = max(((lhs - rhs) / lhs for lhs, rhs in zip(accumulate(t), accumulate(s_q))
+                if lhs > rhs), default=0)
+    t = [x * (1 - over) for x in t]
+    excess = sum(t) - 2 * t[-1] - sum(s_q) + 2 * s_q[-1]
+    if excess > 0 and len(t) > 1:
+        mean = sum(t) / len(t)
+        t = [x + excess * (mean - x) / (2 * (mean - t[-1])) for x in t]
+    return s_q, t, (over > 0, excess > 0 and len(t) > 1)
+
+
+def rotation_corpus():
+    """Seeded (s, d) for ``_rotation_chain``, n = 2-8, real and complex:
+    Thompson draws, unitary diagonals (s = 1), moduli of s pushed past the
+    partial-sum faces by 1e-13 to 1e-10, and unit moduli with the last one
+    short by 1e-13 to 1e-9, past the last face."""
+    g = np.random.default_rng(1977)
+    out = [([1.0, 1.0], [1.0, 0.9999999999999])]
+    for k in range(400):
+        n, real, kind = 2 + k % 7, bool(k % 2), k // 2 % 4
+        phases = g.choice([-1.0, 1.0], n) if real else np.exp(1j * g.uniform(0, 7, n))
+        if kind == 0:
+            s, d = thompson_instance(n, real, k)
+        elif kind == 1:
+            s, d = np.ones(n), np.diagonal(_haar(g, n, real))
+        elif kind == 2:
+            s = np.sort(g.uniform(0.2, 2.0, n))[::-1]
+            d = s * (1 + 10.0 ** g.uniform(-13, -10, n)) * phases
+        else:
+            s = np.ones(n)
+            d = np.append(np.ones(n - 1), 1 - 10.0 ** g.uniform(-13, -9)) * phases
+        out.append(([float(x) for x in s], [complex(x) for x in d]))
+    return out
+
+
 class TestThompsonChain:
     def test_every_step_keeps_the_inequalities(self):
         # the step rule is tested, not proved: replay each plan on exact values
@@ -486,6 +551,34 @@ class TestThompsonChain:
             assert fixed == [step[0] for step in steps] + list(pool)
             faces[face] += 1
         assert min(faces.values()) == 700
+
+    def test_integer_plan_is_the_fraction_plan(self, monkeypatch):
+        # the integer plan is the Fraction plan times one scale, step by step,
+        # and the matrix built from either plan is the same to the bit
+        plans, ran = [], Counter()
+
+        def recorded(s, t):
+            plans.append((s, t))
+            return _thompson_chain(s, t)
+
+        for s_f, d_c in rotation_corpus():
+            s_q, t_q, branches = fraction_plan(s_f, d_c)
+            ran.update(name for name, hit in zip(("over", "excess"), branches) if hit)
+            monkeypatch.setattr(constructors, "_thompson_chain", recorded)
+            m, real = constructors._rotation_chain(s_f, d_c)
+            s_i, t_i = plans.pop()
+            ref_steps, ref_fixed = _thompson_chain(s_q, t_q)
+            monkeypatch.setattr(constructors, "_thompson_chain",
+                                lambda s, t: (ref_steps, ref_fixed))
+            m_ref, real_ref = constructors._rotation_chain(s_f, d_c)
+            assert all(type(x) is int for x in s_i + t_i)
+            scale = s_i[0] / s_q[0]
+            assert s_i == [scale * x for x in s_q] and t_i == [scale * x for x in t_q]
+            steps, fixed = _thompson_chain(s_i, t_i)
+            assert fixed == ref_fixed
+            assert [st[:2] + tuple(v / scale for v in st[2:]) for st in steps] == ref_steps
+            assert real == real_ref and m.tobytes() == m_ref.tobytes(), (s_f, d_c)
+        assert min(ran["over"], ran["excess"]) >= 100, ran
 
 
 class TestUnitaryDiagonal:

@@ -178,7 +178,7 @@ class TestNumericalRange:
         for b in (np.array([[1.3 + 0.2j, 3e-14], [2e-14j, -0.4 + 0.9j]]),
                   np.array([[0.7, 3e-14], [-1e-14, 0.2]], dtype=complex),
                   np.array([[0.7, 0.3], [0.1, 0.2]], dtype=complex)):
-            q, t = _schur_2x2(b)
+            q, t = (np.array(x) for x in _schur_2x2(*b.ravel().tolist()))
             assert abs(t[1, 0]) <= 1e-12 * np.linalg.norm(b)
             assert np.linalg.norm(q.conj().T @ q - np.eye(2)) <= 1e-14
             assert np.linalg.norm(q @ t @ q.conj().T - b) <= 1e-14 * np.linalg.norm(b)
@@ -257,9 +257,34 @@ class TestNumericalRange:
             lam = r.standard_normal(2) + 1j * r.standard_normal(2)
             b = np.diag(lam)
             z = lam[0] + r.uniform() * (lam[1] - lam[0])
-            y = _attain_2x2(b, z, 1e-9)
+            y = np.array(_attain_2x2(*b.ravel().tolist(), complex(z), 1e-9))
             assert abs(np.vdot(y, b @ y) - z) <= 1e-9 * max(1, np.linalg.norm(b))
             assert abs(np.linalg.norm(y) - 1) <= 1e-10
+
+    def test_attain_2x2_non_normal_blocks(self):
+        # b = q [[mid + dd, off], [0, mid - dd]] q*, whose range is an ellipse
+        # with foci mid +- dd and minor axis |off|.  Odd k: |dd| <= |off|,
+        # down to 1e-12 |off| (nearly nilpotent about mid), the branch that
+        # takes the smaller of c and s from |cross|.  Even k: nearly normal,
+        # |off| down to 1e-14 |dd|.  The targets are Rayleigh quotients of
+        # random unit vectors pulled toward mid by up to 1e-12, so in W(b).
+        r = np.random.default_rng(25)
+        wide = 0
+        for k in range(1000):
+            mid, off = r.standard_normal(2) + 1j * r.standard_normal(2)
+            ratio = 10.0 ** (r.uniform(-12, 0) if k % 2 else r.uniform(0, 14))
+            dd = ratio * abs(off) * np.exp(1j * r.uniform(0, 2 * math.pi))
+            wide += abs(dd) <= abs(off)
+            q = haar_unitary(2, seed=[k, 25]).data
+            b = q @ np.array([[mid + dd, off], [0, mid - dd]]) @ q.conj().T
+            x = r.standard_normal(2) + 1j * r.standard_normal(2)
+            x = x / np.linalg.norm(x)
+            z = complex(mid + 10.0 ** r.uniform(-12, 0) * (np.vdot(x, b @ x) - mid))
+            y = np.array(_attain_2x2(*b.ravel().tolist(), z, 1e-9))
+            scale = max(np.linalg.norm(b), abs(z), 1)
+            assert abs(np.vdot(y, b @ y) - z) <= 1e-9 * scale, k
+            assert abs(np.linalg.norm(y) - 1) <= 1e-10, k
+        assert wide == 500
 
     def test_support_sweep_contains_rayleigh_samples(self):
         a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
