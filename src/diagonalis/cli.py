@@ -187,8 +187,7 @@ DECIDE = {
                  (("spec", _operator), ("d", _seq), ("mode", _default("selfadjoint")))),
     "three-point": ("deciders", "decide_three_point", (("spec", _operator), ("d", _seq))),
     "williams": ("deciders", "decide_williams_3x3", (("lambda", _scalars), ("d", _scalars))),
-    "arveson": ("deciders", "check_arveson",
-                (("vertices", _scalars), ("d", _seq), ("coeff-bound", _given))),
+    "arveson": ("deciders", "check_arveson", (("vertices", _scalars), ("d", _seq))),
     "horn-unitary": ("deciders", "decide_horn_unitary",
                      (("d", _scalars), ("variant", _default("unitary")))),
     "jlw-unitary": ("deciders", "decide_jlw_unitary", (("d", _seq),)),
@@ -336,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--budget", type=int, default=None)
         p.add_argument("--horizon", type=int, default=HORIZON_DEFAULT)
-        p.add_argument("--coeff-bound", type=int, default=64)
         p.add_argument("--d", help="sequence spec or scalar list (JSON or file)")
         p.add_argument("--lambda", metavar="LAM", help="scalar list or sequence spec")
         p.add_argument("--s", help="singular value list or spec")

@@ -76,7 +76,6 @@ from .seqspec import (
 )
 
 BJ_SEARCH_CAP = 1_000_000
-ARVESON_COEFF_BOUND_DEFAULT = 64
 
 
 @dataclass(frozen=True)
@@ -734,8 +733,11 @@ def _williams_collinear(cmp, lam, d, mode):
 # Arveson's finite-spectrum normal condition
 
 
-def check_arveson(vertices, d: SequenceSpec, coeff_bound=ARVESON_COEFF_BOUND_DEFAULT) -> Decision:
-    """Deviation-sum lattice membership for finite-spectrum normal operators."""
+def check_arveson(vertices, d: SequenceSpec) -> Decision:
+    """Arveson's condition for a normal operator with finite spectrum: the
+    deviation sum of d is in the integer span of the v_j - v_0.  Exact input
+    is decided by ``_lattice_solve``, float input by ``_lattice_float`` on the
+    points scaled by ``unit_scale``."""
     verts = python_scalars(vertices)
     if len(verts) < 2:
         raise PreconditionError("need at least two vertices")
@@ -764,24 +766,21 @@ def check_arveson(vertices, d: SequenceSpec, coeff_bound=ARVESON_COEFF_BOUND_DEF
             e = point(e)
             j = min(range(len(vs)), key=lambda j: (abs2(e - vs[j]), j))
             total_dev = total_dev + (e - vs[j])
-    gens = [((v - vs[0]).real, (v - vs[0]).imag) for v in vs[1:]]
-    target = (total_dev.real, total_dev.imag)
+    gens = [v - vs[0] for v in vs[1:]]
     cert = {"deviation_sum": total_dev}
-    if not exact:
-        sol = _lattice_search_float(gens, target, coeff_bound, 1e-9)
-        if sol is None:
-            return Decision(Decision.UNKNOWN, "arveson",
-                            {**cert, "reason": "bounded lattice search exhausted"}, mode)
-        return Decision(Decision.YES, "arveson", {**cert, "c": [-sum(sol)] + sol}, mode)
-    sol = _lattice_solve(gens, target)
-    if sol is None:
+    if exact:
+        x = _lattice_solve([(g.real, g.imag) for g in gens], (total_dev.real, total_dev.imag))
+        ok = x is not None
+    else:
+        unit = unit_scale(vs, False)
+        ok, x, discrete = _lattice_float(cmp, [g / unit for g in gens], total_dev / unit)
+        if ok is None:
+            reason = _BUFFER if discrete else "no generator pair or lone generator hits"
+            return Decision(Decision.UNKNOWN, "arveson", {**cert, "reason": reason}, mode)
+    if not ok:
         return Decision(Decision.NO, "arveson",
                         {**cert, "reason": "deviation sum outside the vertex lattice"}, mode)
-    coeffs = [-sum(sol)] + sol
-    cert["c"] = coeffs
-    if max(abs(c) for c in coeffs) > coeff_bound:
-        cert["note"] = "certificate exceeds requested coefficient bound"
-    return Decision(Decision.YES, "arveson", cert, mode)
+    return Decision(Decision.YES, "arveson", {**cert, "c": [-sum(x)] + x}, mode)
 
 
 def _egcd(a, b):
@@ -837,45 +836,44 @@ def _lattice_solve(gens, target):
     return x
 
 
-def _lattice_search_float(gens, target, bound, tol):
-    """Bounded float search: integer combo of up to two generators hitting target.
-
-    Returns coefficient list or None; None proves nothing (search control
-    only).
+def _lattice_float(cmp, gens, t):
+    """(answer, x, discrete): whether the plane point t is in the integer span
+    of ``gens`` (unit-scaled floats), x the coefficients of a hit.  A generator
+    within the tolerance of 0 or of one kept earlier adds nothing; one in the
+    buffer leaves the lattice unsure.  Cramer's rule solves t = k g + l h for
+    each pair ``cmp`` finds not parallel, and for each lone g with h = i g and
+    l = 0; t is a member when ``cmp`` finds it equal to k g + l h, k and l
+    rounded.  On a discrete lattice (one generator left, or two not parallel)
+    that one test answers True, False or None; otherwise a hit is True and a
+    miss None, as a third generator or a parallel one can hit where these miss.
     """
     m = len(gens)
-    tx, ty = target
-    scale = max(abs(tx), abs(ty), 1.0)
-    if abs(tx) <= tol * scale and abs(ty) <= tol * scale:
-        return [0] * m
-    for i, j in combinations(range(m), 2):
-        (a, b), (c, d) = gens[i], gens[j]
-        det = a * d - b * c
-        if abs(det) < 1e-14:
+    distinct, unsure = [], False
+    for i, g in enumerate(gens):
+        same = [cmp.eq(g, 0)] + [cmp.eq(g, gens[j]) for j in distinct]
+        if True in same:
             continue
-        x = (tx * d - ty * c) / det
-        y = (a * ty - b * tx) / det
-        xi, yi = round(x), round(y)
-        if abs(x - xi) <= 1e-6 and abs(y - yi) <= 1e-6 and abs(xi) <= bound and abs(yi) <= bound:
-            rx = xi * a + yi * c - tx
-            ry = xi * b + yi * d - ty
-            if abs(rx) <= tol * scale and abs(ry) <= tol * scale:
-                out = [0] * m
-                out[i], out[j] = xi, yi
-                return out
-    for i in range(m):
-        a, b = gens[i]
-        nrm = a * a + b * b
-        if nrm < 1e-28:
-            continue
-        x = (tx * a + ty * b) / nrm
-        xi = round(x)
-        if abs(x - xi) <= 1e-6 and abs(xi) <= bound:
-            if abs(xi * a - tx) <= tol * scale and abs(xi * b - ty) <= tol * scale:
-                out = [0] * m
-                out[i] = xi
-                return out
-    return None
+        if None in same:
+            unsure = True
+        else:
+            distinct.append(i)
+    if not distinct:  # the lattice is {0}
+        ok = cmp.eq(t, 0)
+        return (None if unsure and not ok else ok), [0] * m, not unsure
+    pairs = [(i, j) for i, j in combinations(distinct, 2)
+             if _parallel(cmp, gens[i], gens[j]) is False]
+    discrete = not unsure and (len(distinct) == 1 or (len(distinct) == 2 and bool(pairs)))
+    for i, j in pairs + [(i, None) for i in distinct]:
+        g = gens[i]
+        h = 1j * g if j is None else gens[j]
+        det = _cross(g, h)
+        k, l = round(_cross(t, h) / det), 0 if j is None else round(_cross(g, t) / det)
+        # moving each vertex by e moves k g + l h by at most 2 (|k| + |l|) e
+        s = max(1, 2 * (abs(k) + abs(l)))
+        ok = cmp.eq(t / s, (k * g + l * h) / s)
+        if ok or discrete:
+            return ok, [k if n == i else l if n == j else 0 for n in range(m)], discrete
+    return None, None, False
 
 
 def _expand_finite(s):
@@ -998,27 +996,26 @@ def check_mt_p_summable(spec, d: SequenceSpec, p) -> Decision:
     """p-summable boundary-distance: diagonal after a Schatten-p perturbation."""
     if not (p > 1):
         raise PreconditionError("requires p > 1")
-    interior_limit = False
+    limits = [stream_limit(s) for s in canonical_streams(d) if stream_is_infinite(s)]
     if d.field == "real":
         summary = essential_summary(spec)
         mode = _points_mode(summary.ess_points, d)
+        cmp = Cmp(mode == "exact")
         lo, hi = summary.w_e
-        for s in canonical_streams(d):
-            if stream_is_infinite(s):
-                lim = stream_limit(s)
-                if lo < lim < hi:
-                    interior_limit = True
+        inside = [_all3([cmp.lt(lo, lim), cmp.lt(lim, hi)]) for lim in limits]
     else:
         points = essential_points(spec)
         mode = _points_mode(points, d)
+        cmp = Cmp(mode == "exact")
         hull = _hull_edges(points, mode)
-        if len(hull) >= 3:
-            tol = 0 if mode == "exact" else 1e-12
-            for s in canonical_streams(d):
-                if stream_is_infinite(s) and _interior_distance(stream_limit(s), hull) > tol:
-                    interior_limit = True
-    cert = {"p": p, "summable": not interior_limit}
-    if interior_limit:
+        # a float distance is measured against the hull's own size
+        unit = unit_scale(hull, mode == "exact")
+        inside = ([cmp.lt(0, _interior_distance(lim, hull) / unit) for lim in limits]
+                  if len(hull) >= 3 else [])
+    if True not in inside and None in inside:
+        return Decision(Decision.UNKNOWN, "mt-p-summable", {"p": p, "reason": _BUFFER}, mode)
+    cert = {"p": p, "summable": True not in inside}
+    if True in inside:
         return Decision(Decision.CONDITION_FAILS, "mt-p-summable", cert, mode)
     return Decision(Decision.SUFFICIENT, "mt-p-summable", cert, mode)
 

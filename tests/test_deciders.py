@@ -559,6 +559,34 @@ class TestModeFromPointsAndD:
         assert (out.verdict, out.mode) == (mt_p, "exact")
 
 
+class TestMtPSummableBuffer:
+    """Whether a float limit is inside the essential numerical range is asked
+    of ``Cmp`` in both branches: within the tolerance of the boundary it is
+    on it, and inside the buffer above that the answer is Unknown."""
+
+    @pytest.mark.parametrize("limit,verdict", [
+        (1e-17, "SufficientConditionHolds"),
+        (1e-8, "Unknown"),
+        (0.5, "ConditionFails"),
+    ])
+    def test_real_limit_near_an_end(self, limit, verdict):
+        spec = FiniteSpectrumSpec(((0.0, INF), (1.0, INF)))
+        out = check_mt_p_summable(spec, seq(ConstantRepeat(limit, INF), exact=False), 2)
+        assert (out.verdict, out.mode) == (verdict, "float")
+
+    @pytest.mark.parametrize("gap,verdict", [
+        (1e-13, "SufficientConditionHolds"),
+        (1e-11, "SufficientConditionHolds"),
+        (1e-8, "Unknown"),
+        (1e-3, "ConditionFails"),
+    ])
+    def test_complex_limit_near_an_edge(self, gap, verdict):
+        # the limit sits gap above the edge [0, 1] of the triangle 0, 1, i
+        d = seq(ConstantRepeat(0.5 + gap * 1j, INF), field="complex", exact=False)
+        out = check_mt_p_summable(TestModeFromPointsAndD.FLOAT_TRIANGLE, d, 2)
+        assert (out.verdict, out.mode) == (verdict, "float")
+
+
 def three_point_spec():
     return FiniteSpectrumSpec(((F(0), INF), (F(1, 2), INF), (F(1), INF)))
 

@@ -347,11 +347,52 @@ class TestArveson:
         with pytest.raises(PreconditionError):
             check_arveson(self.X, d)
 
-    def test_float_search(self):
+    def test_float_member_is_yes(self):
         x = [0.0, 1.0, 1j]
         d = seq(FiniteList([0.25, 0.75]), ConstantRepeat(0.0, INF), exact=False)
         out = check_arveson(x, d)
         assert out.verdict == "Yes"
+
+    def test_float_triangle_non_member_is_no(self):
+        # the deviation sum 1/3 is not an integer combination of 1 and i
+        d = seq(FiniteList([1 / 3]), ConstantRepeat(0.0, INF), exact=False)
+        out = check_arveson([0.0, 1.0, 1j], d)
+        assert (out.verdict, out.mode) == ("No", "float")
+        exact = check_arveson(self.X, seq(FiniteList([F(1, 3)]), ConstantRepeat(F(0), INF)))
+        assert (exact.verdict, exact.mode) == ("No", "exact")
+
+    def test_float_two_vertex_non_member_is_no(self):
+        # vertices 0 and 2: the deviation sum 1/2 + 1/2 = 1 is not in 2Z
+        d = seq(FiniteList([0.5, 0.5]), ConstantRepeat(2.0, INF), exact=False)
+        out = check_arveson([0.0, 2.0], d)
+        assert (out.verdict, out.mode) == ("No", "float")
+        assert out.certificate["deviation_sum"] == 1
+
+    def test_float_dense_lattice_miss_is_unknown(self):
+        # collinear vertices 0, 1, 2: float cannot prove the miss
+        d = seq(FiniteList([1 / 3]), ConstantRepeat(0.0, INF), exact=False)
+        assert check_arveson([0.0, 1.0, 2.0], d).verdict == "Unknown"
+        assert check_arveson([F(0), F(1), F(2)],
+                             seq(FiniteList([F(1, 3)]), ConstantRepeat(F(0), INF))).verdict == "No"
+
+    def test_float_repeated_vertices(self):
+        # a vertex within the tolerance of another is that vertex; one inside
+        # the buffer may or may not be, so a verdict resting on it is Unknown
+        d = seq(FiniteList([1 / 3]), ConstantRepeat(0.0, INF), exact=False)
+        assert check_arveson([0.0, 1.0, 1.0], d).verdict == "No"
+        assert check_arveson([0.0, 1.0, 1.0 + 1e-14], d).verdict == "No"
+        at_one = seq(FiniteList([0.0]), ConstantRepeat(1.0, INF), exact=False)
+        assert check_arveson([1.0, 1.0], at_one).verdict == "No"
+        assert check_arveson([1.0, 1.0 + 1e-14], at_one).verdict == "No"
+        assert check_arveson([1.0, 1.0 + 1e-8], at_one).verdict == "Unknown"
+        assert check_arveson([1.0, 1.0], seq(ConstantRepeat(1.0, INF), exact=False)).verdict == "Yes"
+
+    def test_float_buffer_is_unknown(self):
+        # 1e-8 from the lattice point 0: above the tolerance, inside the buffer
+        d = seq(FiniteList([1e-8]), ConstantRepeat(0.0, INF), exact=False)
+        out = check_arveson([0.0, 1.0, 1j], d)
+        assert out.verdict == "Unknown"
+        assert out.certificate["reason"] == "comparison inside the float tolerance buffer"
 
     def test_assignment_tie_breaking_is_immaterial(self):
         # 1/2 ties between vertices 0 and 1; any summable assignment differs
@@ -364,6 +405,62 @@ class TestArveson:
                   QC(F(0), F(0)))
         dev = out.certificate["deviation_sum"]
         assert dev == got
+
+
+def _complex(z):
+    """A QC as a complex, rounded as float(Fraction) rounds, without calling it."""
+    return complex(z.re.numerator / z.re.denominator, z.im.numerator / z.im.denominator)
+
+
+def _arveson_case(g):
+    """Rational vertices (2-4 of them; a fifth of the larger sets on one line)
+    and d = a finite head then a constant tail at a vertex.  The deviation sum
+    differs from (sum of the head) - N v_0 by a lattice point, so half of the
+    cases pick the last head entry to put that difference on the lattice."""
+    def rational():
+        return F(g.randint(-6, 6), g.choice([1, 2, 3, 4]))
+
+    n = g.randint(2, 4)
+    vs = [QC(rational(), rational()) for _ in range(n)]
+    if n > 2 and g.random() < 0.2:
+        vs[2:] = [vs[0] + QC(rational(), F(0)) * (vs[1] - vs[0]) for _ in vs[2:]]
+    head = [QC(rational(), rational()) / 2 for _ in range(g.randint(1, 4))]
+    member = g.random() < 0.5
+    if member:
+        lattice = sum((QC(F(g.randint(-2, 2)), F(0)) * (v - vs[0]) for v in vs[1:]), QC(F(0), F(0)))
+        head[-1] = vs[0] * QC(F(len(head)), F(0)) + lattice - sum(head[:-1], QC(F(0), F(0)))
+    tail = vs[g.randrange(n)]
+    exact = seq(FiniteList(head), ConstantRepeat(tail, INF), field="complex")
+    flt = seq(FiniteList([_complex(e) for e in head]), ConstantRepeat(_complex(tail), INF),
+              field="complex", exact=False)
+    return vs, exact, [_complex(v) for v in vs], flt
+
+
+def _discrete(vs):
+    """Whether the distinct vertices are two, or three off one line."""
+    vs = list(dict.fromkeys(vs))
+    return len(vs) == 2 or (len(vs) == 3 and ((vs[1] - vs[0]).conj() * (vs[2] - vs[0])).im != 0)
+
+
+@pytest.mark.usefixtures("no_exact_float")
+def test_float_arveson_matches_exact_on_seeded_corpus():
+    """Float Arveson answers as exact Arveson or Unknown.  When the lattice is
+    discrete (two distinct vertices, or three off one line) it decides: every
+    member is Yes and at most a tenth of the non-members are left Unknown."""
+    g = random.Random(7)
+    counts = {}
+    for _ in range(3000):
+        vs, d, fvs, fd = _arveson_case(g)
+        exact, flt = check_arveson(vs, d), check_arveson(fvs, fd)
+        assert exact.mode == "exact" and flt.mode == "float"
+        assert flt.verdict in (exact.verdict, "Unknown"), (vs, d, flt.as_json())
+        key = (_discrete(vs), exact.verdict, flt.verdict)
+        counts[key] = counts.get(key, 0) + 1
+    discrete_no = counts.get((True, "No", "No"), 0)
+    assert counts.get((True, "Yes", "Unknown"), 0) == 0, counts
+    assert counts.get((True, "No", "Unknown"), 0) * 10 <= discrete_no, counts
+    assert discrete_no >= 800 and counts.get((True, "Yes", "Yes"), 0) >= 800, counts
+    assert counts.get((False, "Yes", "Yes"), 0) >= 300, counts
 
 
 def _determinantal_divisors(cols):

@@ -78,3 +78,29 @@ def test_operator_specs_are_coded_without_local_imports():
     assert len(coders) == 2
     assert not [node for f in coders for node in ast.walk(f)
                 if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+# The fixed tolerances left in deciders.py, by function.  Every other
+# comparison goes through scalars.Cmp, so a new hand-written tolerance fails
+# here; ROADMAP item 7 folds each of these onto Cmp, and then its entry goes.
+HAND_WRITTEN_TOLERANCES = {
+    "check_blaschke",  # 1e-12 in the stream-limit and entry rules (ROADMAP item 7)
+    "classify_trace_set",  # 1e-12 for the cross product signs (ROADMAP item 7)
+    "_interior_distance",  # skips edges shorter than 1e-300 (ROADMAP item 7)
+}
+
+
+def _small_floats(node, owner="<module>"):
+    """(innermost function, line) of each float literal x with 0 < |x| < 1e-3."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Constant) and isinstance(child.value, float)
+                and 0 < abs(child.value) < 1e-3):
+            yield owner, child.lineno
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+        yield from _small_floats(child, inner)
+
+
+def test_deciders_add_no_hand_written_tolerance():
+    found = list(_small_floats(_tree("deciders")))
+    assert not [(f, line) for f, line in found if f not in HAND_WRITTEN_TOLERANCES]
+    assert {f for f, _ in found} == HAND_WRITTEN_TOLERANCES  # a folded one leaves the list

@@ -11,11 +11,13 @@ import cmath
 import json
 from fractions import Fraction as F
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from diagonalis.cli import run
 from diagonalis.deciders import (
+    check_arveson,
     decide_bownik_jasper,
     decide_horn_unitary,
     decide_jlw_unitary,
@@ -93,6 +95,49 @@ def test_williams_float_agrees_with_exact(lam, d, from_lam):
         d = [lam[1], (lam[0] + lam[2]) / 2 + d[0] / 8]
     d = d + [lam[0] + lam[1] + lam[2] - d[0] - d[1]]
     agrees(decide_williams_3x3(lam, d), decide_williams_3x3(floats(lam), floats(d)))
+
+
+# Arveson: two vertices, three, three on one line and four; half of the
+# deviation sums put on the lattice.  The deviation sum differs from
+# (sum of the head) - N v_0 by a lattice point, so the last head entry can
+# put it there.
+
+ARVESON_KINDS = pytest.mark.parametrize("n,collinear", [(2, False), (3, False), (3, True),
+                                                        (4, False)])
+
+
+@st.composite
+def arveson_cases(draw, n, collinear):
+    vs = draw(st.lists(gaussian, min_size=n, max_size=n))
+    if collinear:
+        steps = draw(st.lists(rationals(-2, 2), min_size=n - 2, max_size=n - 2))
+        vs[2:] = [vs[0] + QC(r, F(0)) * (vs[1] - vs[0]) for r in steps]
+    head = draw(st.lists(gaussian, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        ks = draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1))
+        lattice = sum((k * (v - vs[0]) for k, v in zip(ks, vs[1:])), QC(F(0), F(0)))
+        head[-1] = len(head) * vs[0] + lattice - sum(head[:-1], QC(F(0), F(0)))
+    return vs, head, draw(st.integers(0, n - 1))
+
+
+def plain_complex(z):
+    """A QC as a complex, rounded as float(Fraction) rounds, without calling it."""
+    return complex(z.re.numerator / z.re.denominator, z.im.numerator / z.im.denominator)
+
+
+def arveson_request(vs, head, tail):
+    """Exact for QC points, float for complex ones; the tail sits at vertex ``tail``."""
+    return check_arveson(vs, seq(FiniteList(head), ConstantRepeat(vs[tail], INF), field="complex"))
+
+
+@ARVESON_KINDS
+@pytest.mark.usefixtures("no_exact_float")
+@settings(SETTINGS, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_arveson_float_agrees_with_exact(n, collinear, data):
+    vs, head, tail = data.draw(arveson_cases(n, collinear))
+    flt = arveson_request([plain_complex(v) for v in vs], [plain_complex(e) for e in head], tail)
+    agrees(arveson_request(vs, head, tail), flt)
 
 
 # the same rational instances scaled far below and far above unit size:
@@ -215,6 +260,18 @@ def test_horn_unit_modulus_does_not_flip(phases, eps):
     bumped = [x * (1 + e) for x, e in zip(signs, eps)]
     for variant in ("orthogonal", "rotation"):
         no_flip(decide_horn_unitary(signs, variant), decide_horn_unitary(bumped, variant))
+
+
+@ARVESON_KINDS
+@SETTINGS
+@given(data=st.data())
+def test_arveson_does_not_flip(n, collinear, data):
+    vs, head, tail = data.draw(arveson_cases(n, collinear))
+    vs, head = [plain_complex(v) for v in vs], [plain_complex(e) for e in head]
+    eps = data.draw(st.lists(tiny, min_size=len(vs) + len(head), max_size=len(vs) + len(head)))
+    moved = [x * (1 + e) for x, e in zip(vs + head, eps)]
+    no_flip(arveson_request(vs, head, tail),
+            arveson_request(moved[:len(vs)], moved[len(vs):], tail))
 
 
 # range checks: an entry at an end of its interval, moved outside by the
