@@ -773,9 +773,8 @@ def check_arveson(vertices, d: SequenceSpec) -> Decision:
         ok = x is not None
     else:
         unit = unit_scale(vs, False)
-        ok, x, discrete = _lattice_float(cmp, [g / unit for g in gens], total_dev / unit)
+        ok, x, reason = _lattice_float(cmp, [g / unit for g in gens], total_dev / unit)
         if ok is None:
-            reason = _BUFFER if discrete else "no generator pair or lone generator hits"
             return Decision(Decision.UNKNOWN, "arveson", {**cert, "reason": reason}, mode)
     if not ok:
         return Decision(Decision.NO, "arveson",
@@ -837,15 +836,17 @@ def _lattice_solve(gens, target):
 
 
 def _lattice_float(cmp, gens, t):
-    """(answer, x, discrete): whether the plane point t is in the integer span
-    of ``gens`` (unit-scaled floats), x the coefficients of a hit.  A generator
-    within the tolerance of 0 or of one kept earlier adds nothing; one in the
-    buffer leaves the lattice unsure.  Cramer's rule solves t = k g + l h for
-    each pair ``cmp`` finds not parallel, and for each lone g with h = i g and
-    l = 0; t is a member when ``cmp`` finds it equal to k g + l h, k and l
-    rounded.  On a discrete lattice (one generator left, or two not parallel)
-    that one test answers True, False or None; otherwise a hit is True and a
-    miss None, as a third generator or a parallel one can hit where these miss.
+    """(answer, x, reason): whether the plane point t is in the integer span
+    of ``gens`` (unit-scaled floats), x the coefficients of a hit and reason
+    the one for an Unknown.  A generator within the tolerance of 0 or of one
+    kept earlier adds nothing; one in the buffer leaves the lattice unsure.
+    Cramer's rule solves t = k g + l h for each pair ``cmp`` finds not
+    parallel, and for each lone g with h = i g and l = 0; t is a member when
+    ``cmp`` finds it equal to k g + l h, k and l rounded.  On a discrete
+    lattice (one generator left, or two not parallel) that one test answers
+    True, False or None; otherwise a hit is True and a miss None, as a third
+    generator or a parallel one can hit where these miss.  On an unsure
+    lattice a miss is None for the buffer.
     """
     m = len(gens)
     distinct, unsure = [], False
@@ -859,10 +860,11 @@ def _lattice_float(cmp, gens, t):
             distinct.append(i)
     if not distinct:  # the lattice is {0}
         ok = cmp.eq(t, 0)
-        return (None if unsure and not ok else ok), [0] * m, not unsure
+        return (None if unsure and not ok else ok), [0] * m, _BUFFER
     pairs = [(i, j) for i, j in combinations(distinct, 2)
              if _parallel(cmp, gens[i], gens[j]) is False]
     discrete = not unsure and (len(distinct) == 1 or (len(distinct) == 2 and bool(pairs)))
+    reason = _BUFFER if unsure or discrete else "no generator pair or lone generator hits"
     for i, j in pairs + [(i, None) for i in distinct]:
         g = gens[i]
         h = 1j * g if j is None else gens[j]
@@ -872,8 +874,8 @@ def _lattice_float(cmp, gens, t):
         s = max(1, 2 * (abs(k) + abs(l)))
         ok = cmp.eq(t / s, (k * g + l * h) / s)
         if ok or discrete:
-            return ok, [k if n == i else l if n == j else 0 for n in range(m)], discrete
-    return None, None, False
+            return ok, [k if n == i else l if n == j else 0 for n in range(m)], reason
+    return None, None, reason
 
 
 def _expand_finite(s):
@@ -1001,8 +1003,10 @@ def check_mt_p_summable(spec, d: SequenceSpec, p) -> Decision:
         summary = essential_summary(spec)
         mode = _points_mode(summary.ess_points, d)
         cmp = Cmp(mode == "exact")
-        lo, hi = summary.w_e
-        inside = [_all3([cmp.lt(lo, lim), cmp.lt(lim, hi)]) for lim in limits]
+        # a float limit is measured against the interval's own size
+        unit = unit_scale(summary.w_e, mode == "exact")
+        lo, hi = (x / unit for x in summary.w_e)
+        inside = [_all3([cmp.lt(lo, lim / unit), cmp.lt(lim / unit, hi)]) for lim in limits]
     else:
         points = essential_points(spec)
         mode = _points_mode(points, d)

@@ -561,29 +561,38 @@ class TestModeFromPointsAndD:
 
 class TestMtPSummableBuffer:
     """Whether a float limit is inside the essential numerical range is asked
-    of ``Cmp`` in both branches: within the tolerance of the boundary it is
-    on it, and inside the buffer above that the answer is Unknown."""
+    of ``Cmp`` in both branches, on the data divided by their own size: within
+    the tolerance of the boundary it is on it, inside the buffer above that the
+    answer is Unknown, and scaling the data changes neither."""
 
+    SCALES = pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-6, 1e9])
+
+    @SCALES
     @pytest.mark.parametrize("limit,verdict", [
         (1e-17, "SufficientConditionHolds"),
         (1e-8, "Unknown"),
+        (5e-5, "ConditionFails"),
         (0.5, "ConditionFails"),
     ])
-    def test_real_limit_near_an_end(self, limit, verdict):
-        spec = FiniteSpectrumSpec(((0.0, INF), (1.0, INF)))
-        out = check_mt_p_summable(spec, seq(ConstantRepeat(limit, INF), exact=False), 2)
+    def test_real_limit_near_an_end(self, scale, limit, verdict):
+        # the limit sits limit * scale above the end 0 of [0, scale]
+        spec = FiniteSpectrumSpec(((0.0, INF), (scale, INF)))
+        out = check_mt_p_summable(spec, seq(ConstantRepeat(limit * scale, INF), exact=False), 2)
         assert (out.verdict, out.mode) == (verdict, "float")
 
+    @SCALES
     @pytest.mark.parametrize("gap,verdict", [
         (1e-13, "SufficientConditionHolds"),
         (1e-11, "SufficientConditionHolds"),
         (1e-8, "Unknown"),
         (1e-3, "ConditionFails"),
     ])
-    def test_complex_limit_near_an_edge(self, gap, verdict):
-        # the limit sits gap above the edge [0, 1] of the triangle 0, 1, i
-        d = seq(ConstantRepeat(0.5 + gap * 1j, INF), field="complex", exact=False)
-        out = check_mt_p_summable(TestModeFromPointsAndD.FLOAT_TRIANGLE, d, 2)
+    def test_complex_limit_near_an_edge(self, scale, gap, verdict):
+        # the limit sits gap * scale above the edge [0, scale] of the
+        # triangle 0, scale, scale i
+        spec = FiniteSpectrumSpec(((0j, INF), (scale + 0j, INF), (scale * 1j, INF)))
+        d = seq(ConstantRepeat((0.5 + gap * 1j) * scale, INF), field="complex", exact=False)
+        out = check_mt_p_summable(spec, d, 2)
         assert (out.verdict, out.mode) == (verdict, "float")
 
 

@@ -24,6 +24,7 @@ from diagonalis.spectra import (
     verify_kadison_codimension_identity,
     verify_normal_codimension_identity,
 )
+from lattice_cases import arveson_instance, arveson_request, plain_complex
 
 rng = np.random.default_rng(777)
 
@@ -384,7 +385,9 @@ class TestArveson:
         at_one = seq(FiniteList([0.0]), ConstantRepeat(1.0, INF), exact=False)
         assert check_arveson([1.0, 1.0], at_one).verdict == "No"
         assert check_arveson([1.0, 1.0 + 1e-14], at_one).verdict == "No"
-        assert check_arveson([1.0, 1.0 + 1e-8], at_one).verdict == "Unknown"
+        out = check_arveson([1.0, 1.0 + 1e-8], at_one)
+        assert out.verdict == "Unknown"
+        assert out.certificate["reason"] == "comparison inside the float tolerance buffer"
         assert check_arveson([1.0, 1.0], seq(ConstantRepeat(1.0, INF), exact=False)).verdict == "Yes"
 
     def test_float_buffer_is_unknown(self):
@@ -407,33 +410,19 @@ class TestArveson:
         assert dev == got
 
 
-def _complex(z):
-    """A QC as a complex, rounded as float(Fraction) rounds, without calling it."""
-    return complex(z.re.numerator / z.re.denominator, z.im.numerator / z.im.denominator)
-
-
 def _arveson_case(g):
-    """Rational vertices (2-4 of them; a fifth of the larger sets on one line)
-    and d = a finite head then a constant tail at a vertex.  The deviation sum
-    differs from (sum of the head) - N v_0 by a lattice point, so half of the
-    cases pick the last head entry to put that difference on the lattice."""
+    """Rational vertices (2-4 of them; a fifth of the larger sets on one
+    line), a head of halves of such rationals, in half of the cases with its
+    last entry put on the lattice, and the index of the tail's vertex."""
     def rational():
         return F(g.randint(-6, 6), g.choice([1, 2, 3, 4]))
 
     n = g.randint(2, 4)
     vs = [QC(rational(), rational()) for _ in range(n)]
-    if n > 2 and g.random() < 0.2:
-        vs[2:] = [vs[0] + QC(rational(), F(0)) * (vs[1] - vs[0]) for _ in vs[2:]]
+    steps = [rational() for _ in vs[2:]] if n > 2 and g.random() < 0.2 else None
     head = [QC(rational(), rational()) / 2 for _ in range(g.randint(1, 4))]
-    member = g.random() < 0.5
-    if member:
-        lattice = sum((QC(F(g.randint(-2, 2)), F(0)) * (v - vs[0]) for v in vs[1:]), QC(F(0), F(0)))
-        head[-1] = vs[0] * QC(F(len(head)), F(0)) + lattice - sum(head[:-1], QC(F(0), F(0)))
-    tail = vs[g.randrange(n)]
-    exact = seq(FiniteList(head), ConstantRepeat(tail, INF), field="complex")
-    flt = seq(FiniteList([_complex(e) for e in head]), ConstantRepeat(_complex(tail), INF),
-              field="complex", exact=False)
-    return vs, exact, [_complex(v) for v in vs], flt
+    ks = [g.randint(-2, 2) for _ in vs[1:]] if g.random() < 0.5 else None
+    return (*arveson_instance(vs, steps, head, ks), g.randrange(n))
 
 
 def _discrete(vs):
@@ -450,10 +439,11 @@ def test_float_arveson_matches_exact_on_seeded_corpus():
     g = random.Random(7)
     counts = {}
     for _ in range(3000):
-        vs, d, fvs, fd = _arveson_case(g)
-        exact, flt = check_arveson(vs, d), check_arveson(fvs, fd)
+        vs, head, tail = _arveson_case(g)
+        exact = arveson_request(vs, head, tail)
+        flt = arveson_request([plain_complex(v) for v in vs], [plain_complex(e) for e in head], tail)
         assert exact.mode == "exact" and flt.mode == "float"
-        assert flt.verdict in (exact.verdict, "Unknown"), (vs, d, flt.as_json())
+        assert flt.verdict in (exact.verdict, "Unknown"), (vs, head, tail, flt.as_json())
         key = (_discrete(vs), exact.verdict, flt.verdict)
         counts[key] = counts.get(key, 0) + 1
     discrete_no = counts.get((True, "No", "No"), 0)

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from diagonalis.cli import run
 from diagonalis.deciders import (
-    check_arveson,
     decide_bownik_jasper,
     decide_horn_unitary,
     decide_jlw_unitary,
@@ -29,6 +28,7 @@ from diagonalis.deciders import (
 from diagonalis.majorization import majorize_finite
 from diagonalis.scalars import INF, QC
 from diagonalis.seqspec import ConstantRepeat, FiniteList, SequenceSpec, seq
+from lattice_cases import arveson_instance, arveson_request, plain_complex
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -98,9 +98,7 @@ def test_williams_float_agrees_with_exact(lam, d, from_lam):
 
 
 # Arveson: two vertices, three, three on one line and four; half of the
-# deviation sums put on the lattice.  The deviation sum differs from
-# (sum of the head) - N v_0 by a lattice point, so the last head entry can
-# put it there.
+# deviation sums put on the lattice.
 
 ARVESON_KINDS = pytest.mark.parametrize("n,collinear", [(2, False), (3, False), (3, True),
                                                         (4, False)])
@@ -109,25 +107,11 @@ ARVESON_KINDS = pytest.mark.parametrize("n,collinear", [(2, False), (3, False), 
 @st.composite
 def arveson_cases(draw, n, collinear):
     vs = draw(st.lists(gaussian, min_size=n, max_size=n))
-    if collinear:
-        steps = draw(st.lists(rationals(-2, 2), min_size=n - 2, max_size=n - 2))
-        vs[2:] = [vs[0] + QC(r, F(0)) * (vs[1] - vs[0]) for r in steps]
+    steps = draw(st.lists(rationals(-2, 2), min_size=n - 2, max_size=n - 2)) if collinear else None
     head = draw(st.lists(gaussian, min_size=1, max_size=4))
-    if draw(st.booleans()):
-        ks = draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1))
-        lattice = sum((k * (v - vs[0]) for k, v in zip(ks, vs[1:])), QC(F(0), F(0)))
-        head[-1] = len(head) * vs[0] + lattice - sum(head[:-1], QC(F(0), F(0)))
-    return vs, head, draw(st.integers(0, n - 1))
-
-
-def plain_complex(z):
-    """A QC as a complex, rounded as float(Fraction) rounds, without calling it."""
-    return complex(z.re.numerator / z.re.denominator, z.im.numerator / z.im.denominator)
-
-
-def arveson_request(vs, head, tail):
-    """Exact for QC points, float for complex ones; the tail sits at vertex ``tail``."""
-    return check_arveson(vs, seq(FiniteList(head), ConstantRepeat(vs[tail], INF), field="complex"))
+    member = draw(st.booleans())
+    ks = draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1)) if member else None
+    return (*arveson_instance(vs, steps, head, ks), draw(st.integers(0, n - 1)))
 
 
 @ARVESON_KINDS
